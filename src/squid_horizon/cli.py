@@ -21,6 +21,7 @@ import numpy as np
 
 from . import (bias, circuit, config, dispersion, experiments, geometry,
                lattice, svgplot)
+from ._csv import write_csv
 from .constants import DEFAULT_CONSTANTS
 from .errors import ConfigError, NoHorizon, SquidHorizonError
 
@@ -48,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker threads for the sweep engine")
     common.add_argument("--emit", metavar="FLAGS",
                         help="comma-separated output formats: csv,svg,bin")
-    common.add_argument("--seedless", action="store_true",
-                        help="run fully deterministically (always the case; "
-                             "accepted for compatibility)")
 
     parser = argparse.ArgumentParser(
         prog="squid-horizon",
@@ -84,9 +82,7 @@ def _load_config(args) -> config.RunConfig:
         cfg = config.apply_override(cfg, "output.workers", args.workers)
     if args.emit is not None:
         flags = [f for f in args.emit.split(",") if f]
-        data = config.config_to_dict(cfg)
-        data["output"]["emit"] = flags
-        cfg = config.loads_config(json.dumps(data), source="<cli>")
+        cfg = config.apply_override(cfg, "output.emit", flags)
     return cfg
 
 
@@ -146,12 +142,8 @@ def _cmd_profile(args) -> int:
     emit = cfg.output.emit
     if "csv" in emit:
         path = out / "profile.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("xi,c,u\n")
-            for i in range(len(profile.positions)):
-                fh.write("%.12e,%.12e,%.12e\n"
-                         % (profile.positions[i], profile.speed[i],
-                            profile.flow_speed))
+        write_csv(path, "xi,c,u", "%.12e,%.12e,%.12e", profile.positions,
+                  profile.speed, [profile.flow_speed] * len(profile.speed))
         print("wrote %s" % path)
     if "svg" in emit:
         path = out / "profile.svg"
@@ -253,27 +245,11 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.target == "budget":
+        return _cmd_budget(args)
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    if args.target == "fig2":
-        result = experiments.reproduce_fig2(cfg, out_dir=out)
-        print("plateau c/c0 = %.6f, u/c0 = %.6f" % (result.plateau_ratio,
-                                                    result.flow_ratio))
-        print("horizon at xi = %.6e m (flux %.6f of a quantum)"
-              % (result.horizon_position, result.horizon_flux_fraction))
-        for path in (result.csv_path, result.svg_path):
-            if path:
-                print("wrote %s" % path)
-    elif args.target == "fig3":
-        result = experiments.reproduce_fig3(cfg, out_dir=out)
-        for cap, icept in zip(result.capacitances, result.intercepts):
-            print("C0 = %8.3g F: Z/R_Q at zero flux = %.4f" % (cap, icept))
-        for path in (result.csv_path, result.svg_path):
-            if path:
-                print("wrote %s" % path)
-    elif args.target == "budget":
-        return _cmd_budget(args)
-    else:
+    if args.target == "trapping":
         for scenario in ("pulse", "static"):
             report = experiments.wavepacket_trapping(cfg, out_dir=out,
                                                      scenario=scenario)
@@ -284,6 +260,20 @@ def _cmd_reproduce(args) -> int:
                                        outcome.verdict, when))
             if report.csv_path:
                 print("wrote %s" % report.csv_path)
+        return 0
+    if args.target == "fig2":
+        result = experiments.reproduce_fig2(cfg, out_dir=out)
+        print("plateau c/c0 = %.6f, u/c0 = %.6f" % (result.plateau_ratio,
+                                                    result.flow_ratio))
+        print("horizon at xi = %.6e m (flux %.6f of a quantum)"
+              % (result.horizon_position, result.horizon_flux_fraction))
+    else:
+        result = experiments.reproduce_fig3(cfg, out_dir=out)
+        for cap, icept in zip(result.capacitances, result.intercepts):
+            print("C0 = %8.3g F: Z/R_Q at zero flux = %.4f" % (cap, icept))
+    for path in (result.csv_path, result.svg_path):
+        if path:
+            print("wrote %s" % path)
     return 0
 
 
@@ -291,10 +281,11 @@ def _cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep needs --config pointing at a sweep file")
     spec = experiments.load_sweep(args.config)
-    workers = args.workers
-    result = experiments.run_sweep(spec, workers=workers)
-    cfg = spec.base
-    out = _out_dir(args, cfg)
+    if args.workers is not None:
+        spec = dataclasses.replace(spec, base=config.apply_override(
+            spec.base, "output.workers", args.workers))
+    result = experiments.run_sweep(spec)
+    out = _out_dir(args, spec.base)
     path = out / "sweep.csv"
     experiments.write_sweep_csv(path, result)
     failures = sum(1 for p in result.points if p.error is not None)
@@ -318,10 +309,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (FileNotFoundError, ConfigError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (SquidHorizonError, ValueError) as exc:

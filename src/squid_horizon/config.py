@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -115,49 +116,12 @@ _SCHEMA = {
     },
 }
 
-# Reference device: 2 uA junctions tuned to a 1 THz zero-flux plasma
-# frequency, 0.25 um cells, the 0.2 Phi_0 front at 95% of the cell speed
-# with the gradient-capped steepness and the broadening rate calibrated
-# for a 10% temperature drop per 1000 cells.
-_DEFAULTS = {
-    "junction": {
-        "critical_current": 2.0e-06,
-        "capacitance": 1.539339760883361e-16,
-        "normal_resistance": None,
-    },
-    "squid": {"loop_inductance": 1.0e-11},
-    "array": {
-        "n_cells": 4800,
-        "cell_length": 2.5e-07,
-        "ground_capacitance": 5.0e-17,
-        "environment_impedance": 50.0,
-    },
-    "pulse": {
-        "amplitude": 0.2,
-        "dc_offset": 0.0,
-        "velocity": 3702889.2391083743,
-        "steepness": 436228.3606298319,
-        "front_position": 0.0,
-        "broadening": 444.4444444444444,
-        "shape": "tanh",
-    },
-    "solver": {
-        "n_steps": 5000,
-        "dt": None,
-        "courant_fraction": 0.2,
-        "boundary": "absorbing",
-        "record_every": 500,
-        "current_dependent_inductance": False,
-        "check_every": 128,
-    },
-    "audit": {"max_signal_frequency": 5.0e10},
-    "output": {"directory": None, "emit": ["csv"], "workers": 1},
-}
-
-
 def defaults_path() -> Path:
     """Path of the shipped reference configuration."""
     return Path(__file__).parent / "data" / "defaults.json"
+
+
+_DEFAULTS = json.loads(defaults_path().read_text())
 
 
 def _suggest(name: str, candidates) -> str:
@@ -165,39 +129,33 @@ def _suggest(name: str, candidates) -> str:
     return "; did you mean %r?" % close[0] if close else ""
 
 
+# JSON type -> (what an error message says is expected, acceptance test).
+# Python counts a bool as an int; a config file does not.  The magnitude
+# test fails for NaN, for infinities and for integers beyond float range.
+_KINDS = {
+    float: ("a finite number",
+            lambda v: isinstance(v, (int, float)) and
+            not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    int: ("an integer",
+          lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    bool: ("true/false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of strings",
+           lambda v: isinstance(v, list) and
+           all(isinstance(s, str) for s in v)),
+}
+
+
 def _check_type(section: str, key: str, value: Any, kind) -> Any:
     if isinstance(kind, _Opt):
         if value is None:
             return None
         kind = kind.kind
-    label = "%s.%s" % (section, key)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError("key %r: expected a number, got %r"
-                              % (label, value))
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError("key %r: expected an integer, got %r"
-                              % (label, value))
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError("key %r: expected true/false, got %r"
-                              % (label, value))
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError("key %r: expected a string, got %r"
-                              % (label, value))
-        return value
-    if kind is list:
-        if not isinstance(value, list) or \
-                not all(isinstance(v, str) for v in value):
-            raise ConfigError("key %r: expected a list of strings, got %r"
-                              % (label, value))
-        return list(value)
-    raise AssertionError(kind)
+    expected, accepts = _KINDS[kind]
+    if not accepts(value):
+        raise ConfigError("key %r: expected %s, got %r"
+                          % ("%s.%s" % (section, key), expected, value))
+    return kind(value)
 
 
 def _merged(data: dict) -> dict:
@@ -238,10 +196,7 @@ def _build(merged: dict) -> RunConfig:
     array = section("array", circuit.ArrayParams, **merged["array"])
     pulse = section("pulse", bias.FluxPulse, **merged["pulse"])
     solver = section("solver", lattice.SolverConfig, **merged["solver"])
-    output = section("output", OutputConfig,
-                     directory=merged["output"]["directory"],
-                     emit=tuple(merged["output"]["emit"]),
-                     workers=merged["output"]["workers"])
+    output = section("output", OutputConfig, **merged["output"])
     freq = merged["audit"]["max_signal_frequency"]
     if freq <= 0.0:
         raise ConfigError("audit.max_signal_frequency must be positive")
@@ -272,45 +227,16 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Nested plain-dict form of the configuration, parseable back."""
-    return {
-        "junction": {
-            "critical_current": cfg.junction.critical_current,
-            "capacitance": cfg.junction.capacitance,
-            "normal_resistance": cfg.junction.normal_resistance,
-        },
-        "squid": {"loop_inductance": cfg.squid.loop_inductance},
-        "array": {
-            "n_cells": cfg.array.n_cells,
-            "cell_length": cfg.array.cell_length,
-            "ground_capacitance": cfg.array.ground_capacitance,
-            "environment_impedance": cfg.array.environment_impedance,
-        },
-        "pulse": {
-            "amplitude": cfg.pulse.amplitude,
-            "dc_offset": cfg.pulse.dc_offset,
-            "velocity": cfg.pulse.velocity,
-            "steepness": cfg.pulse.steepness,
-            "front_position": cfg.pulse.front_position,
-            "broadening": cfg.pulse.broadening,
-            "shape": cfg.pulse.shape,
-        },
-        "solver": {
-            "n_steps": cfg.solver.n_steps,
-            "dt": cfg.solver.dt,
-            "courant_fraction": cfg.solver.courant_fraction,
-            "boundary": cfg.solver.boundary,
-            "record_every": cfg.solver.record_every,
-            "current_dependent_inductance":
-                cfg.solver.current_dependent_inductance,
-            "check_every": cfg.solver.check_every,
-        },
-        "audit": {"max_signal_frequency": cfg.max_signal_frequency},
-        "output": {
-            "directory": cfg.output.directory,
-            "emit": list(cfg.output.emit),
-            "workers": cfg.output.workers,
-        },
-    }
+    sources = {"junction": cfg.junction, "squid": cfg.squid,
+               "array": cfg.array, "pulse": cfg.pulse, "solver": cfg.solver,
+               "audit": cfg, "output": cfg.output}
+
+    def plain(value):
+        return list(value) if isinstance(value, tuple) else value
+
+    return {section: {key: plain(getattr(sources[section], key))
+                      for key in keys}
+            for section, keys in _SCHEMA.items()}
 
 
 def dumps_config(cfg: RunConfig) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bias, circuit, lattice
+from ._csv import write_csv
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import BandLimit, FitFailure, OutOfBand
 
@@ -239,11 +240,7 @@ def front_resolved(pulse: bias.FluxPulse, array: circuit.ArrayParams,
 
 def write_dispersion_csv(path, curve: DispersionCurve) -> None:
     """Write the curve as CSV: k, omega_analytic, omega_measured, rel_error."""
-    with open(path, "w", newline="") as fh:
-        fh.write("k,omega_analytic,omega_measured,rel_error\n")
-        for i in range(len(curve)):
-            rel = (abs(curve.omega_measured[i] - curve.omega_analytic[i]) /
-                   curve.omega_analytic[i])
-            fh.write("%.12e,%.12e,%.12e,%.12e\n" % (
-                curve.wavenumbers[i], curve.omega_analytic[i],
-                curve.omega_measured[i], rel))
+    write_csv(path, "k,omega_analytic,omega_measured,rel_error",
+              "%.12e,%.12e,%.12e,%.12e", curve.wavenumbers,
+              curve.omega_analytic, curve.omega_measured,
+              curve.relative_errors)

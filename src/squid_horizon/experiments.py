@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bias, circuit, config, geometry, lattice, svgplot
+from ._csv import write_csv
 from .config import RunConfig
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import ConfigError, NoHorizon, SquidHorizonError, UnknownKey
@@ -104,11 +105,8 @@ def reproduce_fig2(cfg: Optional[RunConfig] = None, out_dir=".",
     csv_path = svg_path = None
     if "csv" in emit:
         csv_path = str(out / "fig2_profile.csv")
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("xi,c_over_c0,u_over_c0\n")
-            for i in range(len(rel)):
-                fh.write("%.12e,%.12e,%.12e\n" % (rel[i], ratio[i],
-                                                  flow_ratio))
+        write_csv(csv_path, "xi,c_over_c0,u_over_c0", "%.12e,%.12e,%.12e",
+                  rel, ratio, [flow_ratio] * len(rel))
     if "svg" in emit:
         svg_path = str(out / "fig2_profile.svg")
         svgplot.line_plot(
@@ -159,15 +157,11 @@ def reproduce_fig3(cfg: Optional[RunConfig] = None, out_dir=".",
     csv_path = svg_path = None
     if "csv" in emit:
         csv_path = str(out / "fig3_impedance.csv")
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("flux_fraction," +
-                     ",".join("ratio_" + l.replace(" ", "") for l in labels) +
-                     "\n")
-            for j in range(len(fractions)):
-                fh.write("%.12e," % fractions[j] +
-                         ",".join("%.12e" % ratios[i, j]
-                                  for i in range(len(FIG3_CAPACITANCES))) +
-                         "\n")
+        write_csv(csv_path,
+                  ",".join(["flux_fraction"] +
+                           ["ratio_" + l.replace(" ", "") for l in labels]),
+                  ",".join(["%.12e"] * (1 + len(ratios))),
+                  fractions, *ratios)
     if "svg" in emit:
         svg_path = str(out / "fig3_impedance.svg")
         svgplot.line_plot(
@@ -343,12 +337,11 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
     csv_path = None
     if "csv" in emit:
         csv_path = str(out / ("trapping_%s.csv" % scenario))
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("packet,t,xi_offset\n")
-            for name, (times, offsets) in traces.items():
-                for i in range(len(times)):
-                    fh.write("%s,%.12e,%.12e\n" % (name, times[i],
-                                                   offsets[i]))
+        write_csv(csv_path, "packet,t,xi_offset", "%s,%.12e,%.12e",
+                  [name for name, (times, _) in traces.items()
+                   for _ in times],
+                  np.concatenate([times for times, _ in traces.values()]),
+                  np.concatenate([offsets for _, offsets in traces.values()]))
 
     return TrappingReport(
         scenario=scenario,
@@ -499,6 +492,9 @@ def load_sweep(path) -> SweepSpec:
     for axis in data.get("axes", []):
         if not isinstance(axis, dict) or set(axis) != {"path", "values"}:
             raise ConfigError("each axis needs exactly 'path' and 'values'")
+        if not isinstance(axis["path"], str):
+            raise ConfigError("axis path must be a string, got %r"
+                              % axis["path"])
         if not isinstance(axis["values"], list):
             raise ConfigError("axis values must form a list")
         axes.append((axis["path"], tuple(axis["values"])))

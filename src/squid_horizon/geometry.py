@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import bias, circuit
+from ._csv import write_csv
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import NoHorizon, OutOfRange
 
@@ -270,10 +271,7 @@ def steepness_for_gradient_cap(array: circuit.ArrayParams,
 
 def write_horizon_trace(path, budget: PhotonBudget) -> None:
     """Write the emission history as CSV with stable formatting."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x_h,grad_c,T_H_K,power_W\n")
-        for i in range(len(budget.times)):
-            fh.write("%.12e,%.12e,%.12e,%.12e,%.12e\n" % (
-                budget.times[i], budget.horizon_positions[i],
-                budget.gradients[i], budget.temperatures[i],
-                budget.powers[i]))
+    write_csv(path, "t,x_h,grad_c,T_H_K,power_W",
+              "%.12e,%.12e,%.12e,%.12e,%.12e", budget.times,
+              budget.horizon_positions, budget.gradients,
+              budget.temperatures, budget.powers)

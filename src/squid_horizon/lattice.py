@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bias, circuit
+from ._csv import write_csv
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import (
     BandLimit,
@@ -478,15 +479,12 @@ def measure_pulse_speed(trajectory: LatticeTrajectory,
 
 def write_trajectory_csv(path, trajectory: LatticeTrajectory) -> None:
     """Row-per-node dump with columns t, node, A, I, V."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,node,A,I,V\n")
-        for r in range(len(trajectory.times)):
-            t = trajectory.times[r]
-            volts = np.diff(trajectory.potentials[r], prepend=0.0)
-            for node in range(trajectory.potentials.shape[1]):
-                fh.write("%.12e,%d,%.12e,%.12e,%.12e\n" % (
-                    t, node, trajectory.potentials[r, node],
-                    trajectory.currents[r, node], volts[node]))
+    n_rec, n = trajectory.potentials.shape
+    volts = np.diff(trajectory.potentials, axis=1, prepend=0.0)
+    write_csv(path, "t,node,A,I,V", "%.12e,%d,%.12e,%.12e,%.12e",
+              np.repeat(trajectory.times, n), np.tile(np.arange(n), n_rec),
+              trajectory.potentials.ravel(), trajectory.currents.ravel(),
+              volts.ravel())
 
 
 def write_trajectory_binary(path, trajectory: LatticeTrajectory) -> None:

@@ -93,9 +93,6 @@ class TestValidate:
         code = main(["validate", "--emit", "png", "--out", str(tmp_path)])
         assert code == 2
 
-    def test_seedless_accepted(self, tmp_path):
-        assert main(["validate", "--seedless", "--out", str(tmp_path)]) == 0
-
 
 class TestOutputLocation:
     def test_out_flag_wins(self, tmp_path, monkeypatch):
@@ -272,6 +269,22 @@ class TestSweep:
                          "--workers", workers]) == 0
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
             (tmp_path / "b" / "sweep.csv").read_bytes()
+
+    def test_bad_workers_flag(self, tmp_path, capsys):
+        spec = self.write_sweep(tmp_path / "sweep.json")
+        code = main(["sweep", "--config", str(spec), "--out", str(tmp_path),
+                     "--workers", "0"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_non_string_axis_path(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"axes": [{"path": 3, "values": [1]}],
+                                    "outputs": ["cell_speed"]}))
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestEntryPoint:

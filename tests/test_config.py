@@ -1,11 +1,12 @@
 """Configuration ingestion: strict schema, defaults, round-trips."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from squid_horizon import circuit, config
+from squid_horizon import bias, circuit, config, lattice
 from squid_horizon.errors import ConfigError, ParseError, UnknownKey
 
 
@@ -29,6 +30,21 @@ class TestDefaults:
     def test_junction_shortcut(self):
         cfg = config.default_config()
         assert cfg.junction is cfg.squid.junction
+
+
+class TestSchema:
+    def test_sections_cover_every_dataclass_field(self):
+        sections = {"junction": circuit.JunctionParams,
+                    "squid": circuit.SquidParams,
+                    "array": circuit.ArrayParams,
+                    "pulse": bias.FluxPulse,
+                    "solver": lattice.SolverConfig,
+                    "output": config.OutputConfig}
+        for name, cls in sections.items():
+            fields = {f.name for f in dataclasses.fields(cls)} - {"junction"}
+            assert set(config._SCHEMA[name]) == fields, name
+        assert set(config._SCHEMA) == set(sections) | {"audit"}
+        assert set(config._SCHEMA["audit"]) == {"max_signal_frequency"}
 
 
 class TestStrictParsing:
@@ -60,6 +76,10 @@ class TestStrictParsing:
         '{"solver": {"boundary": "open"}}',
         '{"pulse": {"shape": 3}}',
         '{"audit": {"max_signal_frequency": -1.0}}',
+        '{"junction": {"critical_current": NaN}}',
+        '{"pulse": {"velocity": Infinity}}',
+        pytest.param('{"pulse": {"velocity": 1%s}}' % ("0" * 400),
+                     id="integer-beyond-float-range"),
         '["not", "an", "object"]',
     ])
     def test_bad_values_rejected(self, text):
