@@ -42,6 +42,7 @@ from .geometry import (
     PhotonBudget,
     VelocityProfile,
     effective_metric,
+    emitting_horizon,
     find_horizons,
     hawking_temperature,
     photons_per_pulse,

@@ -68,6 +68,8 @@ class FluxPulse:
             raise ValueError("steepness must be positive")
         if self.broadening < 0.0:
             raise ValueError("broadening must be non-negative")
+        if not np.isfinite(self.broadening * self.velocity):
+            raise ValueError("broadening * velocity must be finite")
         if self.shape not in _SHAPES:
             raise ValueError("shape must be one of %s" % (_SHAPES,))
 

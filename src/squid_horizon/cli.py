@@ -73,17 +73,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> config.RunConfig:
-    if args.config is not None:
-        cfg = config.load_config(args.config)
-    else:
-        cfg = config.default_config()
+def _apply_flags(cfg: config.RunConfig, args) -> config.RunConfig:
     if args.workers is not None:
         cfg = config.apply_override(cfg, "output.workers", args.workers)
     if args.emit is not None:
         flags = [f for f in args.emit.split(",") if f]
         cfg = config.apply_override(cfg, "output.emit", flags)
     return cfg
+
+
+def _load_config(args) -> config.RunConfig:
+    if args.config is not None:
+        cfg = config.load_config(args.config)
+    else:
+        cfg = config.default_config()
+    return _apply_flags(cfg, args)
 
 
 def _out_dir(args, cfg: config.RunConfig) -> Path:
@@ -281,9 +285,7 @@ def _cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep needs --config pointing at a sweep file")
     spec = experiments.load_sweep(args.config)
-    if args.workers is not None:
-        spec = dataclasses.replace(spec, base=config.apply_override(
-            spec.base, "output.workers", args.workers))
+    spec = dataclasses.replace(spec, base=_apply_flags(spec.base, args))
     result = experiments.run_sweep(spec)
     out = _out_dir(args, spec.base)
     path = out / "sweep.csv"

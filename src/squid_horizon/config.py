@@ -27,8 +27,10 @@ __all__ = [
     "default_config",
     "defaults_path",
     "dumps_config",
+    "from_dict",
     "load_config",
     "loads_config",
+    "parse_json",
     "resolve_path",
     "write_config",
 ]
@@ -204,19 +206,29 @@ def _build(merged: dict) -> RunConfig:
                      output=output, max_signal_frequency=freq)
 
 
+def from_dict(data) -> RunConfig:
+    """Configuration from a parsed JSON object; missing keys take the
+    shipped defaults."""
+    return _build(_merged(data))
+
+
 def default_config() -> RunConfig:
     """The reference configuration, equal to parsing the shipped defaults."""
-    return _build(_merged({}))
+    return from_dict({})
+
+
+def parse_json(text: str, source: str):
+    """Decode JSON text; a syntax error raises ParseError with its place."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("%s: line %d column %d: %s"
+                         % (source, exc.lineno, exc.colno, exc.msg)) from exc
 
 
 def loads_config(text: str, source: str = "<config>") -> RunConfig:
     """Parse a configuration from a JSON string."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("%s: line %d column %d: %s"
-                         % (source, exc.lineno, exc.colno, exc.msg)) from exc
-    return _build(_merged(data))
+    return from_dict(parse_json(text, source))
 
 
 def load_config(path) -> RunConfig:
@@ -269,4 +281,4 @@ def apply_override(cfg: RunConfig, path: str, value) -> RunConfig:
     section, key = resolve_path(path)
     data = config_to_dict(cfg)
     data[section][key] = value
-    return _build(_merged(data))
+    return from_dict(data)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -390,29 +389,41 @@ class SweepResult:
     points: tuple
 
 
-def _evaluate_output(name: str, cfg: RunConfig,
-                     constants: PhysicalConstants) -> float:
+def _evaluate_outputs(names: tuple, cfg: RunConfig,
+                      constants: PhysicalConstants) -> dict:
+    # In request order, so a failing point records the first error it hits.
+    # The t = 0 profile and its horizons are built once, on first use.
     flux_dc = cfg.pulse.dc_offset * constants.flux_quantum
-    if name == "cell_speed":
-        return circuit.cell_velocity(cfg.array, cfg.squid, flux_dc, 0.0,
-                                     constants)
-    if name == "impedance_ratio":
-        z = circuit.array_impedance(cfg.array, cfg.squid, flux_dc, constants)
-        return z / constants.resistance_quantum
-    if name == "horizon_count":
-        profile = geometry.velocity_profile(cfg.array, cfg.squid, cfg.pulse,
-                                            0.0, constants=constants)
-        return float(len(geometry.find_horizons(profile)))
-    if name == "hawking_temperature":
-        profile = geometry.velocity_profile(cfg.array, cfg.squid, cfg.pulse,
-                                            0.0, constants=constants)
-        return geometry.hawking_temperature(profile, constants=constants)
-    if name == "photon_count":
-        budget = geometry.photons_per_pulse(cfg.array, cfg.squid, cfg.pulse,
-                                            cfg.array.n_cells,
-                                            constants=constants)
-        return budget.expected_count
-    raise AssertionError(name)
+    horizons = None
+    outputs = {}
+    for name in names:
+        if name in ("horizon_count", "hawking_temperature") and \
+                horizons is None:
+            profile = geometry.velocity_profile(cfg.array, cfg.squid,
+                                                cfg.pulse, 0.0,
+                                                constants=constants)
+            horizons = geometry.find_horizons(profile)
+        if name == "cell_speed":
+            value = circuit.cell_velocity(cfg.array, cfg.squid, flux_dc, 0.0,
+                                          constants)
+        elif name == "impedance_ratio":
+            value = (circuit.array_impedance(cfg.array, cfg.squid, flux_dc,
+                                             constants) /
+                     constants.resistance_quantum)
+        elif name == "horizon_count":
+            value = float(len(horizons))
+        elif name == "hawking_temperature":
+            value = geometry.hawking_temperature(
+                profile, geometry.emitting_horizon(horizons), constants)
+        elif name == "photon_count":
+            value = geometry.photons_per_pulse(cfg.array, cfg.squid,
+                                               cfg.pulse, cfg.array.n_cells,
+                                               constants=constants
+                                               ).expected_count
+        else:
+            raise AssertionError(name)
+        outputs[name] = value
+    return outputs
 
 
 def _sweep_point(spec: SweepSpec, coords: tuple,
@@ -421,10 +432,9 @@ def _sweep_point(spec: SweepSpec, coords: tuple,
         cfg = spec.base
         for (path, _), value in zip(spec.axes, coords):
             cfg = config.apply_override(cfg, path, value)
-        outputs = {name: _evaluate_output(name, cfg, constants)
-                   for name in spec.outputs}
+        outputs = _evaluate_outputs(spec.outputs, cfg, constants)
         return SweepPoint(coordinates=coords, outputs=outputs, error=None)
-    except (SquidHorizonError, ValueError) as exc:
+    except (SquidHorizonError, ValueError, ArithmeticError) as exc:
         return SweepPoint(coordinates=coords, outputs={},
                           error="%s: %s" % (type(exc).__name__, exc))
 
@@ -473,12 +483,7 @@ def load_sweep(path) -> SweepSpec:
     [{"path": "section.key", "values": [...]}], "outputs": [names]}.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise config.ParseError("%s: line %d column %d: %s"
-                                % (path, exc.lineno, exc.colno,
-                                   exc.msg)) from exc
+    data = config.parse_json(path.read_text(), str(path))
     if not isinstance(data, dict):
         raise ConfigError("sweep file must hold a JSON object")
     known = {"base", "axes", "outputs"}
@@ -486,8 +491,7 @@ def load_sweep(path) -> SweepSpec:
         if key not in known:
             raise UnknownKey("unknown sweep key %r; valid keys: %s"
                              % (key, ", ".join(sorted(known))))
-    base_data = data.get("base", {})
-    base = config.loads_config(json.dumps(base_data), source=str(path))
+    base = config.from_dict(data.get("base", {}))
     axes = []
     for axis in data.get("axes", []):
         if not isinstance(axis, dict) or set(axis) != {"path", "values"}:

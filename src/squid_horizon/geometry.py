@@ -28,6 +28,7 @@ __all__ = [
     "velocity_profile",
     "effective_metric",
     "find_horizons",
+    "emitting_horizon",
     "hawking_temperature",
     "radiated_power",
     "photons_per_pulse",
@@ -155,30 +156,49 @@ def _gradient(profile: VelocityProfile, xi: float, h: float) -> float:
 def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     """Locate all crossings of c(xi) = u in the sampled profile.
 
-    Brackets sign changes on the grid, refines each root (with the profile
-    evaluator when available, by linear interpolation otherwise) and
-    classifies the crossing: flow in the front frame streams towards -xi,
-    so a crossing with dc/dxi > 0 traps the region behind it (black); the
-    opposite sign releases nothing inwards (white).
+    Brackets sign changes between consecutive nonzero samples of c - u and
+    refines each root: with the profile evaluator when available, by linear
+    interpolation otherwise.  A sample where c equals u exactly is a root;
+    a run of such samples between opposite signs is one horizon at the
+    run's centre, and a touch with the same sign on both sides is none.
+    The crossing is classified by its gradient: flow in the front frame
+    streams towards -xi, so a crossing with dc/dxi > 0 traps the region
+    behind it (black); the opposite sign releases nothing inwards (white).
     """
     u = profile.flow_speed
-    xs = profile.positions
-    f = profile.speed - u
-    reports = []
+    xs = np.asarray(profile.positions, dtype=float)
+    f = np.asarray(profile.speed, dtype=float) - u
     spacing = float(np.min(np.diff(xs))) if len(xs) > 1 else 1.0
-    for i in range(len(xs) - 1):
-        if f[i] == 0.0 or f[i] * f[i + 1] >= 0.0:
-            continue
-        a_lo, a_hi = float(xs[i]), float(xs[i + 1])
-        if profile.evaluator is not None:
+    # Brackets (lo, hi) are consecutive nonzero samples whose signs differ;
+    # exact zeros lie strictly between them.  A NaN sample counts as nonzero
+    # and brackets both its neighbours.  Without exact zeros, lo is
+    # np.flatnonzero((f[:-1] != 0) & ~(f[:-1] * f[1:] >= 0)) and hi = lo + 1.
+    nonzero = np.flatnonzero(f != 0.0)
+    crossing = ~(f[nonzero[:-1]] * f[nonzero[1:]] >= 0.0)
+    lo, hi = nonzero[:-1][crossing], nonzero[1:][crossing]
+    interpolated = xs[lo] + (xs[hi] - xs[lo]) * f[lo] / (f[lo] - f[hi])
+    reports = []
+    for i, j, linear in zip(lo.tolist(), hi.tolist(), interpolated.tolist()):
+        if j > i + 1:
+            root = 0.5 * float(xs[i + 1] + xs[j - 1])
+        elif profile.evaluator is not None:
             root = float(brentq(lambda xi: profile.evaluator(xi) - u,
-                                a_lo, a_hi, xtol=1.0e-6 * spacing))
+                                float(xs[i]), float(xs[j]),
+                                xtol=1.0e-6 * spacing))
         else:
-            root = a_lo + (a_hi - a_lo) * f[i] / (f[i] - f[i + 1])
+            root = linear
         grad = _gradient(profile, root, 0.25 * spacing)
         kind = "black" if grad > 0.0 else "white"
         reports.append(HorizonReport(position=root, kind=kind, gradient=grad))
     return tuple(reports)
+
+
+def emitting_horizon(horizons) -> HorizonReport:
+    """The emitter among found horizons: the first black one, else the
+    first one; raises NoHorizon when there is none."""
+    if not horizons:
+        raise NoHorizon("profile has no c = u crossing")
+    return next((h for h in horizons if h.kind == "black"), horizons[0])
 
 
 def hawking_temperature(profile: VelocityProfile,
@@ -186,15 +206,11 @@ def hawking_temperature(profile: VelocityProfile,
                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Emission temperature hbar*|dc/dxi| / (2*pi*k_B) at the horizon (K).
 
-    With no horizon given, uses the first black horizon of the profile (the
-    emitter); raises NoHorizon when the profile has none at all.
+    With no horizon given, uses the emitting horizon of the profile (see
+    emitting_horizon); raises NoHorizon when the profile has none at all.
     """
     if horizon is None:
-        found = find_horizons(profile)
-        if not found:
-            raise NoHorizon("profile has no c = u crossing")
-        blacks = [h for h in found if h.kind == "black"]
-        horizon = blacks[0] if blacks else found[0]
+        horizon = emitting_horizon(find_horizons(profile))
     return (constants.hbar * abs(horizon.gradient) /
             (2.0 * np.pi * constants.boltzmann))
 

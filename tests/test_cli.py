@@ -5,6 +5,7 @@ codes, emitted files, flag precedence and printed summaries.  The
 physics behind each subcommand is covered by the module tests.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -277,6 +278,29 @@ class TestSweep:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_bad_emit_flag(self, tmp_path, capsys):
+        spec = self.write_sweep(tmp_path / "sweep.json")
+        code = main(["sweep", "--config", str(spec), "--out", str(tmp_path),
+                     "--emit", "png"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_arithmetic_error_is_recorded_per_point(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(
+            {"axes": [{"path": "array.ground_capacitance",
+                       "values": [5e-17, 1e-320]}],
+             "outputs": ["cell_speed"]}))
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 0
+        assert "evaluated 2 points (1 failed)" in capsys.readouterr().out
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            header, good, bad = csv.reader(fh)
+        assert header[-1] == "error"
+        assert good[-1] == ""
+        assert bad[-1].startswith("ZeroDivisionError:")
 
     def test_non_string_axis_path(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"

@@ -78,6 +78,8 @@ class TestStrictParsing:
         '{"audit": {"max_signal_frequency": -1.0}}',
         '{"junction": {"critical_current": NaN}}',
         '{"pulse": {"velocity": Infinity}}',
+        pytest.param('{"pulse": {"velocity": 1e308}}',
+                     id="broadening-times-velocity-overflows"),
         pytest.param('{"pulse": {"velocity": 1%s}}' % ("0" * 400),
                      id="integer-beyond-float-range"),
         '["not", "an", "object"]',

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from squid_horizon import circuit, config, experiments
-from squid_horizon.errors import ConfigError, UnknownKey
+from squid_horizon.errors import ConfigError, ParseError, UnknownKey
 
 TRAVERSAL_TIME = experiments.TRAP_LAUNCH_CELLS * 2.5e-7 / 3897778.146429868
 
@@ -333,6 +333,36 @@ class TestSweep:
         result = experiments.run_sweep(spec)
         assert result.points[0].outputs["cell_speed"] == pytest.approx(
             3897778.146429868, rel=1e-12)
+
+    def test_horizon_outputs_share_one_scan(self, default_cfg, monkeypatch):
+        from squid_horizon import geometry
+        calls = []
+        scan = geometry.find_horizons
+
+        def counted(profile):
+            calls.append(profile)
+            return scan(profile)
+
+        monkeypatch.setattr(geometry, "find_horizons", counted)
+        spec = experiments.SweepSpec(
+            base=default_cfg, axes=(("pulse.dc_offset", (0.0, 0.1)),),
+            outputs=("horizon_count", "cell_speed", "hawking_temperature"))
+        result = experiments.run_sweep(spec)
+        assert len(calls) == 2
+        for point in result.points:
+            assert point.error is None
+            assert point.outputs["horizon_count"] == 1.0
+        assert result.points[0].outputs["hawking_temperature"] == \
+            pytest.approx(0.12156624712116852, rel=1e-6)
+
+    def test_load_sweep_parse_error_carries_location(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"axes": [],,}')
+        with pytest.raises(ParseError) as info:
+            experiments.load_sweep(path)
+        assert str(info.value) == \
+            "%s: line 1 column 13: Expecting property name enclosed in " \
+            "double quotes" % path
 
     def test_load_sweep_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -2,13 +2,74 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import squid_horizon as sh
 from squid_horizon import errors
+from squid_horizon.bias import comoving_flux_fraction
 
-from conftest import REF_CELL_SPEED, REF_PULSE_SPEED, REF_STEEPNESS
+from conftest import (REF_CELL_LENGTH, REF_CELL_SPEED,
+                      REF_CRITICAL_CURRENT, REF_GROUND_CAPACITANCE,
+                      REF_JUNCTION_CAPACITANCE, REF_LOOP_INDUCTANCE,
+                      REF_PULSE_SPEED, REF_STEEPNESS)
 
 K = sh.DEFAULT_CONSTANTS
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def reference_line():
+    """The reference array and SQUID, for tests that draw many inputs."""
+    junction = sh.JunctionParams(critical_current=REF_CRITICAL_CURRENT,
+                                 capacitance=REF_JUNCTION_CAPACITANCE)
+    squid = sh.SquidParams(junction=junction,
+                           loop_inductance=REF_LOOP_INDUCTANCE)
+    array = sh.ArrayParams(n_cells=4800, cell_length=REF_CELL_LENGTH,
+                           ground_capacitance=REF_GROUND_CAPACITANCE,
+                           environment_impedance=50.0)
+    return array, squid
+
+
+def sampled_profile(speed, with_evaluator, flow_speed=2.0, positions=None):
+    """Profile over the given samples; the optional evaluator interpolates
+    the same samples linearly, so both forms describe one curve."""
+    speed = np.asarray(speed, dtype=float)
+    xs = (np.arange(len(speed), dtype=float) if positions is None
+          else np.asarray(positions, dtype=float))
+    evaluator = ((lambda xi: float(np.interp(xi, xs, speed)))
+                 if with_evaluator else None)
+    return sh.VelocityProfile(positions=xs, speed=speed,
+                              flow_speed=flow_speed, evaluator=evaluator)
+
+
+def reference_scan(xs, speed, u):
+    """Plain-Python horizon scan: a sign change between consecutive
+    nonzero samples of c - u is one horizon, interpolated linearly across
+    a grid cell or placed at the centre of the exact zeros in between."""
+    f = [c - u for c in speed]
+    h = 0.25 * min(b - a for a, b in zip(xs, xs[1:]))
+
+    def c(x):
+        return float(np.interp(x, xs, speed))
+
+    found = []
+    last = None
+    for j, fj in enumerate(f):
+        if fj == 0.0:
+            continue
+        if last is not None and f[last] * fj < 0.0:
+            if j == last + 1:
+                root = xs[last] + (xs[j] - xs[last]) * f[last] / (f[last] - fj)
+            else:
+                root = 0.5 * (xs[last + 1] + xs[j - 1])
+            d1 = (c(root + h) - c(root - h)) / (2.0 * h)
+            d2 = (c(root + 0.5 * h) - c(root - 0.5 * h)) / h
+            grad = (4.0 * d2 - d1) / 3.0
+            found.append((root, "black" if grad > 0.0 else "white", grad))
+        last = j
+    return found
 
 
 @pytest.fixture
@@ -134,6 +195,125 @@ class TestHorizons:
                              steepness=REF_STEEPNESS)
         prof = sh.velocity_profile(ref_array, ref_squid, pulse)
         assert sh.find_horizons(prof) == ()
+
+    @pytest.mark.parametrize("with_evaluator", [False, True])
+    @pytest.mark.parametrize("speed,position,kind,gradient", [
+        ([3.0, 2.0, 1.0, 0.0], 1.0, "white", -1.0),
+        ([0.0, 1.0, 2.0, 4.0], 2.0, "black", 1.5),
+    ])
+    def test_crossing_on_a_sample(self, speed, position, kind, gradient,
+                                  with_evaluator):
+        found = sh.find_horizons(sampled_profile(speed, with_evaluator))
+        assert found == (sh.HorizonReport(position=position, kind=kind,
+                                          gradient=gradient),)
+
+    @pytest.mark.parametrize("with_evaluator", [False, True])
+    @pytest.mark.parametrize("speed", [[3.0, 2.0, 3.0], [1.0, 2.0, 1.0],
+                                       [3.0, 2.0, 2.0, 4.0]])
+    def test_touch_is_no_horizon(self, speed, with_evaluator):
+        assert sh.find_horizons(sampled_profile(speed, with_evaluator)) == ()
+
+    @pytest.mark.parametrize("with_evaluator", [False, True])
+    def test_zero_run_is_one_horizon(self, with_evaluator):
+        prof = sampled_profile([4.0, 3.0, 2.0, 2.0, 2.0, 1.0],
+                               with_evaluator)
+        found = sh.find_horizons(prof)
+        assert len(found) == 1
+        assert found[0].position == 3.0
+
+    def test_nan_sample_is_not_read_as_no_horizon(self):
+        # A NaN brackets both neighbouring cells, so refinement fails
+        # loudly instead of the scan reporting an empty profile.
+        prof = sh.VelocityProfile(positions=np.arange(4.0),
+                                  speed=np.array([3.0, np.nan, 3.0, 3.0]),
+                                  flow_speed=2.0,
+                                  evaluator=lambda xi: math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            sh.find_horizons(prof)
+
+    def test_emitting_horizon_prefers_black(self):
+        white = sh.HorizonReport(position=-1.0, kind="white", gradient=-2.0)
+        black = sh.HorizonReport(position=1.0, kind="black", gradient=1.0)
+        assert sh.emitting_horizon((white, black)) is black
+        assert sh.emitting_horizon((white,)) is white
+        with pytest.raises(errors.NoHorizon, match="no c = u crossing"):
+            sh.emitting_horizon(())
+
+    def test_sample_crossing_has_a_temperature(self):
+        prof = sampled_profile([3.0, 2.0, 1.0, 0.0], False)
+        assert sh.hawking_temperature(prof) == pytest.approx(
+            K.hbar / (2.0 * math.pi * K.boltzmann), rel=1e-15)
+
+    @PROPERTY
+    @given(amplitude=st.floats(0.02, 0.45),
+           dc_share=st.floats(0.0, 1.0),
+           depth=st.floats(0.01, 0.99),
+           log_steepness=st.floats(5.0, 7.0),
+           front=st.floats(-1.0e-4, 1.0e-4))
+    @example(amplitude=0.2, dc_share=0.0,
+             depth=(0.95 ** 2 - math.cos(0.2 * math.pi)) /
+             (1.0 - math.cos(0.2 * math.pi)),
+             log_steepness=math.log10(REF_STEEPNESS), front=0.0)
+    def test_tanh_horizon_flux_closed_form(self, amplitude, dc_share, depth,
+                                           log_steepness, front):
+        # c = c0 sqrt(cos(pi f)), so c = u at cos(pi f_h) = (u/c0)^2.  The
+        # example is the reference device, where f_h = 0.14173.
+        array, squid = reference_line()
+        dc = dc_share * (0.45 - amplitude)
+        hi, lo = math.cos(math.pi * dc), math.cos(math.pi * (dc + amplitude))
+        q = lo + depth * (hi - lo)
+        steepness = 10.0 ** log_steepness
+        pulse = sh.FluxPulse(amplitude=amplitude, dc_offset=dc,
+                             velocity=REF_CELL_SPEED * math.sqrt(q),
+                             steepness=steepness, front_position=front)
+        found = sh.find_horizons(sh.velocity_profile(array, squid, pulse))
+        assert len(found) == 1
+        fh = comoving_flux_fraction(pulse, found[0].position, 0.0)
+        # brentq stops within xtol = 1e-6 cell of the root, which moves
+        # cos(pi f) by at most its slope there times xtol.
+        xtol = 1.0e-6 * array.cell_length
+        arg = steepness * (found[0].position - front)
+        slope = (math.pi * math.sin(math.pi * fh) *
+                 0.5 * amplitude * steepness / math.cosh(arg) ** 2)
+        assert abs(math.cos(math.pi * fh) - q) <= slope * xtol
+
+    @PROPERTY
+    @given(amplitude=st.floats(0.02, 0.45),
+           dc_share=st.floats(0.0, 1.0),
+           depth=st.floats(0.02, 0.98),
+           log_steepness=st.floats(4.5, 6.0),
+           centre=st.floats(-1.0e-4, 1.0e-4))
+    def test_gaussian_bump_mirror_pair(self, amplitude, dc_share, depth,
+                                       log_steepness, centre):
+        array, squid = reference_line()
+        dc = dc_share * (0.45 - amplitude)
+        hi, lo = math.cos(math.pi * dc), math.cos(math.pi * (dc + amplitude))
+        q = lo + depth * (hi - lo)
+        pulse = sh.FluxPulse(amplitude=amplitude, dc_offset=dc,
+                             velocity=REF_CELL_SPEED * math.sqrt(q),
+                             steepness=10.0 ** log_steepness,
+                             front_position=centre, shape="gaussian")
+        found = sh.find_horizons(sh.velocity_profile(array, squid, pulse))
+        assert sorted(h.kind for h in found) == ["black", "white"]
+        black = next(h for h in found if h.kind == "black")
+        white = next(h for h in found if h.kind == "white")
+        assert white.position < centre < black.position
+        # Each root lies within xtol = 1e-6 cell of its exact, mirrored value.
+        assert abs((black.position - centre) + (white.position - centre)) \
+            <= 2.0e-6 * array.cell_length
+        assert white.gradient == pytest.approx(-black.gradient, rel=1e-6)
+
+    @PROPERTY
+    @given(levels=st.lists(st.sampled_from([-1.5, -0.5, 0.0, 0.0, 0.5, 1.5]),
+                           min_size=2, max_size=40),
+           steps=st.lists(st.floats(0.1, 2.0), min_size=39, max_size=39))
+    def test_scan_matches_reference(self, levels, steps):
+        u = 2.0
+        xs = np.concatenate(([0.0], np.cumsum(steps[:len(levels) - 1])))
+        speed = [u + level for level in levels]
+        found = sh.find_horizons(sampled_profile(speed, False, u, xs))
+        expected = reference_scan(xs.tolist(), speed, u)
+        assert [(h.position, h.kind, h.gradient) for h in found] == expected
 
 
 class TestTemperatureAndPower:
