@@ -119,11 +119,11 @@ def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):
     result is independent of t to the last bit.
     """
     s = pulse.steepness_at(t)
-    arg = s * (np.asarray(xi, dtype=float) - pulse.front_position)
-    out = _shape_fraction(pulse, arg)
-    if np.ndim(xi) == 0:
-        return float(out)
-    return out
+    # [()] makes a 0-d array a numpy scalar, whose arithmetic costs a tenth
+    # as much: horizon refinement passes one xi at a time, thousands of times.
+    xi = np.asarray(xi, dtype=float)[()]
+    out = _shape_fraction(pulse, s * (xi - pulse.front_position))
+    return float(out) if xi.ndim == 0 else out
 
 
 def comoving_flux(pulse: FluxPulse, xi, t: float,

@@ -6,7 +6,9 @@ capacitance.  This module holds the static circuit relations (critical
 current, plasma frequency, inductance, impedance, energy scales), a
 model-validity audit, and two small time integrators for a single cell:
 the full two-degree-of-freedom SQUID equations and the reduced single-phase
-model they collapse to at small loop inductance.
+model they collapse to at small loop inductance.  The critical current,
+inductance, cell speed and impedance take a float or an array of flux (and
+current); each array element equals the float result bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "ValidityReport",
     "squid_critical_current",
     "effective_plasma_frequency",
+    "inductance_stretch",
     "josephson_inductance",
     "cell_velocity",
     "junction_energies",
@@ -133,21 +136,51 @@ class ReducedTrajectory:
         return bool(abs(self.phase[-1] - self.phase[0]) > 4.0 * math.pi)
 
 
-def squid_critical_current(squid: SquidParams, flux: float,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def _namespace(value):
+    # math keeps a float a float at a tenth of a ufunc's cost; it agrees
+    # with numpy bitwise on cos and sqrt.
+    return np if isinstance(value, np.ndarray) else math
+
+
+def _reject(mask, error, message, *values):
+    # Raise error(message % values) at the first element where mask holds.
+    # Comparing floats gives a bool, so only arrays pay for numpy.
+    if mask if isinstance(mask, bool) else mask.any():
+        raise error(message % tuple(
+            np.extract(mask, np.broadcast_to(v, np.shape(mask)))[0]
+            for v in values))
+
+
+def _flux_fraction(flux, constants: PhysicalConstants):
+    # flux / Phi_0, inside (-0.5, 0.5) where the inductance is finite.
+    fraction = flux / constants.flux_quantum
+    _reject(abs(fraction) >= 0.5, FluxOutOfRange,
+            "flux %.4g Phi_0 outside the open interval (-0.5, 0.5)", fraction)
+    return fraction
+
+
+def _finite_quotient(numerator: float, denominator, what: str):
+    # A positive numerator over denominators >= 0, checked on the largest
+    # quotient before a zero denominator raises (float) or warns (array).
+    smallest = (np.minimum.reduce(denominator, axis=None, initial=math.inf)
+                if isinstance(denominator, np.ndarray) else denominator)
+    if smallest > 0.0 and math.isfinite(numerator / smallest):
+        return numerator / denominator
+    raise NonFinite("%s is not finite: a product of the array and junction "
+                    "parameters over- or underflows" % what)
+
+
+def squid_critical_current(squid: SquidParams, flux,
+                           constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Effective critical current 2*I_c*cos(pi*flux/Phi_0) of the SQUID.
 
     The SQUID behaves as one junction whose critical current is tuned by the
     loop flux.  Raises FluxOutOfRange at or beyond half a flux quantum,
     where the effective inductance diverges.
     """
-    phi0 = constants.flux_quantum
-    fraction = flux / phi0
-    if abs(fraction) >= 0.5:
-        raise FluxOutOfRange(
-            "flux %.4g Phi_0 outside the open interval (-0.5, 0.5)" % fraction
-        )
-    return 2.0 * squid.junction.critical_current * math.cos(math.pi * fraction)
+    fraction = _flux_fraction(flux, constants)
+    return (2.0 * squid.junction.critical_current *
+            _namespace(fraction).cos(math.pi * fraction))
 
 
 def effective_plasma_frequency(squid: SquidParams, flux: float,
@@ -162,15 +195,21 @@ def effective_plasma_frequency(squid: SquidParams, flux: float,
     return math.sqrt(2.0 * math.pi * ics / (cj2 * constants.flux_quantum))
 
 
-def _arcsine_factor(x: float) -> float:
-    # asin(x)/x, with the series branch below 1e-6 to avoid 0/0.
-    if abs(x) < 1.0e-6:
-        return 1.0 + x * x / 6.0
-    return math.asin(x) / x
+def inductance_stretch(ratio):
+    """Factor asin(r)/r by which a current at r = I/I_c^s stretches the
+    Josephson inductance, with the series 1 + r^2/6 below |r| = 1e-6 to
+    avoid 0/0.  numpy's arcsine serves floats too, so the two agree."""
+    stretch = 1.0 + ratio * ratio / 6.0
+    if not isinstance(stretch, np.ndarray):  # a float or a 0-d array
+        return (stretch if abs(ratio) < 1.0e-6
+                else float(np.arcsin(ratio)) / ratio)
+    big = abs(ratio) >= 1.0e-6
+    stretch[big] = np.arcsin(ratio[big]) / ratio[big]
+    return stretch
 
 
-def josephson_inductance(squid: SquidParams, flux: float, current: float = 0.0,
-                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def josephson_inductance(squid: SquidParams, flux, current=0.0,
+                         constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Current- and flux-dependent Josephson inductance of one cell (H).
 
     L = Phi_0 * asin(I/I_c^s) / (2*pi*I), continued to Phi_0/(2*pi*I_c^s)
@@ -179,22 +218,27 @@ def josephson_inductance(squid: SquidParams, flux: float, current: float = 0.0,
     zero-current value.
     """
     ics = squid_critical_current(squid, flux, constants)
-    x = current / ics
-    if abs(x) > 1.0:
-        raise OverCritical(
-            "bias current %.4g A exceeds effective critical current %.4g A"
-            % (current, ics)
-        )
     base = constants.flux_quantum / (2.0 * math.pi * ics)
-    return base * _arcsine_factor(x)
+    if not isinstance(current, np.ndarray) and current == 0.0:
+        return base
+    ratio = current / ics
+    _reject(abs(ratio) > 1.0, OverCritical,
+            "bias current %.4g A exceeds effective critical current %.4g A",
+            current, ics)
+    return base * inductance_stretch(ratio)
 
 
-def cell_velocity(array: ArrayParams, squid: SquidParams, flux: float,
-                  current: float = 0.0,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Low-frequency propagation speed a/sqrt(L*C0) of the loaded line (m/s)."""
+def cell_velocity(array: ArrayParams, squid: SquidParams, flux,
+                  current=0.0,
+                  constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Low-frequency propagation speed a/sqrt(L*C0) of the loaded line (m/s).
+
+    Raises NonFinite when L*C0 underflows to zero or the speed overflows.
+    """
     ind = josephson_inductance(squid, flux, current, constants)
-    return array.cell_length / math.sqrt(ind * array.ground_capacitance)
+    cell_time = _namespace(ind).sqrt(ind * array.ground_capacitance)
+    return _finite_quotient(array.cell_length, cell_time,
+                            "cell speed a/sqrt(L*C0)")
 
 
 def junction_energies(squid: SquidParams, flux: float,
@@ -218,8 +262,8 @@ def beta_l(squid: SquidParams,
             squid.junction.critical_current / constants.flux_quantum)
 
 
-def array_impedance(array: ArrayParams, squid: SquidParams, flux: float,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def array_impedance(array: ArrayParams, squid: SquidParams, flux,
+                    constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Quantum impedance of the biased line (Ohm), the phase-slip audit scale.
 
     Z_A = R_Q * sqrt(2*pi*e^2 / (Phi_0*C0*I_c) * sec(pi*flux/Phi_0)) with
@@ -227,17 +271,18 @@ def array_impedance(array: ArrayParams, squid: SquidParams, flux: float,
     critical current.  Values approaching R_Q mark the onset of strong
     quantum phase slips.  This differs from the wave impedance sqrt(L/C0)
     by a constant factor pi*sqrt(2); ratios between flux settings agree.
+    Raises NonFinite when a parameter product over- or underflows.
     """
-    phi0 = constants.flux_quantum
-    fraction = flux / phi0
-    if abs(fraction) >= 0.5:
-        raise FluxOutOfRange(
-            "flux %.4g Phi_0 outside the open interval (-0.5, 0.5)" % fraction
-        )
+    fraction = _flux_fraction(flux, constants)
     e = constants.electron_charge
-    inner = (2.0 * math.pi * e * e /
-             (phi0 * array.ground_capacitance * squid.junction.critical_current))
-    return constants.resistance_quantum * math.sqrt(inner / math.cos(math.pi * fraction))
+    # inner stays below 4e286 and cos(pi*fraction) above 1e-16 in range, so
+    # Z_A is finite once the parameter product is nonzero.
+    inner = _finite_quotient(2.0 * math.pi * e * e, constants.flux_quantum *
+                             array.ground_capacitance *
+                             squid.junction.critical_current, "line impedance")
+    xp = _namespace(fraction)
+    return constants.resistance_quantum * xp.sqrt(
+        inner / xp.cos(math.pi * fraction))
 
 
 @dataclass(frozen=True)

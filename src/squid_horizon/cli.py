@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory (overrides the configuration "
                              "and SQUID_HORIZON_OUT)")
-    common.add_argument("--workers", type=int, metavar="N",
-                        help="worker threads for the sweep engine")
     common.add_argument("--emit", metavar="FLAGS",
                         help="comma-separated output formats: csv,svg,bin")
 
@@ -74,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flags(cfg: config.RunConfig, args) -> config.RunConfig:
-    if args.workers is not None:
-        cfg = config.apply_override(cfg, "output.workers", args.workers)
     if args.emit is not None:
         flags = [f for f in args.emit.split(",") if f]
         cfg = config.apply_override(cfg, "output.emit", flags)

@@ -44,7 +44,6 @@ class OutputConfig:
 
     directory: Optional[str] = None
     emit: tuple = ("csv",)
-    workers: int = 1
 
     def __post_init__(self) -> None:
         emit = tuple(dict.fromkeys(self.emit))
@@ -53,8 +52,6 @@ class OutputConfig:
                 raise ConfigError("unknown emit flag %r; valid flags: %s"
                                   % (flag, ", ".join(_EMIT_FLAGS)))
         object.__setattr__(self, "emit", emit)
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,6 @@ _SCHEMA = {
     "output": {
         "directory": _Opt(str),
         "emit": list,
-        "workers": int,
     },
 }
 
@@ -133,13 +129,15 @@ def _suggest(name: str, candidates) -> str:
 
 # JSON type -> (what an error message says is expected, acceptance test).
 # Python counts a bool as an int; a config file does not.  The magnitude
-# test fails for NaN, for infinities and for integers beyond float range.
+# tests fail for NaN, for infinities, for numbers beyond float range and
+# for integers beyond the int64 range numpy sizes arrays with.
 _KINDS = {
     float: ("a finite number",
             lambda v: isinstance(v, (int, float)) and
             not isinstance(v, bool) and abs(v) <= sys.float_info.max),
-    int: ("an integer",
-          lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    int: ("a 64-bit integer",
+          lambda v: isinstance(v, int) and not isinstance(v, bool) and
+          -2 ** 63 <= v < 2 ** 63),
     bool: ("true/false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     list: ("a list of strings",

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -147,10 +146,9 @@ def reproduce_fig3(cfg: Optional[RunConfig] = None, out_dir=".",
     ratios = np.empty((len(FIG3_CAPACITANCES), len(fractions)))
     for i, cap in enumerate(FIG3_CAPACITANCES):
         array = dataclasses.replace(cfg.array, ground_capacitance=cap)
-        for j, f in enumerate(fractions):
-            z = circuit.array_impedance(array, cfg.squid,
-                                        f * constants.flux_quantum, constants)
-            ratios[i, j] = z / r_q
+        ratios[i] = circuit.array_impedance(
+            array, cfg.squid, fractions * constants.flux_quantum,
+            constants) / r_q
 
     labels = ["%g aF" % (cap * 1e18) for cap in FIG3_CAPACITANCES]
     csv_path = svg_path = None
@@ -426,35 +424,23 @@ def _evaluate_outputs(names: tuple, cfg: RunConfig,
     return outputs
 
 
-def _sweep_point(spec: SweepSpec, coords: tuple,
-                 constants: PhysicalConstants) -> SweepPoint:
-    try:
-        cfg = spec.base
-        for (path, _), value in zip(spec.axes, coords):
-            cfg = config.apply_override(cfg, path, value)
-        outputs = _evaluate_outputs(spec.outputs, cfg, constants)
-        return SweepPoint(coordinates=coords, outputs=outputs, error=None)
-    except (SquidHorizonError, ValueError, ArithmeticError) as exc:
-        return SweepPoint(coordinates=coords, outputs={},
-                          error="%s: %s" % (type(exc).__name__, exc))
-
-
-def run_sweep(spec: SweepSpec, workers: Optional[int] = None,
+def run_sweep(spec: SweepSpec,
               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SweepResult:
-    """Evaluate the grid; per-point failures are recorded, not raised.
-
-    Points run on a worker pool but aggregation preserves grid order, so
-    the result is independent of the worker count.
-    """
-    workers = workers if workers is not None else spec.base.output.workers
-    grid = list(itertools.product(*[tuple(values)
-                                    for _, values in spec.axes]))
-    if workers > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(
-                lambda c: _sweep_point(spec, c, constants), grid))
-    else:
-        points = [_sweep_point(spec, c, constants) for c in grid]
+    """Evaluate the grid in row-major order, one point after another;
+    per-point failures are recorded, not raised."""
+    points = []
+    for coords in itertools.product(*[tuple(v) for _, v in spec.axes]):
+        try:
+            cfg = spec.base
+            for (path, _), value in zip(spec.axes, coords):
+                cfg = config.apply_override(cfg, path, value)
+            outputs = _evaluate_outputs(spec.outputs, cfg, constants)
+            points.append(SweepPoint(coordinates=coords, outputs=outputs,
+                                     error=None))
+        except (SquidHorizonError, ValueError, ArithmeticError) as exc:
+            points.append(SweepPoint(coordinates=coords, outputs={},
+                                     error="%s: %s" % (type(exc).__name__,
+                                                       exc)))
     return SweepResult(axis_paths=tuple(path for path, _ in spec.axes),
                        output_names=tuple(spec.outputs),
                        points=tuple(points))

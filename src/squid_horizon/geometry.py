@@ -106,8 +106,9 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
     """Comoving propagation-speed profile c(xi) at the given time.
 
     The default grid covers n_cells cell centres centred on the front.  The
-    attached evaluator computes c from the zero-current inductance at the
-    local flux, so horizon refinement is not limited by the grid pitch.
+    samples and the attached evaluator take c from the same arithmetic, so
+    horizon refinement is not limited by the grid pitch and sees the curve
+    the grid samples bit for bit.
     """
     if positions is None:
         a = array.cell_length
@@ -117,16 +118,11 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
     else:
         positions = np.asarray(positions, dtype=float)
 
-    def evaluator(xi: float) -> float:
+    def evaluator(xi):
         flux = bias.comoving_flux(pulse, xi, time, constants)
         return circuit.cell_velocity(array, squid, flux, 0.0, constants)
 
-    # Vectorised zero-current inductance; matches josephson_inductance(I=0).
-    frac = np.atleast_1d(bias.comoving_flux_fraction(pulse, positions, time))
-    ics = 2.0 * squid.junction.critical_current * np.cos(np.pi * frac)
-    ind = constants.flux_quantum / (2.0 * np.pi * ics)
-    speed = array.cell_length / np.sqrt(ind * array.ground_capacitance)
-    return VelocityProfile(positions=positions, speed=speed,
+    return VelocityProfile(positions=positions, speed=evaluator(positions),
                            flow_speed=pulse.velocity, time=time,
                            evaluator=evaluator)
 
@@ -242,8 +238,10 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
     gradients = np.empty(samples)
     temperatures = np.empty(samples)
     powers = np.empty(samples)
+    grid = None  # comoving, so built once for every t
     for i, t in enumerate(times):
-        profile = velocity_profile(array, squid, pulse, t, constants=constants)
+        profile = velocity_profile(array, squid, pulse, t, grid, constants)
+        grid = profile.positions
         found = find_horizons(profile)
         blacks = [h for h in found if h.kind == "black"]
         if not blacks:

@@ -255,9 +255,9 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
 
     positions = (np.arange(n) + 0.5) * a
     static_bias = pulse.velocity == 0.0 and pulse.broadening == 0.0
-    ics_scale = 2.0 * squid.junction.critical_current
 
     def inductance(t):
+        # L/L(0) = 1/cos(pi f): circuit.josephson_inductance in scaled units.
         frac = bias.flux_fraction_at(pulse, positions, t)
         return 1.0 / np.cos(np.pi * frac), frac
 
@@ -331,17 +331,13 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
 
         if config.current_dependent_inductance:
             current = (cap / scales.t_ref) * mom / ind_half
-            rel = np.abs(current) / (ics_scale * np.cos(np.pi * frac_half))
+            rel = np.abs(current) / circuit.squid_critical_current(
+                squid, frac_half * constants.flux_quantum, constants)
             peak = float(rel.max())
             if peak >= 1.0:
                 raise OverCritical("cell current reached %.3f of critical"
                                    % peak)
-            stretch = np.ones_like(rel)
-            big = rel > 1e-6
-            stretch[big] = np.arcsin(rel[big]) / rel[big]
-            small = ~big
-            stretch[small] = 1.0 + rel[small] * rel[small] / 6.0
-            ind_half = ind_half * stretch
+            ind_half = ind_half * circuit.inductance_stretch(rel)
 
         if mur or driven:
             left_old = (pot[0], pot[1])

@@ -321,19 +321,24 @@ def test_10_conservation_suite(tmp_path):
     crit.check(worst < 1.0e-12,
                "metric determinant identity violated by %.2e" % worst)
 
-    # parallel sweeps are byte-identical to serial ones
+    # two runs of one sweep write identical bytes, rows in row-major order
+    offsets, capacitances = (0.0, 0.1, 0.2, 0.3), (5e-17, 1e-17)
     spec = experiments.SweepSpec(
         base=config.default_config(),
-        axes=(("pulse.dc_offset", (0.0, 0.1, 0.2, 0.3)),),
+        axes=(("pulse.dc_offset", offsets),
+              ("array.ground_capacitance", capacitances)),
         outputs=("cell_speed", "impedance_ratio"))
     paths = []
-    for workers in (1, 4):
-        path = tmp_path / ("sweep_%d.csv" % workers)
-        experiments.write_sweep_csv(path,
-                                    experiments.run_sweep(spec,
-                                                          workers=workers))
+    for run in (1, 2):
+        path = tmp_path / ("sweep_%d.csv" % run)
+        experiments.write_sweep_csv(path, experiments.run_sweep(spec))
         paths.append(path.read_bytes())
-    crit.check(paths[0] == paths[1], "parallel sweep differs from serial")
+    crit.check(paths[0] == paths[1], "repeated sweep wrote different bytes")
+    rows = [line.split(",")[:2]
+            for line in paths[0].decode().splitlines()[1:]]
+    crit.check(rows == [["%.12e" % f, "%.12e" % c]
+                        for f in offsets for c in capacitances],
+               "sweep rows are not in row-major grid order")
     crit.conclude()
 
 

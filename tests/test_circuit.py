@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,97 @@ class TestStaticRelations:
         z0 = sh.array_impedance(ref_array, ref_squid, 0.0)
         z = sh.array_impedance(ref_array, ref_squid, fraction * PHI0)
         assert z * z * math.cos(math.pi * fraction) == pytest.approx(z0 * z0, rel=1e-12)
+
+
+class TestArrayInputs:
+    """The static relations take a float or an array of flux (and current);
+    element i of an array call equals the scalar call on element i."""
+
+    FRACTIONS = np.concatenate([np.linspace(-0.499, 0.499, 157),
+                                [0.0, -0.0, 1e-9, 0.4999999, 0.2, 0.141733]])
+
+    @staticmethod
+    def assert_elementwise(func, *arrays):
+        result = func(*arrays)
+        scalars = [func(*(float(a[i]) for a in arrays))
+                   for i in range(len(arrays[0]))]
+        assert isinstance(result, np.ndarray)
+        assert all(isinstance(v, float) for v in scalars)
+        np.testing.assert_array_equal(result, np.array(scalars))
+
+    @pytest.fixture
+    def relations(self, ref_array, ref_squid):
+        return {
+            "squid_critical_current":
+                lambda f: sh.squid_critical_current(ref_squid, f * PHI0),
+            "josephson_inductance":
+                lambda f: sh.josephson_inductance(ref_squid, f * PHI0),
+            "cell_velocity":
+                lambda f: sh.cell_velocity(ref_array, ref_squid, f * PHI0),
+            "array_impedance":
+                lambda f: sh.array_impedance(ref_array, ref_squid, f * PHI0),
+        }
+
+    @pytest.mark.parametrize("name", ["squid_critical_current",
+                                      "josephson_inductance", "cell_velocity",
+                                      "array_impedance"])
+    def test_flux_array_matches_scalar_calls(self, relations, name):
+        self.assert_elementwise(relations[name], self.FRACTIONS)
+
+    @pytest.mark.parametrize("name", ["josephson_inductance",
+                                      "cell_velocity"])
+    def test_current_array_matches_scalar_calls(self, ref_array, ref_squid,
+                                                name):
+        # Relative currents on both sides of the 1e-6 series switch, up to
+        # the critical current itself.
+        rng = np.random.default_rng(5)
+        fractions = rng.uniform(-0.45, 0.45, 64)
+        relative = np.concatenate([rng.uniform(-1.0, 1.0, 48),
+                                   [0.0, 1.0, -1.0, 1e-7, -5e-7, 2e-6,
+                                    0.999999, 0.5, 1e-3, -1e-3, 0.0, 0.1,
+                                    0.9, -0.9, 1e-12, 0.3]])
+        currents = relative * sh.squid_critical_current(ref_squid,
+                                                        fractions * PHI0)
+        if name == "josephson_inductance":
+            def func(f, i):
+                return sh.josephson_inductance(ref_squid, f * PHI0, i)
+        else:
+            def func(f, i):
+                return sh.cell_velocity(ref_array, ref_squid, f * PHI0, i)
+        self.assert_elementwise(func, fractions, currents)
+
+    @pytest.mark.parametrize("name", ["squid_critical_current",
+                                      "josephson_inductance", "cell_velocity",
+                                      "array_impedance"])
+    def test_one_flux_out_of_range_raises(self, relations, name):
+        fractions = np.array([0.1, -0.2, 0.3, -0.5001, 0.6, 0.0])
+        with pytest.raises(errors.FluxOutOfRange,
+                           match=r"flux -0.5001 Phi_0 outside the open "
+                                 r"interval \(-0.5, 0.5\)"):
+            relations[name](fractions)
+
+    def test_one_over_critical_current_raises(self, ref_array, ref_squid):
+        ics = sh.squid_critical_current(ref_squid, 0.0)
+        currents = np.array([0.0, 0.5, -1.0, -1.5, 2.0]) * ics
+        message = (r"bias current -6e-06 A exceeds effective critical "
+                   r"current 4e-06 A")
+        with pytest.raises(errors.OverCritical, match=message):
+            sh.josephson_inductance(ref_squid, 0.0, currents)
+        with pytest.raises(errors.OverCritical, match=message):
+            sh.cell_velocity(ref_array, ref_squid, np.zeros(5), currents)
+
+    @pytest.mark.parametrize("flux", [0.1 * PHI0,
+                                      np.array([0.0, 0.1, 0.2]) * PHI0],
+                             ids=["float", "array"])
+    @pytest.mark.parametrize("name", ["cell_velocity", "array_impedance"])
+    def test_underflowing_capacitance_is_non_finite(self, ref_squid, flux,
+                                                    name):
+        tiny = sh.ArrayParams(n_cells=16, cell_length=2.5e-7,
+                              ground_capacitance=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NonFinite, match="not finite"):
+                getattr(sh, name)(tiny, ref_squid, flux)
 
 
 class TestValidityReport:

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -84,11 +85,6 @@ class TestValidate:
         code = main(["validate", "--config", str(path)])
         assert code == 2
         assert "line" in capsys.readouterr().err
-
-    def test_bad_workers_flag(self, tmp_path, capsys):
-        code = main(["validate", "--workers", "0", "--out", str(tmp_path)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
 
     def test_bad_emit_flag(self, tmp_path, capsys):
         code = main(["validate", "--emit", "png", "--out", str(tmp_path)])
@@ -262,21 +258,15 @@ class TestSweep:
         assert code == 0
         assert "(1 failed)" in capsys.readouterr().out
 
-    def test_workers_flag_is_deterministic(self, tmp_path):
+    def test_workers_flag_is_unknown(self, tmp_path, capsys):
+        # Sweeps run serially; the former pool size flag is an argparse
+        # error now, before any file is read or written.
         spec = self.write_sweep(tmp_path / "sweep.json")
-        for sub, workers in (("a", "1"), ("b", "3")):
-            assert main(["sweep", "--config", str(spec),
-                         "--out", str(tmp_path / sub),
-                         "--workers", workers]) == 0
-        assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
-            (tmp_path / "b" / "sweep.csv").read_bytes()
-
-    def test_bad_workers_flag(self, tmp_path, capsys):
-        spec = self.write_sweep(tmp_path / "sweep.json")
-        code = main(["sweep", "--config", str(spec), "--out", str(tmp_path),
-                     "--workers", "0"])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(spec), "--out", str(tmp_path),
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_bad_emit_flag(self, tmp_path, capsys):
@@ -300,7 +290,7 @@ class TestSweep:
             header, good, bad = csv.reader(fh)
         assert header[-1] == "error"
         assert good[-1] == ""
-        assert bad[-1].startswith("ZeroDivisionError:")
+        assert bad[-1].startswith("NonFinite:")
 
     def test_non_string_axis_path(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
@@ -309,6 +299,25 @@ class TestSweep:
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestArithmeticLimits:
+    @pytest.mark.parametrize("command", ["validate", "profile", "budget"])
+    def test_underflowing_capacitance_is_an_error(self, tmp_path, capsys,
+                                                  command):
+        # L*C0 underflows to zero, so the cell speed and the line impedance
+        # are infinite: an error line, not a traceback, a numpy warning or
+        # a "no black horizon" verdict.
+        cfg = write_variant(tmp_path / "c.json",
+                            array__ground_capacitance=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "not finite" in err
 
 
 class TestEntryPoint:

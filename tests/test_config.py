@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squid_horizon import bias, circuit, config, lattice
 from squid_horizon.errors import ConfigError, ParseError, UnknownKey
@@ -82,6 +84,8 @@ class TestStrictParsing:
                      id="broadening-times-velocity-overflows"),
         pytest.param('{"pulse": {"velocity": 1%s}}' % ("0" * 400),
                      id="integer-beyond-float-range"),
+        pytest.param('{"array": {"n_cells": 1%s}}' % ("0" * 30),
+                     id="integer-beyond-int64"),
         '["not", "an", "object"]',
     ])
     def test_bad_values_rejected(self, text):
@@ -115,6 +119,52 @@ class TestRoundTrip:
         path = tmp_path / "cfg.json"
         config.write_config(path, cfg)
         assert config.load_config(path) == cfg
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_random_valid_config_roundtrips(self, data):
+        # Every key drawn from its valid domain, so from_dict accepts the
+        # document; dumps_config must then parse back to an equal
+        # configuration and serialise to the same text a second time.
+        draw = data.draw
+        positive = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
+        nonnegative = st.floats(min_value=0.0, max_value=1e150)
+        doc = {
+            "junction": {"critical_current": draw(positive),
+                         "capacitance": draw(positive),
+                         "normal_resistance": draw(st.none() | positive)},
+            "squid": {"loop_inductance": draw(nonnegative)},
+            "array": {"n_cells": draw(st.integers(2, 2 ** 63 - 1)),
+                      "cell_length": draw(positive),
+                      "ground_capacitance": draw(positive),
+                      "environment_impedance": draw(nonnegative)},
+            "pulse": {"amplitude": draw(st.floats(0.0, 0.2499)),
+                      "dc_offset": draw(st.floats(0.0, 0.2499)),
+                      "velocity": draw(nonnegative),
+                      "steepness": draw(positive),
+                      "front_position": draw(st.floats(-1e300, 1e300)),
+                      "broadening": draw(nonnegative),
+                      "shape": draw(st.sampled_from(["tanh", "gaussian"]))},
+            "solver": {"n_steps": draw(st.integers(1, 2 ** 63 - 1)),
+                       "dt": draw(st.none() | positive),
+                       "courant_fraction": draw(
+                           st.floats(0.0, 0.5, exclude_min=True)),
+                       "boundary": draw(st.sampled_from(
+                           ["reflecting", "absorbing", "driven"])),
+                       "record_every": draw(st.integers(0, 2 ** 63 - 1)),
+                       "current_dependent_inductance": draw(st.booleans()),
+                       "check_every": draw(st.integers(1, 2 ** 63 - 1))},
+            "audit": {"max_signal_frequency": draw(positive)},
+            "output": {"directory": draw(st.none() | st.text(max_size=12)),
+                       "emit": draw(st.lists(
+                           st.sampled_from(["csv", "svg", "bin"]),
+                           max_size=4))},
+        }
+        cfg = config.from_dict(doc)
+        text = config.dumps_config(cfg)
+        again = config.loads_config(text)
+        assert again == cfg
+        assert config.dumps_config(again) == text
 
     def test_dict_form_is_json_clean(self):
         text = json.dumps(config.config_to_dict(config.default_config()))

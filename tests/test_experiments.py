@@ -266,21 +266,6 @@ class TestSweep:
                                                                 rel=1e-12)
             assert point.outputs["horizon_count"] == 0.0
 
-    def test_worker_count_does_not_change_results(self, static_base,
-                                                  tmp_path):
-        spec = experiments.SweepSpec(
-            base=static_base,
-            axes=(("pulse.dc_offset", (0.0, 0.1, 0.2, 0.3)),
-                  ("array.ground_capacitance", (5e-17, 1e-17))),
-            outputs=("impedance_ratio", "cell_speed"))
-        serial = experiments.run_sweep(spec, workers=1)
-        threaded = experiments.run_sweep(spec, workers=4)
-        assert serial == threaded
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        experiments.write_sweep_csv(a, serial)
-        experiments.write_sweep_csv(b, threaded)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_grid_order_row_major(self, static_base):
         spec = experiments.SweepSpec(
             base=static_base,

@@ -99,6 +99,20 @@ class TestVelocityProfile:
             assert ref_profile.speed_at(xi) == pytest.approx(
                 ref_profile.speed[i], rel=1e-12)
 
+    def test_samples_equal_evaluator_bitwise(self, ref_array, ref_squid,
+                                             step_pulse):
+        # The grid and the refinement evaluator share one circuit law, so
+        # a crossing bracketed on the grid is refined on the same curve.
+        # The times are those of the reference photon budget.
+        pulse = sh.FluxPulse(amplitude=0.2, velocity=step_pulse.velocity,
+                             steepness=step_pulse.steepness,
+                             broadening=4000.0 / 9.0)
+        traversal = ref_array.n_cells * ref_array.cell_length / pulse.velocity
+        for t in np.linspace(0.0, traversal, 65):
+            prof = sh.velocity_profile(ref_array, ref_squid, pulse, t)
+            scalar = [prof.evaluator(xi) for xi in prof.positions.tolist()]
+            np.testing.assert_array_equal(prof.speed, scalar)
+
     def test_custom_positions(self, ref_array, ref_squid, step_pulse):
         grid = np.linspace(-1.0e-5, 1.0e-5, 11)
         prof = sh.velocity_profile(ref_array, ref_squid, step_pulse,
