@@ -86,6 +86,14 @@ class TestValidate:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
+    def test_bad_workers_flag(self, tmp_path, capsys):
+        # No subcommand takes the former pool size flag any more.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--workers", "0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_emit_flag(self, tmp_path, capsys):
         code = main(["validate", "--emit", "png", "--out", str(tmp_path)])
         assert code == 2
@@ -258,7 +266,7 @@ class TestSweep:
         assert code == 0
         assert "(1 failed)" in capsys.readouterr().out
 
-    def test_workers_flag_is_unknown(self, tmp_path, capsys):
+    def test_bad_workers_flag(self, tmp_path, capsys):
         # Sweeps run serially; the former pool size flag is an argparse
         # error now, before any file is read or written.
         spec = self.write_sweep(tmp_path / "sweep.json")
