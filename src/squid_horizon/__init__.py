@@ -6,7 +6,7 @@ along the array, and the thermal emission budget that follows from the
 horizon's velocity gradient.
 """
 
-from .bias import FluxPulse, calibrate_broadening, comoving_flux, flux_at
+from .bias import FluxPulse, calibrate_broadening, comoving_flux
 from .circuit import (
     ArrayParams,
     JunctionParams,
@@ -15,6 +15,7 @@ from .circuit import (
     ValidityReport,
     array_impedance,
     beta_l,
+    cell_time,
     cell_velocity,
     effective_plasma_frequency,
     josephson_inductance,
@@ -57,11 +58,9 @@ from .lattice import (
     SineDrive,
     SolverConfig,
     gaussian_packet,
-    inject_sine,
     measure_pulse_speed,
     run,
     stable_timestep,
-    step,
     zero_state,
 )
 

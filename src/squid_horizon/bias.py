@@ -106,12 +106,6 @@ def flux_fraction_at(pulse: FluxPulse, x, t: float):
     return out
 
 
-def flux_at(pulse: FluxPulse, x, t: float,
-            constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Flux through the loop at lab position x and time t, in Wb."""
-    return constants.flux_quantum * flux_fraction_at(pulse, x, t)
-
-
 def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):
     """Flux at comoving coordinate xi = x - u*t, in units of Phi_0.
 

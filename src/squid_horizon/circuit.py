@@ -7,8 +7,8 @@ current, plasma frequency, inductance, impedance, energy scales), a
 model-validity audit, and two small time integrators for a single cell:
 the full two-degree-of-freedom SQUID equations and the reduced single-phase
 model they collapse to at small loop inductance.  The critical current,
-inductance, cell speed and impedance take a float or an array of flux (and
-current); each array element equals the float result bit for bit.
+inductance, cell time, cell speed and impedance take a float or an array of
+flux (and current); each array element equals the float result bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "effective_plasma_frequency",
     "inductance_stretch",
     "josephson_inductance",
+    "cell_time",
     "cell_velocity",
     "junction_energies",
     "beta_l",
@@ -228,6 +229,17 @@ def josephson_inductance(squid: SquidParams, flux, current=0.0,
     return base * inductance_stretch(ratio)
 
 
+def cell_time(array: ArrayParams, squid: SquidParams, flux, current=0.0,
+              constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Time sqrt(L*C0) a long wave takes to cross one cell (s).
+
+    The line's one time scale: the speed is a/cell_time, the lattice band
+    edge 2/cell_time and the leapfrog's Courant budget a fraction of it.
+    """
+    ind = josephson_inductance(squid, flux, current, constants)
+    return _namespace(ind).sqrt(ind * array.ground_capacitance)
+
+
 def cell_velocity(array: ArrayParams, squid: SquidParams, flux,
                   current=0.0,
                   constants: PhysicalConstants = DEFAULT_CONSTANTS):
@@ -235,9 +247,8 @@ def cell_velocity(array: ArrayParams, squid: SquidParams, flux,
 
     Raises NonFinite when L*C0 underflows to zero or the speed overflows.
     """
-    ind = josephson_inductance(squid, flux, current, constants)
-    cell_time = _namespace(ind).sqrt(ind * array.ground_capacitance)
-    return _finite_quotient(array.cell_length, cell_time,
+    return _finite_quotient(array.cell_length,
+                            cell_time(array, squid, flux, current, constants),
                             "cell speed a/sqrt(L*C0)")
 
 

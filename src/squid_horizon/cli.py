@@ -19,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import (bias, circuit, config, dispersion, experiments, geometry,
-               lattice, svgplot)
+from . import (circuit, config, dispersion, experiments, geometry, lattice,
+               svgplot)
 from ._csv import write_csv
 from .constants import DEFAULT_CONSTANTS
-from .errors import ConfigError, NoHorizon, SquidHorizonError
+from .errors import ConfigError, SquidHorizonError
 
 __all__ = ["main"]
 
@@ -104,14 +104,17 @@ def _cmd_validate(args) -> int:
         print("%-12s %12.5g %12.5g  %s"
               % (check.name, check.value, check.threshold,
                  "pass" if check.passed else "FAIL"))
+    # Strict JSON has no Infinity or NaN: such a value is written as null.
     payload = {
         "overall_pass": report.overall_pass,
-        "checks": [{"name": c.name, "value": c.value,
+        "checks": [{"name": c.name,
+                    "value": c.value if math.isfinite(c.value) else None,
                     "threshold": c.threshold, "passed": c.passed}
                    for c in report.checks],
     }
     path = out / "validity.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
     print("wrote %s" % path)
     if not report.overall_pass:
         print("validation FAILED", file=sys.stderr)
@@ -200,8 +203,7 @@ def _cmd_dispersion(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     flux_dc = cfg.pulse.dc_offset * DEFAULT_CONSTANTS.flux_quantum
-    ind = circuit.josephson_inductance(cfg.squid, flux_dc)
-    omega_max = 2.0 / math.sqrt(ind * cfg.array.ground_capacitance)
+    omega_max = 2.0 / circuit.cell_time(cfg.array, cfg.squid, flux_dc)
     freqs = [omega_max * math.sin(0.5 * ka) for ka in _DISPERSION_KA]
     curve = dispersion.measure_dispersion(cfg.array, cfg.squid, flux_dc,
                                           freqs)
@@ -216,9 +218,9 @@ def _cmd_dispersion(args) -> int:
         print("wrote %s" % path)
     if "svg" in emit:
         k_dense = np.linspace(0.0, math.pi / cfg.array.cell_length, 200)
-        w_dense = dispersion.omega_analytic(k_dense, ind,
-                                            cfg.array.ground_capacitance,
-                                            cfg.array.cell_length)
+        w_dense = dispersion.omega_analytic(k_dense, curve.inductance,
+                                            curve.capacitance,
+                                            curve.cell_length)
         path = out / "dispersion.svg"
         svgplot.line_plot(
             path,

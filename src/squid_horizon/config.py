@@ -9,9 +9,11 @@ keys fall back to the shipped reference device (data/defaults.json).
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -70,49 +72,33 @@ class RunConfig:
         return self.squid.junction
 
 
-class _Opt:
-    def __init__(self, kind):
-        self.kind = kind
+def _json_kinds(cls) -> dict:
+    # key -> (JSON type, null allowed) of a section dataclass, in field
+    # order: Optional[X] admits null, a tuple is a JSON list, and a field
+    # holding another section (squid.junction) is not a key.
+    hints = typing.get_type_hints(cls)
+    kinds = {}
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        nullable = type(None) in typing.get_args(hint)
+        if nullable:
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        if not dataclasses.is_dataclass(hint):
+            kinds[field.name] = (list if hint is tuple else hint, nullable)
+    return kinds
 
 
-# section -> key -> expected JSON type (None entries allowed via _Opt).
+# section -> key -> (JSON type, null allowed), in the order keys are checked.
 _SCHEMA = {
-    "junction": {
-        "critical_current": float,
-        "capacitance": float,
-        "normal_resistance": _Opt(float),
-    },
-    "squid": {"loop_inductance": float},
-    "array": {
-        "n_cells": int,
-        "cell_length": float,
-        "ground_capacitance": float,
-        "environment_impedance": float,
-    },
-    "pulse": {
-        "amplitude": float,
-        "dc_offset": float,
-        "velocity": float,
-        "steepness": float,
-        "front_position": float,
-        "broadening": float,
-        "shape": str,
-    },
-    "solver": {
-        "n_steps": int,
-        "dt": _Opt(float),
-        "courant_fraction": float,
-        "boundary": str,
-        "record_every": int,
-        "current_dependent_inductance": bool,
-        "check_every": int,
-    },
-    "audit": {"max_signal_frequency": float},
-    "output": {
-        "directory": _Opt(str),
-        "emit": list,
-    },
+    "junction": _json_kinds(circuit.JunctionParams),
+    "squid": _json_kinds(circuit.SquidParams),
+    "array": _json_kinds(circuit.ArrayParams),
+    "pulse": _json_kinds(bias.FluxPulse),
+    "solver": _json_kinds(lattice.SolverConfig),
+    "audit": {"max_signal_frequency": (float, False)},
+    "output": _json_kinds(OutputConfig),
 }
+
 
 def defaults_path() -> Path:
     """Path of the shipped reference configuration."""
@@ -146,11 +132,10 @@ _KINDS = {
 }
 
 
-def _check_type(section: str, key: str, value: Any, kind) -> Any:
-    if isinstance(kind, _Opt):
-        if value is None:
-            return None
-        kind = kind.kind
+def _check_type(section: str, key: str, value: Any, kind,
+                nullable: bool) -> Any:
+    if value is None and nullable:
+        return None
     expected, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError("key %r: expected %s, got %r"
@@ -177,8 +162,8 @@ def _merged(data: dict) -> dict:
         got = data.get(section, {})
         merged[section] = {
             key: _check_type(section, key, got.get(key, _DEFAULTS[section][key]),
-                             kind)
-            for key, kind in keys.items()
+                             *entry)
+            for key, entry in keys.items()
         }
     return merged
 

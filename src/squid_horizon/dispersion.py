@@ -142,7 +142,8 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     ind = circuit.josephson_inductance(squid, flux_dc, constants=constants)
     cap = array.ground_capacitance
     a = array.cell_length
-    omega_max = 2.0 / math.sqrt(ind * cap)
+    cell_time = circuit.cell_time(array, squid, flux_dc, constants=constants)
+    omega_max = 2.0 / cell_time
     frequencies = [float(w) for w in frequencies]
     for w in frequencies:
         if w > 0.95 * omega_max:
@@ -168,7 +169,7 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
                                    environment_impedance=array.environment_impedance)
 
         drive = lattice.SineDrive(node=0, amplitude=amplitude, frequency=w)
-        v_group = (a / math.sqrt(ind * cap)) * math.cos(0.5 * ka)
+        v_group = (a / cell_time) * math.cos(0.5 * ka)
         period = 2.0 * math.pi / w
         settle_time = n * a / v_group + settle_periods * period
         settle_steps = int(math.ceil(settle_time / dt))

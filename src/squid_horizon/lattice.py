@@ -30,7 +30,6 @@ from . import bias, circuit
 from ._csv import write_csv
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import (
-    BandLimit,
     CourantViolation,
     NoPacket,
     NonFinite,
@@ -44,12 +43,10 @@ __all__ = [
     "SineDrive",
     "SolverConfig",
     "gaussian_packet",
-    "inject_sine",
     "measure_pulse_speed",
     "read_trajectory_binary",
     "run",
     "stable_timestep",
-    "step",
     "write_trajectory_binary",
     "write_trajectory_csv",
     "zero_state",
@@ -125,11 +122,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SineDrive:
-    """Soft sinusoidal source added to the potential at one node."""
+    """Soft sinusoidal source added to the potential at one node, with the
+    angular frequency in rad/s."""
 
     node: int
     amplitude: float
     frequency: float
+
+    def __post_init__(self):
+        if self.frequency <= 0.0:
+            raise ValueError("drive frequency must be positive")
+        if self.node < 0:
+            raise ValueError("drive node %d outside the line" % self.node)
 
 
 @dataclass(frozen=True)
@@ -171,45 +175,17 @@ def _laplacian(a: np.ndarray) -> np.ndarray:
     return np.diff(np.diff(a), prepend=0.0, append=0.0)
 
 
-def _minimum_inductance(squid: circuit.SquidParams, pulse: bias.FluxPulse,
-                        constants: PhysicalConstants) -> float:
-    # The bias sweeps flux fractions between the dc offset and offset plus
-    # amplitude; the smallest |flux| gives the stiffest cell.
-    candidates = (abs(pulse.dc_offset),
-                  abs(pulse.dc_offset + pulse.amplitude))
-    frac = min(candidates)
-    return circuit.josephson_inductance(squid, frac * constants.flux_quantum,
-                                        constants=constants)
-
-
 def stable_timestep(array: circuit.ArrayParams, squid: circuit.SquidParams,
                     pulse: bias.FluxPulse, courant_fraction: float = 0.2,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Default timestep courant_fraction * sqrt(L_min C0)."""
-    l_min = _minimum_inductance(squid, pulse, constants)
-    return courant_fraction * np.sqrt(l_min * array.ground_capacitance)
+    """Default timestep courant_fraction * sqrt(L_min C0).
 
-
-def inject_sine(array: circuit.ArrayParams, squid: circuit.SquidParams,
-                node: int, amplitude: float, frequency: float,
-                peak_flux_fraction: float = 0.0,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SineDrive:
-    """Build a soft source, checking the drive sits inside the lattice band.
-
-    The cutoff 2/sqrt(L C0) is evaluated at the largest flux the drive must
-    propagate through; above it the line carries no travelling wave.
+    The bias sweeps flux fractions between the dc offset and offset plus
+    amplitude; the smallest |flux| gives the stiffest cell, L_min.
     """
-    ind = circuit.josephson_inductance(
-        squid, peak_flux_fraction * constants.flux_quantum, constants=constants)
-    omega_max = 2.0 / np.sqrt(ind * array.ground_capacitance)
-    if frequency >= omega_max:
-        raise BandLimit("drive at %.3e rad/s exceeds the lattice band edge "
-                        "%.3e rad/s" % (frequency, omega_max))
-    if frequency <= 0.0:
-        raise ValueError("drive frequency must be positive")
-    if not 0 <= node < array.n_cells:
-        raise ValueError("drive node %d outside the line" % node)
-    return SineDrive(node=node, amplitude=amplitude, frequency=frequency)
+    frac = min(abs(pulse.dc_offset), abs(pulse.dc_offset + pulse.amplitude))
+    return courant_fraction * circuit.cell_time(
+        array, squid, frac * constants.flux_quantum, constants=constants)
 
 
 class _Scales:
@@ -219,8 +195,8 @@ class _Scales:
         self.l_ref = circuit.josephson_inductance(squid, 0.0, constants=constants)
         self.t_ref = 1.0 / circuit.effective_plasma_frequency(squid, 0.0, constants)
         self.cap = array.ground_capacitance
-        self.cell_time = np.sqrt(self.l_ref * self.cap)
-        self.chi = (self.t_ref / self.cell_time) ** 2
+        self.chi = (self.t_ref /
+                    circuit.cell_time(array, squid, 0.0, constants=constants)) ** 2
         # momentum: q_physical = q_scaled * l_ref * cap / t_ref
         self.momentum_unit = self.l_ref * self.cap / self.t_ref
 
@@ -241,11 +217,13 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
                          % (initial.n_cells, n))
     if config.boundary == "driven" and drive is None:
         raise ValueError("driven boundary needs a SineDrive")
+    if drive is not None and drive.node >= n:
+        raise ValueError("drive node %d outside the line" % drive.node)
 
     scales = _Scales(array, squid, constants)
     a = array.cell_length
-    l_min = _minimum_inductance(squid, pulse, constants)
-    budget = config.courant_fraction * np.sqrt(l_min * scales.cap)
+    budget = stable_timestep(array, squid, pulse, config.courant_fraction,
+                             constants)
     dt = budget if config.dt is None else config.dt
     if dt > budget * (1.0 + 1e-12):
         raise CourantViolation("dt = %.3e s exceeds %.3g * sqrt(L_min C0) "
@@ -379,15 +357,6 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         final_state=final)
 
 
-def step(state: LatticeState, array: circuit.ArrayParams,
-         squid: circuit.SquidParams, pulse: bias.FluxPulse, dt: float,
-         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LatticeState:
-    """One leapfrog update with free (reflecting) ends."""
-    config = SolverConfig(n_steps=1, dt=dt, courant_fraction=0.5)
-    traj = run(state, array, squid, pulse, config, constants=constants)
-    return traj.final_state
-
-
 def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
                     pulse: bias.FluxPulse, center: float, sigma: float,
                     carrier_ka: float, amplitude: float, dt: float,
@@ -409,10 +378,10 @@ def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    frac = float(np.atleast_1d(bias.flux_fraction_at(pulse, center, 0.0))[0])
-    ind = circuit.josephson_inductance(squid, frac * constants.flux_quantum,
-                                       constants=constants)
-    cell_time = np.sqrt(ind * array.ground_capacitance)
+    flux = (float(np.atleast_1d(bias.flux_fraction_at(pulse, center, 0.0))[0])
+            * constants.flux_quantum)
+    ind = circuit.josephson_inductance(squid, flux, constants=constants)
+    cell_time = circuit.cell_time(array, squid, flux, constants=constants)
     # The zone-edge mode needs sin(w dt/2) = dt/cell_time <= 1 to stay real.
     if dt > cell_time:
         raise CourantViolation("dt = %.3e s unstable for the packet region"

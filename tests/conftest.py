@@ -10,8 +10,12 @@ import pytest
 
 import squid_horizon as sh
 
-# Derived once from the reference numbers; regenerate with
-# scripts in the README if the base parameters ever change.
+# Derived once from the reference numbers; if the base parameters ever
+# change, recompute them: the junction capacitance is
+# 2*pi*I_c / (Phi_0 * (2*pi * 1 THz)**2), the cell speed is
+# sh.cell_velocity(array, squid, 0.0), and the steepness is
+# sh.steepness_for_gradient_cap(array, squid, 0.2, 0.0, REF_PULSE_SPEED,
+# 0.1 * sh.effective_plasma_frequency(squid, 0.0) / (2 * pi)).
 REF_CRITICAL_CURRENT = 2.0e-6
 REF_JUNCTION_CAPACITANCE = 1.539339760883361e-16
 REF_LOOP_INDUCTANCE = 1.0e-11

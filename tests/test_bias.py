@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -63,9 +61,6 @@ class TestTanhProfile:
                              steepness=4.4e5)
         assert flux_fraction_at(pulse, 1.0e-3, 0.0) == pytest.approx(0.05, rel=1e-12)
         assert flux_fraction_at(pulse, -1.0e-3, 0.0) == pytest.approx(0.25, rel=1e-12)
-
-    def test_flux_in_webers(self, step_pulse):
-        assert sh.flux_at(step_pulse, -1.0e-3, 0.0) == pytest.approx(0.2 * PHI0, rel=1e-12)
 
 
 class TestGaussianProfile:

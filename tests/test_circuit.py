@@ -152,6 +152,8 @@ class TestArrayInputs:
                 lambda f: sh.squid_critical_current(ref_squid, f * PHI0),
             "josephson_inductance":
                 lambda f: sh.josephson_inductance(ref_squid, f * PHI0),
+            "cell_time":
+                lambda f: sh.cell_time(ref_array, ref_squid, f * PHI0),
             "cell_velocity":
                 lambda f: sh.cell_velocity(ref_array, ref_squid, f * PHI0),
             "array_impedance":
@@ -159,12 +161,23 @@ class TestArrayInputs:
         }
 
     @pytest.mark.parametrize("name", ["squid_critical_current",
-                                      "josephson_inductance", "cell_velocity",
-                                      "array_impedance"])
+                                      "josephson_inductance", "cell_time",
+                                      "cell_velocity", "array_impedance"])
     def test_flux_array_matches_scalar_calls(self, relations, name):
         self.assert_elementwise(relations[name], self.FRACTIONS)
 
-    @pytest.mark.parametrize("name", ["josephson_inductance",
+    def test_cell_velocity_is_length_over_cell_time(self, ref_array,
+                                                     ref_squid):
+        flux = self.FRACTIONS * PHI0
+        time = sh.cell_time(ref_array, ref_squid, flux)
+        np.testing.assert_array_equal(
+            sh.cell_velocity(ref_array, ref_squid, flux),
+            ref_array.cell_length / time)
+        for f, t in zip(flux, time):
+            assert (sh.cell_velocity(ref_array, ref_squid, float(f)) ==
+                    ref_array.cell_length / float(t))
+
+    @pytest.mark.parametrize("name", ["josephson_inductance", "cell_time",
                                       "cell_velocity"])
     def test_current_array_matches_scalar_calls(self, ref_array, ref_squid,
                                                 name):
@@ -183,7 +196,7 @@ class TestArrayInputs:
                 return sh.josephson_inductance(ref_squid, f * PHI0, i)
         else:
             def func(f, i):
-                return sh.cell_velocity(ref_array, ref_squid, f * PHI0, i)
+                return getattr(sh, name)(ref_array, ref_squid, f * PHI0, i)
         self.assert_elementwise(func, fractions, currents)
 
     @pytest.mark.parametrize("name", ["squid_critical_current",

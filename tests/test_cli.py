@@ -62,6 +62,26 @@ class TestValidate:
         payload = json.loads((tmp_path / "validity.json").read_text())
         assert payload["overall_pass"] is False
 
+    def test_infinite_value_is_written_as_null(self, tmp_path, capsys):
+        # beta_L overflows to inf; strict JSON has no Infinity literal.
+        cfg = write_variant(tmp_path / "c.json",
+                            squid__loop_inductance=1e308)
+        code = main(["validate", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "screening             inf" in capsys.readouterr().out
+
+        def refuse(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+
+        payload = json.loads((tmp_path / "validity.json").read_text(),
+                             parse_constant=refuse)
+        screening = payload["checks"][0]
+        assert screening["name"] == "screening"
+        assert screening["value"] is None
+        assert screening["passed"] is False
+        assert payload["overall_pass"] is False
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "absent.json")])
         assert code == 2

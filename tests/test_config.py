@@ -48,6 +48,23 @@ class TestSchema:
         assert set(config._SCHEMA) == set(sections) | {"audit"}
         assert set(config._SCHEMA["audit"]) == {"max_signal_frequency"}
 
+    def test_null_only_where_the_field_is_optional(self):
+        # The Optional fields of the section dataclasses take null; every
+        # other key of the shipped file refuses it.
+        nullable = {("junction", "normal_resistance"), ("solver", "dt"),
+                    ("output", "directory")}
+        defaults = json.loads(config.defaults_path().read_text())
+        for section, keys in defaults.items():
+            for key in keys:
+                text = json.dumps({section: {key: None}})
+                if (section, key) in nullable:
+                    assert config.loads_config(text) == \
+                        config.default_config()
+                else:
+                    with pytest.raises(ConfigError, match="%s.%s"
+                                       % (section, key)):
+                        config.loads_config(text)
+
 
 class TestStrictParsing:
     def test_empty_file_rejected(self, tmp_path):

@@ -49,6 +49,20 @@ class TestConfigValidation:
         expected = 0.2 * CELL_TIME / math.sqrt(math.cos(0.1 * math.pi))
         assert dt == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("dc_offset, amplitude",
+                             [(0.0, 0.0), (0.0, 0.2), (0.1, 0.2),
+                              (0.3, 0.15), (0.25, 0.0)])
+    def test_stable_timestep_is_courant_fraction_of_cell_time(
+            self, ref_squid, dc_offset, amplitude):
+        arr = make_array(64)
+        pulse = sh.FluxPulse(amplitude=amplitude, dc_offset=dc_offset)
+        smallest = min(dc_offset, dc_offset + amplitude)
+        cell_time = sh.cell_time(arr, ref_squid,
+                                 smallest * sh.DEFAULT_CONSTANTS.flux_quantum)
+        for fraction in (0.2, 0.1, 0.5):
+            assert (lattice.stable_timestep(arr, ref_squid, pulse, fraction)
+                    == fraction * cell_time)
+
 
 class TestStep:
     def test_single_node_kick_is_symmetric(self, ref_squid, uniform):
@@ -57,7 +71,8 @@ class TestStep:
         pot[4] = 1.0e-6
         state = lattice.LatticeState(0.0, pot, np.zeros(9))
         dt = lattice.stable_timestep(arr, ref_squid, uniform)
-        after = lattice.step(state, arr, ref_squid, uniform, dt)
+        after = lattice.run(state, arr, ref_squid, uniform,
+                            lattice.SolverConfig(n_steps=1, dt=dt)).final_state
         delta = after.potential - pot
         assert delta[3] == delta[5]
         assert delta[3] > 0.0
@@ -322,17 +337,27 @@ class TestAbsorbingBoundary:
 
 
 class TestSineDrive:
-    def test_band_limit(self, ref_squid):
+    @pytest.mark.parametrize("frequency", [0.0, -1.0e11])
+    def test_non_positive_frequency_rejected(self, frequency):
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            lattice.SineDrive(node=0, amplitude=1e-6, frequency=frequency)
+
+    def test_negative_node_rejected(self):
+        with pytest.raises(ValueError, match="drive node -1 outside"):
+            lattice.SineDrive(node=-1, amplitude=1e-6, frequency=1.0e11)
+
+    @pytest.mark.parametrize("node", [64, 65])
+    def test_node_beyond_line_rejected(self, ref_squid, uniform, node):
         arr = make_array(64)
-        edge = 2.0 / CELL_TIME
-        with pytest.raises(errors.BandLimit):
-            lattice.inject_sine(arr, ref_squid, node=0, amplitude=1e-6,
-                                frequency=1.01 * edge)
+        drv = lattice.SineDrive(node=node, amplitude=1e-6, frequency=1.0e11)
+        with pytest.raises(ValueError, match="drive node %d outside" % node):
+            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
+                        lattice.SolverConfig(n_steps=10, boundary="driven"),
+                        drive=drv)
 
     def test_zero_amplitude_gives_zero_field(self, ref_squid, uniform):
         arr = make_array(128)
-        drv = lattice.inject_sine(arr, ref_squid, node=0, amplitude=0.0,
-                                  frequency=1.0e11)
+        drv = lattice.SineDrive(node=0, amplitude=0.0, frequency=1.0e11)
         traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
                            lattice.SolverConfig(n_steps=300, boundary="driven"),
                            drive=drv)
@@ -343,8 +368,7 @@ class TestSineDrive:
         arr = make_array(n)
         omega = 0.1 * REF_CELL_SPEED / CELL_LENGTH
         dt = lattice.stable_timestep(arr, ref_squid, uniform)
-        drv = lattice.inject_sine(arr, ref_squid, node=0, amplitude=1e-6,
-                                  frequency=omega)
+        drv = lattice.SineDrive(node=0, amplitude=1e-6, frequency=omega)
         steps = int(round(1.4 * n * CELL_LENGTH / REF_CELL_SPEED / dt))
         traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
                            lattice.SolverConfig(n_steps=steps, dt=dt,
