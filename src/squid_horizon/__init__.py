@@ -25,7 +25,6 @@ from .circuit import (
     squid_critical_current,
     validity_report,
 )
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dispersion import (
     CutoffReport,
     DispersionCurve,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import FLUX_QUANTUM
 from .errors import FluxOutOfRange, NoRoot
 
 _SHAPES = ("tanh", "gaussian")
@@ -120,15 +120,13 @@ def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):
     return float(out) if xi.ndim == 0 else out
 
 
-def comoving_flux(pulse: FluxPulse, xi, t: float,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def comoving_flux(pulse: FluxPulse, xi, t: float):
     """Flux at comoving coordinate xi = x - u*t, in Wb."""
-    return constants.flux_quantum * comoving_flux_fraction(pulse, xi, t)
+    return FLUX_QUANTUM * comoving_flux_fraction(pulse, xi, t)
 
 
 def calibrate_broadening(pulse: FluxPulse, array, squid, target_decay: float,
-                         n_cells: int,
-                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+                         n_cells: int) -> float:
     """Broadening rate that makes the horizon temperature decay as requested.
 
     Finds b such that the Hawking temperature of the comoving profile drops
@@ -151,9 +149,8 @@ def calibrate_broadening(pulse: FluxPulse, array, squid, target_decay: float,
 
     def temperature(b: float, t: float) -> float:
         probe = replace(pulse, broadening=b)
-        profile = geometry.velocity_profile(array, squid, probe, t,
-                                            constants=constants)
-        return geometry.hawking_temperature(profile, constants=constants)
+        profile = geometry.velocity_profile(array, squid, probe, t)
+        return geometry.hawking_temperature(profile)
 
     def objective(b: float) -> float:
         return temperature(b, travel_time) / temperature(b, 0.0) - goal

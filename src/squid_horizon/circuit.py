@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bias import FluxPulse
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import ELECTRON_CHARGE, FLUX_QUANTUM, RESISTANCE_QUANTUM
 from .errors import FluxOutOfRange, NonFinite, OverCritical
 
 __all__ = [
@@ -152,9 +152,9 @@ def _reject(mask, error, message, *values):
             for v in values))
 
 
-def _flux_fraction(flux, constants: PhysicalConstants):
+def _flux_fraction(flux):
     # flux / Phi_0, inside (-0.5, 0.5) where the inductance is finite.
-    fraction = flux / constants.flux_quantum
+    fraction = flux / FLUX_QUANTUM
     _reject(abs(fraction) >= 0.5, FluxOutOfRange,
             "flux %.4g Phi_0 outside the open interval (-0.5, 0.5)", fraction)
     return fraction
@@ -171,29 +171,27 @@ def _finite_quotient(numerator: float, denominator, what: str):
                     "parameters over- or underflows" % what)
 
 
-def squid_critical_current(squid: SquidParams, flux,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def squid_critical_current(squid: SquidParams, flux):
     """Effective critical current 2*I_c*cos(pi*flux/Phi_0) of the SQUID.
 
     The SQUID behaves as one junction whose critical current is tuned by the
     loop flux.  Raises FluxOutOfRange at or beyond half a flux quantum,
     where the effective inductance diverges.
     """
-    fraction = _flux_fraction(flux, constants)
+    fraction = _flux_fraction(flux)
     return (2.0 * squid.junction.critical_current *
             _namespace(fraction).cos(math.pi * fraction))
 
 
-def effective_plasma_frequency(squid: SquidParams, flux: float,
-                               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def effective_plasma_frequency(squid: SquidParams, flux: float) -> float:
     """Plasma frequency (rad/s) of the flux-tuned SQUID.
 
     Uses the parallel capacitance of the two junctions, so at zero flux it
     coincides with the single-junction plasma frequency.
     """
-    ics = squid_critical_current(squid, flux, constants)
+    ics = squid_critical_current(squid, flux)
     cj2 = 2.0 * squid.junction.capacitance
-    return math.sqrt(2.0 * math.pi * ics / (cj2 * constants.flux_quantum))
+    return math.sqrt(2.0 * math.pi * ics / (cj2 * FLUX_QUANTUM))
 
 
 def inductance_stretch(ratio):
@@ -209,8 +207,7 @@ def inductance_stretch(ratio):
     return stretch
 
 
-def josephson_inductance(squid: SquidParams, flux, current=0.0,
-                         constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def josephson_inductance(squid: SquidParams, flux, current=0.0):
     """Current- and flux-dependent Josephson inductance of one cell (H).
 
     L = Phi_0 * asin(I/I_c^s) / (2*pi*I), continued to Phi_0/(2*pi*I_c^s)
@@ -218,8 +215,8 @@ def josephson_inductance(squid: SquidParams, flux, current=0.0,
     critical current; |I| equal to it is allowed and gives (pi/2) times the
     zero-current value.
     """
-    ics = squid_critical_current(squid, flux, constants)
-    base = constants.flux_quantum / (2.0 * math.pi * ics)
+    ics = squid_critical_current(squid, flux)
+    base = FLUX_QUANTUM / (2.0 * math.pi * ics)
     if not isinstance(current, np.ndarray) and current == 0.0:
         return base
     ratio = current / ics
@@ -229,52 +226,46 @@ def josephson_inductance(squid: SquidParams, flux, current=0.0,
     return base * inductance_stretch(ratio)
 
 
-def cell_time(array: ArrayParams, squid: SquidParams, flux, current=0.0,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def cell_time(array: ArrayParams, squid: SquidParams, flux, current=0.0):
     """Time sqrt(L*C0) a long wave takes to cross one cell (s).
 
     The line's one time scale: the speed is a/cell_time, the lattice band
     edge 2/cell_time and the leapfrog's Courant budget a fraction of it.
     """
-    ind = josephson_inductance(squid, flux, current, constants)
+    ind = josephson_inductance(squid, flux, current)
     return _namespace(ind).sqrt(ind * array.ground_capacitance)
 
 
-def cell_velocity(array: ArrayParams, squid: SquidParams, flux,
-                  current=0.0,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def cell_velocity(array: ArrayParams, squid: SquidParams, flux, current=0.0):
     """Low-frequency propagation speed a/sqrt(L*C0) of the loaded line (m/s).
 
     Raises NonFinite when L*C0 underflows to zero or the speed overflows.
     """
     return _finite_quotient(array.cell_length,
-                            cell_time(array, squid, flux, current, constants),
+                            cell_time(array, squid, flux, current),
                             "cell speed a/sqrt(L*C0)")
 
 
-def junction_energies(squid: SquidParams, flux: float,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> tuple[float, float]:
+def junction_energies(squid: SquidParams, flux: float) -> tuple[float, float]:
     """Josephson and charging energy scales (E_J, E_C) in joules.
 
     E_J uses the flux-tuned critical current; E_C = e^2/(4*C_J) is the
     charging energy of the parallel pair.  Arrays with E_J >> E_C stay in
     the phase regime where the inductance picture applies.
     """
-    ics = squid_critical_current(squid, flux, constants)
-    e_j = constants.flux_quantum * ics / (2.0 * math.pi)
-    e_c = constants.electron_charge ** 2 / (4.0 * squid.junction.capacitance)
+    ics = squid_critical_current(squid, flux)
+    e_j = FLUX_QUANTUM * ics / (2.0 * math.pi)
+    e_c = ELECTRON_CHARGE ** 2 / (4.0 * squid.junction.capacitance)
     return e_j, e_c
 
 
-def beta_l(squid: SquidParams,
-           constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def beta_l(squid: SquidParams) -> float:
     """Screening parameter 2*pi*L_loop*I_c/Phi_0 of the loop."""
     return (2.0 * math.pi * squid.loop_inductance *
-            squid.junction.critical_current / constants.flux_quantum)
+            squid.junction.critical_current / FLUX_QUANTUM)
 
 
-def array_impedance(array: ArrayParams, squid: SquidParams, flux,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def array_impedance(array: ArrayParams, squid: SquidParams, flux):
     """Quantum impedance of the biased line (Ohm), the phase-slip audit scale.
 
     Z_A = R_Q * sqrt(2*pi*e^2 / (Phi_0*C0*I_c) * sec(pi*flux/Phi_0)) with
@@ -284,15 +275,15 @@ def array_impedance(array: ArrayParams, squid: SquidParams, flux,
     by a constant factor pi*sqrt(2); ratios between flux settings agree.
     Raises NonFinite when a parameter product over- or underflows.
     """
-    fraction = _flux_fraction(flux, constants)
-    e = constants.electron_charge
+    fraction = _flux_fraction(flux)
+    e = ELECTRON_CHARGE
     # inner stays below 4e286 and cos(pi*fraction) above 1e-16 in range, so
     # Z_A is finite once the parameter product is nonzero.
-    inner = _finite_quotient(2.0 * math.pi * e * e, constants.flux_quantum *
+    inner = _finite_quotient(2.0 * math.pi * e * e, FLUX_QUANTUM *
                              array.ground_capacitance *
                              squid.junction.critical_current, "line impedance")
     xp = _namespace(fraction)
-    return constants.resistance_quantum * xp.sqrt(
+    return RESISTANCE_QUANTUM * xp.sqrt(
         inner / xp.cos(math.pi * fraction))
 
 
@@ -332,8 +323,7 @@ class ValidityReport:
 
 
 def validity_report(array: ArrayParams, squid: SquidParams, pulse: FluxPulse,
-                    max_signal_frequency: float,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ValidityReport:
+                    max_signal_frequency: float) -> ValidityReport:
     """Audit the configuration against the approximations of the model.
 
     Checks, each normalised so that value <= threshold passes:
@@ -350,24 +340,22 @@ def validity_report(array: ArrayParams, squid: SquidParams, pulse: FluxPulse,
     max_signal_frequency is the largest angular frequency (rad/s) the run
     intends to resolve.
     """
-    phi0 = constants.flux_quantum
     peak = pulse.peak_fraction()
-    peak_flux = peak * phi0
-    dc_flux = pulse.dc_offset * phi0
+    peak_flux = peak * FLUX_QUANTUM
+    dc_flux = pulse.dc_offset * FLUX_QUANTUM
 
-    omega_ps_peak = effective_plasma_frequency(squid, peak_flux, constants)
-    e_j, e_c = junction_energies(squid, peak_flux, constants)
+    omega_ps_peak = effective_plasma_frequency(squid, peak_flux)
+    e_j, e_c = junction_energies(squid, peak_flux)
     z_total = (array.environment_impedance +
-               array_impedance(array, squid, peak_flux, constants))
-    c_dc = cell_velocity(array, squid, dc_flux, 0.0, constants)
+               array_impedance(array, squid, peak_flux))
+    c_dc = cell_velocity(array, squid, dc_flux)
 
     checks = (
-        ValidityCheck("screening", beta_l(squid, constants), 0.1),
+        ValidityCheck("screening", beta_l(squid), 0.1),
         ValidityCheck("signal_band",
                       max_signal_frequency / omega_ps_peak, 0.1),
         ValidityCheck("peak_flux", peak, 0.45),
-        ValidityCheck("impedance",
-                      z_total / constants.resistance_quantum, 1.0),
+        ValidityCheck("impedance", z_total / RESISTANCE_QUANTUM, 1.0),
         ValidityCheck("energy_ratio", e_c / e_j, 1.0),
         ValidityCheck("pulse_speed", pulse.velocity / c_dc, 1.0),
     )
@@ -399,8 +387,7 @@ def single_squid_dynamics(squid: SquidParams,
                           external_flux: DriveLike,
                           initial: SquidState,
                           dt: float,
-                          n_steps: int,
-                          constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SquidTrajectory:
+                          n_steps: int) -> SquidTrajectory:
     """Integrate the full two-phase SQUID equations of motion.
 
     The common phase is driven by the bias current through the junction
@@ -415,13 +402,13 @@ def single_squid_dynamics(squid: SquidParams,
     Raises NonFinite if the state overflows.
     """
     jj = squid.junction
-    phi0 = constants.flux_quantum
+    phi0 = FLUX_QUANTUM
     omega_p = math.sqrt(2.0 * math.pi * jj.critical_current /
                         (jj.capacitance * phi0))
     if dt > 0.05 / omega_p:
         raise ValueError("dt must satisfy dt <= 0.05/omega_p = %.3e s"
                          % (0.05 / omega_p))
-    blq = beta_l(squid, constants)
+    blq = beta_l(squid)
     if blq <= 0.0:
         raise ValueError("full SQUID dynamics needs positive loop inductance")
     if jj.normal_resistance is None:
@@ -490,8 +477,7 @@ def reduced_junction_dynamics(squid: SquidParams,
                               initial_phase: float,
                               initial_rate: float,
                               dt: float,
-                              n_steps: int,
-                              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ReducedTrajectory:
+                              n_steps: int) -> ReducedTrajectory:
     """Integrate the reduced single-phase model of the flux-tuned SQUID.
 
     Valid for beta_L << 1, where the circulating phase follows the applied
@@ -507,17 +493,17 @@ def reduced_junction_dynamics(squid: SquidParams,
     current = _as_time_function(drive_current, dt, n_steps)
     flux = _as_time_function(external_flux, dt, n_steps)
 
-    omega_ref = effective_plasma_frequency(squid, flux(0.0), constants)
+    omega_ref = effective_plasma_frequency(squid, flux(0.0))
     if dt > 0.05 / omega_ref:
         raise ValueError("dt must satisfy dt <= 0.05/omega_p^s = %.3e s"
                          % (0.05 / omega_ref))
-    ics_ref = squid_critical_current(squid, flux(0.0), constants)
+    ics_ref = squid_critical_current(squid, flux(0.0))
 
     h = dt * omega_ref
     sin, cos = math.sin, math.cos
 
     def accel_and_potential(gamma: float, t: float) -> tuple[float, float]:
-        ics = squid_critical_current(squid, flux(t), constants)
+        ics = squid_critical_current(squid, flux(t))
         w2 = ics / ics_ref  # (omega_p^s / omega_ref)^2
         ibar = current(t) / ics
         a = w2 * (ibar - sin(gamma))

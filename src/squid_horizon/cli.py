@@ -22,7 +22,7 @@ import numpy as np
 from . import (circuit, config, dispersion, experiments, geometry, lattice,
                svgplot)
 from ._csv import write_csv
-from .constants import DEFAULT_CONSTANTS
+from .constants import FLUX_QUANTUM
 from .errors import ConfigError, SquidHorizonError
 
 __all__ = ["main"]
@@ -129,7 +129,7 @@ def _cmd_profile(args) -> int:
     horizons = geometry.find_horizons(profile)
     c_ahead = circuit.cell_velocity(
         cfg.array, cfg.squid,
-        cfg.pulse.dc_offset * DEFAULT_CONSTANTS.flux_quantum)
+        cfg.pulse.dc_offset * FLUX_QUANTUM)
     print("flow speed u = %.6e m/s, c ahead of front = %.6e m/s"
           % (profile.flow_speed, c_ahead))
     if not horizons:
@@ -202,7 +202,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_dispersion(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    flux_dc = cfg.pulse.dc_offset * DEFAULT_CONSTANTS.flux_quantum
+    flux_dc = cfg.pulse.dc_offset * FLUX_QUANTUM
     omega_max = 2.0 / circuit.cell_time(cfg.array, cfg.squid, flux_dc)
     freqs = [omega_max * math.sin(0.5 * ka) for ka in _DISPERSION_KA]
     curve = dispersion.measure_dispersion(cfg.array, cfg.squid, flux_dc,
@@ -241,8 +241,9 @@ def _cmd_budget(args) -> int:
     print("expected photons per traversal = %.6f" % report.photon_count)
     for name, ok in sorted(report.targets_met.items()):
         print("target %-12s %s" % (name, "met" if ok else "MISSED"))
-    if report.csv_path:
-        print("wrote %s" % report.csv_path)
+    for path in (report.csv_path, report.svg_path):
+        if path:
+            print("wrote %s" % path)
     return 0
 
 

@@ -1,34 +1,20 @@
-"""Physical constants used across the package.
+"""Physical constants used across the package (SI).
 
-Values come from scipy.constants; h, e, k_B and c are exact defined values
-in the 2019 SI, so the derived quantities below (flux quantum, resistance
-quantum) are exact as well.
+Values come from scipy.constants; h, e, hbar and k_B are exact defined
+values in the 2019 SI, so the derived quantities below (flux quantum,
+resistance quantum) are exact as well.
 """
 
-from dataclasses import dataclass, field
-
-from scipy.constants import c as _c0
-from scipy.constants import e as _e
+from scipy.constants import e as ELECTRON_CHARGE
 from scipy.constants import h as _h
-from scipy.constants import hbar as _hbar
-from scipy.constants import k as _kB
+from scipy.constants import hbar as HBAR
+from scipy.constants import k as BOLTZMANN
 
+__all__ = ["FLUX_QUANTUM", "RESISTANCE_QUANTUM", "HBAR", "BOLTZMANN",
+           "ELECTRON_CHARGE"]
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the fundamental constants the model depends on (SI)."""
+FLUX_QUANTUM = _h / (2.0 * ELECTRON_CHARGE)
+"""Superconducting flux quantum h / (2e), about 2.07e-15 Wb."""
 
-    planck: float = _h
-    hbar: float = _hbar
-    electron_charge: float = _e
-    boltzmann: float = _kB
-    light_speed: float = _c0
-    flux_quantum: float = field(default=_h / (2.0 * _e))
-
-    @property
-    def resistance_quantum(self) -> float:
-        """Superconducting resistance quantum h / (2e)^2, about 6.45 kOhm."""
-        return self.planck / (2.0 * self.electron_charge) ** 2
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+RESISTANCE_QUANTUM = _h / (2.0 * ELECTRON_CHARGE) ** 2
+"""Superconducting resistance quantum h / (2e)^2, about 6.45 kOhm."""

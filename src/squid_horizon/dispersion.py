@@ -16,11 +16,16 @@ import numpy as np
 
 from . import bias, circuit, lattice
 from ._csv import write_csv
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import FLUX_QUANTUM
 from .errors import BandLimit, FitFailure, OutOfBand
 
 __all__ = [
+    "COURANT_FRACTION",
+    "DRIVE_AMPLITUDE",
+    "FIT_PERIODS",
     "FRONT_KA_LIMIT",
+    "RESIDUAL_THRESHOLD",
+    "SETTLE_PERIODS",
     "CutoffReport",
     "DispersionCurve",
     "cutoff_scale",
@@ -35,6 +40,17 @@ __all__ = [
 # Bias fronts with spectral weight above half a radian per cell undercut the
 # smooth-geometry picture; front_resolved flags them.
 FRONT_KA_LIMIT = 0.5
+
+# measure_dispersion drives node 0 with amplitude DRIVE_AMPLITUDE, settles
+# for the group-delay crossing plus SETTLE_PERIODS drive periods and then
+# fits FIT_PERIODS periods, stepping at COURANT_FRACTION of the cell time.
+# A phase fit whose rms residual exceeds RESIDUAL_THRESHOLD (rad) is a
+# FitFailure.
+DRIVE_AMPLITUDE = 1.0e-6
+SETTLE_PERIODS = 4.0
+FIT_PERIODS = 8.0
+COURANT_FRACTION = 0.1
+RESIDUAL_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True)
@@ -99,16 +115,15 @@ def group_velocity(k, inductance: float, capacitance: float,
 
 
 def cutoff_scale(array: circuit.ArrayParams, squid: circuit.SquidParams,
-                 flux: float,
-                 constants: PhysicalConstants = DEFAULT_CONSTANTS) -> CutoffReport:
+                 flux: float) -> CutoffReport:
     """Analogue short-distance scale c/omega_p at the given flux bias.
 
     Both the propagation speed and the plasma frequency scale with the same
     root-cosine flux factor, so the reported scale is flux-independent; it
     exceeding the cell length is what lets the smooth description apply.
     """
-    speed = circuit.cell_velocity(array, squid, flux, 0.0, constants)
-    omega = circuit.effective_plasma_frequency(squid, flux, constants)
+    speed = circuit.cell_velocity(array, squid, flux)
+    omega = circuit.effective_plasma_frequency(squid, flux)
     return CutoffReport(scale=speed / omega, cell_length=array.cell_length)
 
 
@@ -125,13 +140,8 @@ def _demodulate(samples: np.ndarray, times: np.ndarray, omega: float):
 
 def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
                        flux_dc: float, frequencies,
-                       amplitude: float = 1.0e-6,
-                       settle_periods: float = 4.0,
-                       fit_periods: float = 8.0,
-                       wavelengths_in_window: float = 10.0,
-                       courant_fraction: float = 0.1,
-                       residual_threshold: float = 0.2,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> DispersionCurve:
+                       wavelengths_in_window: float = 10.0
+                       ) -> DispersionCurve:
     """Map the dispersion relation by driving uniform lines, one per point.
 
     Each drive frequency gets its own line, sized so the phase fit spans the
@@ -139,10 +149,10 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     of the band edge and FitFailure when the steady state yields no usable
     phase profile.
     """
-    ind = circuit.josephson_inductance(squid, flux_dc, constants=constants)
+    ind = circuit.josephson_inductance(squid, flux_dc)
     cap = array.ground_capacitance
     a = array.cell_length
-    cell_time = circuit.cell_time(array, squid, flux_dc, constants=constants)
+    cell_time = circuit.cell_time(array, squid, flux_dc)
     omega_max = 2.0 / cell_time
     frequencies = [float(w) for w in frequencies]
     for w in frequencies:
@@ -152,10 +162,9 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
         if w <= 0.0:
             raise ValueError("drive frequencies must be positive")
 
-    flux_fraction = flux_dc / constants.flux_quantum
+    flux_fraction = flux_dc / FLUX_QUANTUM
     pulse = bias.FluxPulse(amplitude=0.0, dc_offset=flux_fraction)
-    dt = lattice.stable_timestep(array, squid, pulse, courant_fraction,
-                                 constants)
+    dt = lattice.stable_timestep(array, squid, pulse, COURANT_FRACTION)
 
     measured_k = []
     for w in frequencies:
@@ -168,33 +177,33 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
                                    ground_capacitance=cap,
                                    environment_impedance=array.environment_impedance)
 
-        drive = lattice.SineDrive(node=0, amplitude=amplitude, frequency=w)
+        drive = lattice.SineDrive(node=0, amplitude=DRIVE_AMPLITUDE,
+                                  frequency=w)
         v_group = (a / cell_time) * math.cos(0.5 * ka)
         period = 2.0 * math.pi / w
-        settle_time = n * a / v_group + settle_periods * period
+        settle_time = n * a / v_group + SETTLE_PERIODS * period
         settle_steps = int(math.ceil(settle_time / dt))
-        fit_steps = int(math.ceil(fit_periods * period / dt))
+        fit_steps = int(math.ceil(FIT_PERIODS * period / dt))
 
         warmup = lattice.run(lattice.zero_state(line), line, squid, pulse,
                              lattice.SolverConfig(n_steps=settle_steps, dt=dt,
                                                   boundary="driven"),
-                             drive=drive, constants=constants)
+                             drive=drive)
         window = range(window_start, window_start + window_cells)
         traj = lattice.run(warmup.final_state, line, squid, pulse,
                            lattice.SolverConfig(n_steps=fit_steps, dt=dt,
                                                 boundary="driven"),
-                           drive=drive, probe_nodes=window,
-                           constants=constants)
+                           drive=drive, probe_nodes=window)
 
         phasors = _demodulate(traj.probe_values, traj.probe_times, w)
-        if np.max(np.abs(phasors)) < 1e-9 * max(abs(amplitude), 1e-30):
+        if np.max(np.abs(phasors)) < 1e-9 * max(abs(DRIVE_AMPLITUDE), 1e-30):
             raise FitFailure("no steady wave at %.3e rad/s" % w)
         phase = np.unwrap(np.angle(phasors))
         x = traj.positions[window]
         slope, intercept = np.polyfit(x, phase, 1)
         residual = phase - (slope * x + intercept)
         rms = float(np.sqrt(np.mean(residual ** 2)))
-        if rms > residual_threshold:
+        if rms > RESIDUAL_THRESHOLD:
             raise FitFailure("phase fit residual %.3f rad at %.3e rad/s"
                              % (rms, w))
         measured_k.append(abs(slope))

@@ -22,7 +22,7 @@ import numpy as np
 from . import bias, circuit, config, geometry, lattice, svgplot
 from ._csv import write_csv
 from .config import RunConfig
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import FLUX_QUANTUM, RESISTANCE_QUANTUM
 from .errors import ConfigError, NoHorizon, SquidHorizonError, UnknownKey
 
 __all__ = [
@@ -73,8 +73,7 @@ class Fig2Result:
 
 
 def reproduce_fig2(cfg: Optional[RunConfig] = None, out_dir=".",
-                   emit=None,
-                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Fig2Result:
+                   emit=None) -> Fig2Result:
     """Speed profile across the moving front with the horizon marked.
 
     Emits c(xi)/c(0) together with the constant flow line u/c(0); the
@@ -82,13 +81,11 @@ def reproduce_fig2(cfg: Optional[RunConfig] = None, out_dir=".",
     """
     cfg, out, emit = _prepare(cfg, out_dir, emit)
     pulse, array, squid = cfg.pulse, cfg.array, cfg.squid
-    c0 = circuit.cell_velocity(array, squid,
-                               pulse.dc_offset * constants.flux_quantum,
-                               0.0, constants)
+    c0 = circuit.cell_velocity(array, squid, pulse.dc_offset * FLUX_QUANTUM)
     span = 15.0 / pulse.steepness
     xi = pulse.front_position + np.linspace(-span, span, 1201)
     profile = geometry.velocity_profile(array, squid, pulse, 0.0,
-                                        positions=xi, constants=constants)
+                                        positions=xi)
     horizons = geometry.find_horizons(profile)
     if len(horizons) != 1:
         raise NoHorizon("expected exactly one horizon, found %d"
@@ -137,18 +134,15 @@ class Fig3Result:
 
 
 def reproduce_fig3(cfg: Optional[RunConfig] = None, out_dir=".",
-                   emit=None,
-                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Fig3Result:
+                   emit=None) -> Fig3Result:
     """Z/R_Q versus flux for four ground capacitances at fixed junctions."""
     cfg, out, emit = _prepare(cfg, out_dir, emit)
     fractions = np.linspace(0.0, 0.49, 99)
-    r_q = constants.resistance_quantum
     ratios = np.empty((len(FIG3_CAPACITANCES), len(fractions)))
     for i, cap in enumerate(FIG3_CAPACITANCES):
         array = dataclasses.replace(cfg.array, ground_capacitance=cap)
         ratios[i] = circuit.array_impedance(
-            array, cfg.squid, fractions * constants.flux_quantum,
-            constants) / r_q
+            array, cfg.squid, fractions * FLUX_QUANTUM) / RESISTANCE_QUANTUM
 
     labels = ["%g aF" % (cap * 1e18) for cap in FIG3_CAPACITANCES]
     csv_path = svg_path = None
@@ -196,13 +190,11 @@ class BudgetReport:
 
 
 def temperature_budget(cfg: Optional[RunConfig] = None, out_dir=".",
-                       emit=None,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BudgetReport:
+                       emit=None) -> BudgetReport:
     """Temperature history and photon count for the configured pulse."""
     cfg, out, emit = _prepare(cfg, out_dir, emit)
     budget = geometry.photons_per_pulse(cfg.array, cfg.squid, cfg.pulse,
-                                        cfg.array.n_cells,
-                                        constants=constants)
+                                        cfg.array.n_cells)
     t0 = float(budget.temperatures[0])
     t_1000 = 1000.0 * cfg.array.cell_length / cfg.pulse.velocity
     ratio = float(np.interp(t_1000, budget.times, budget.temperatures)) / t0
@@ -258,8 +250,7 @@ def _centroid_offsets(traj: lattice.LatticeTrajectory, flow: float,
 
 
 def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
-                        emit=None, scenario: str = "pulse",
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> TrappingReport:
+                        emit=None, scenario: str = "pulse") -> TrappingReport:
     """Launch counter-propagating packets around the horizon and classify.
 
     In the "pulse" scenario a forward packet behind the horizon and a
@@ -283,8 +274,7 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
         span = 30.0 / pulse.steepness
         xi = center + np.linspace(-span, span, 2001)
         profile = geometry.velocity_profile(array, squid, pulse, 0.0,
-                                            positions=xi,
-                                            constants=constants)
+                                            positions=xi)
         horizon = geometry.find_horizons(profile)[0]
         reference = horizon.position
     else:
@@ -293,12 +283,10 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
                                front_position=center)
         reference = center
 
-    c0 = circuit.cell_velocity(array, squid,
-                               pulse.dc_offset * constants.flux_quantum,
-                               0.0, constants)
+    c0 = circuit.cell_velocity(array, squid, pulse.dc_offset * FLUX_QUANTUM)
     d0 = TRAP_LAUNCH_CELLS * a
     sigma = TRAP_SIGMA_CELLS * a
-    dt = lattice.stable_timestep(array, squid, pulse, constants=constants)
+    dt = lattice.stable_timestep(array, squid, pulse)
     window = TRAP_WINDOW_TRAVERSALS * d0 / c0
     n_steps = int(math.ceil(window / dt))
     record_every = max(1, n_steps // 60)
@@ -313,9 +301,8 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
     for name, start, direction in launches:
         state = lattice.gaussian_packet(array, squid, pulse, start, sigma,
                                         TRAP_CARRIER_KA, 1.0e-6, dt,
-                                        direction, constants)
-        traj = lattice.run(state, array, squid, pulse, solver,
-                           constants=constants)
+                                        direction)
+        traj = lattice.run(state, array, squid, pulse, solver)
         offsets = _centroid_offsets(traj, pulse.velocity, reference)
         traces[name] = (traj.times, offsets)
         sign = 1.0 if direction > 0 else -1.0
@@ -387,45 +374,39 @@ class SweepResult:
     points: tuple
 
 
-def _evaluate_outputs(names: tuple, cfg: RunConfig,
-                      constants: PhysicalConstants) -> dict:
+def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
     # In request order, so a failing point records the first error it hits.
     # The t = 0 profile and its horizons are built once, on first use.
-    flux_dc = cfg.pulse.dc_offset * constants.flux_quantum
+    flux_dc = cfg.pulse.dc_offset * FLUX_QUANTUM
     horizons = None
     outputs = {}
     for name in names:
         if name in ("horizon_count", "hawking_temperature") and \
                 horizons is None:
             profile = geometry.velocity_profile(cfg.array, cfg.squid,
-                                                cfg.pulse, 0.0,
-                                                constants=constants)
+                                                cfg.pulse, 0.0)
             horizons = geometry.find_horizons(profile)
         if name == "cell_speed":
-            value = circuit.cell_velocity(cfg.array, cfg.squid, flux_dc, 0.0,
-                                          constants)
+            value = circuit.cell_velocity(cfg.array, cfg.squid, flux_dc)
         elif name == "impedance_ratio":
-            value = (circuit.array_impedance(cfg.array, cfg.squid, flux_dc,
-                                             constants) /
-                     constants.resistance_quantum)
+            value = (circuit.array_impedance(cfg.array, cfg.squid, flux_dc) /
+                     RESISTANCE_QUANTUM)
         elif name == "horizon_count":
             value = float(len(horizons))
         elif name == "hawking_temperature":
             value = geometry.hawking_temperature(
-                profile, geometry.emitting_horizon(horizons), constants)
+                profile, geometry.emitting_horizon(horizons))
         elif name == "photon_count":
-            value = geometry.photons_per_pulse(cfg.array, cfg.squid,
-                                               cfg.pulse, cfg.array.n_cells,
-                                               constants=constants
-                                               ).expected_count
+            value = geometry.photons_per_pulse(
+                cfg.array, cfg.squid, cfg.pulse, cfg.array.n_cells
+            ).expected_count
         else:
             raise AssertionError(name)
         outputs[name] = value
     return outputs
 
 
-def run_sweep(spec: SweepSpec,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid in row-major order, one point after another;
     per-point failures are recorded, not raised."""
     points = []
@@ -434,7 +415,7 @@ def run_sweep(spec: SweepSpec,
             cfg = spec.base
             for (path, _), value in zip(spec.axes, coords):
                 cfg = config.apply_override(cfg, path, value)
-            outputs = _evaluate_outputs(spec.outputs, cfg, constants)
+            outputs = _evaluate_outputs(spec.outputs, cfg)
             points.append(SweepPoint(coordinates=coords, outputs=outputs,
                                      error=None))
         except (SquidHorizonError, ValueError, ArithmeticError) as exc:

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from . import bias, circuit
 from ._csv import write_csv
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import BOLTZMANN, HBAR
 from .errors import NoHorizon, OutOfRange
 
 __all__ = [
@@ -101,8 +101,8 @@ class PhotonBudget:
 
 def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
                      pulse: bias.FluxPulse, time: float = 0.0,
-                     positions: Optional[np.ndarray] = None,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> VelocityProfile:
+                     positions: Optional[np.ndarray] = None
+                     ) -> VelocityProfile:
     """Comoving propagation-speed profile c(xi) at the given time.
 
     The default grid covers n_cells cell centres centred on the front.  The
@@ -119,8 +119,8 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
         positions = np.asarray(positions, dtype=float)
 
     def evaluator(xi):
-        flux = bias.comoving_flux(pulse, xi, time, constants)
-        return circuit.cell_velocity(array, squid, flux, 0.0, constants)
+        flux = bias.comoving_flux(pulse, xi, time)
+        return circuit.cell_velocity(array, squid, flux)
 
     return VelocityProfile(positions=positions, speed=evaluator(positions),
                            flow_speed=pulse.velocity, time=time,
@@ -198,8 +198,7 @@ def emitting_horizon(horizons) -> HorizonReport:
 
 
 def hawking_temperature(profile: VelocityProfile,
-                        horizon: Optional[HorizonReport] = None,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+                        horizon: Optional[HorizonReport] = None) -> float:
     """Emission temperature hbar*|dc/dxi| / (2*pi*k_B) at the horizon (K).
 
     With no horizon given, uses the emitting horizon of the profile (see
@@ -207,21 +206,18 @@ def hawking_temperature(profile: VelocityProfile,
     """
     if horizon is None:
         horizon = emitting_horizon(find_horizons(profile))
-    return (constants.hbar * abs(horizon.gradient) /
-            (2.0 * np.pi * constants.boltzmann))
+    return HBAR * abs(horizon.gradient) / (2.0 * np.pi * BOLTZMANN)
 
 
-def radiated_power(temperature: float,
-                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def radiated_power(temperature: float) -> float:
     """One-dimensional thermal power (pi/12/hbar) (k_B T)^2 in watts."""
-    kt = constants.boltzmann * temperature
-    return np.pi * kt * kt / (12.0 * constants.hbar)
+    kt = BOLTZMANN * temperature
+    return np.pi * kt * kt / (12.0 * HBAR)
 
 
 def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, line_length_cells: int,
-                      samples: int = 65,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> PhotonBudget:
+                      samples: int = 65) -> PhotonBudget:
     """Expected photon number emitted while the front crosses the line.
 
     Integrates the emission rate power/(k_B T_H) over the traversal time
@@ -240,20 +236,20 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
     powers = np.empty(samples)
     grid = None  # comoving, so built once for every t
     for i, t in enumerate(times):
-        profile = velocity_profile(array, squid, pulse, t, grid, constants)
+        profile = velocity_profile(array, squid, pulse, t, grid)
         grid = profile.positions
         found = find_horizons(profile)
         blacks = [h for h in found if h.kind == "black"]
         if not blacks:
             raise NoHorizon("no black horizon at t = %.3e s" % t)
         h = blacks[0]
-        temp = hawking_temperature(profile, h, constants)
+        temp = hawking_temperature(profile, h)
         positions[i] = h.position
         gradients[i] = h.gradient
         temperatures[i] = temp
-        powers[i] = radiated_power(temp, constants)
+        powers[i] = radiated_power(temp)
 
-    rates = powers / (constants.boltzmann * temperatures)
+    rates = powers / (BOLTZMANN * temperatures)
     count = float(np.trapezoid(rates, times))
     return PhotonBudget(expected_count=count, times=times,
                         horizon_positions=positions, gradients=gradients,
@@ -263,8 +259,7 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
 def steepness_for_gradient_cap(array: circuit.ArrayParams,
                                squid: circuit.SquidParams,
                                amplitude: float, dc_offset: float,
-                               velocity: float, cap: float,
-                               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+                               velocity: float, cap: float) -> float:
     """Front steepness s0 whose horizon speed-gradient equals cap (1/s).
 
     For the tanh front the gradient at the horizon is proportional to s0
@@ -275,8 +270,7 @@ def steepness_for_gradient_cap(array: circuit.ArrayParams,
                            velocity=velocity, steepness=1.0)
     span = np.linspace(-8.0, 8.0, 4001)
     profile = velocity_profile(array, squid, probe, 0.0,
-                               positions=probe.front_position + span,
-                               constants=constants)
+                               positions=probe.front_position + span)
     found = find_horizons(profile)
     if not found:
         raise NoHorizon("no horizon for the requested amplitude and speed")

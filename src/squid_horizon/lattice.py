@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bias, circuit
 from ._csv import write_csv
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import FLUX_QUANTUM
 from .errors import (
     CourantViolation,
     NoPacket,
@@ -176,8 +176,8 @@ def _laplacian(a: np.ndarray) -> np.ndarray:
 
 
 def stable_timestep(array: circuit.ArrayParams, squid: circuit.SquidParams,
-                    pulse: bias.FluxPulse, courant_fraction: float = 0.2,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+                    pulse: bias.FluxPulse,
+                    courant_fraction: float = 0.2) -> float:
     """Default timestep courant_fraction * sqrt(L_min C0).
 
     The bias sweeps flux fractions between the dc offset and offset plus
@@ -185,18 +185,17 @@ def stable_timestep(array: circuit.ArrayParams, squid: circuit.SquidParams,
     """
     frac = min(abs(pulse.dc_offset), abs(pulse.dc_offset + pulse.amplitude))
     return courant_fraction * circuit.cell_time(
-        array, squid, frac * constants.flux_quantum, constants=constants)
+        array, squid, frac * FLUX_QUANTUM)
 
 
 class _Scales:
     """Nondimensionalization constants shared by the stepping routines."""
 
-    def __init__(self, array, squid, constants):
-        self.l_ref = circuit.josephson_inductance(squid, 0.0, constants=constants)
-        self.t_ref = 1.0 / circuit.effective_plasma_frequency(squid, 0.0, constants)
+    def __init__(self, array, squid):
+        self.l_ref = circuit.josephson_inductance(squid, 0.0)
+        self.t_ref = 1.0 / circuit.effective_plasma_frequency(squid, 0.0)
         self.cap = array.ground_capacitance
-        self.chi = (self.t_ref /
-                    circuit.cell_time(array, squid, 0.0, constants=constants)) ** 2
+        self.chi = (self.t_ref / circuit.cell_time(array, squid, 0.0)) ** 2
         # momentum: q_physical = q_scaled * l_ref * cap / t_ref
         self.momentum_unit = self.l_ref * self.cap / self.t_ref
 
@@ -204,12 +203,13 @@ class _Scales:
 def run(initial: LatticeState, array: circuit.ArrayParams,
         squid: circuit.SquidParams, pulse: bias.FluxPulse,
         config: SolverConfig, drive: Optional[SineDrive] = None,
-        probe_nodes: Sequence[int] = (),
-        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LatticeTrajectory:
+        probe_nodes: Sequence[int] = ()) -> LatticeTrajectory:
     """Integrate the line under the given bias and return the recording.
 
-    Raises CourantViolation when the configured dt exceeds the stability
-    budget, and NonFinite when the state overflows mid-run.
+    Raises ValueError for a drive without the driven boundary (or the
+    reverse) and for a drive or probe node outside the line,
+    CourantViolation when the configured dt exceeds the stability budget,
+    and NonFinite when the state overflows mid-run.
     """
     n = array.n_cells
     if initial.n_cells != n:
@@ -217,13 +217,19 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
                          % (initial.n_cells, n))
     if config.boundary == "driven" and drive is None:
         raise ValueError("driven boundary needs a SineDrive")
+    if drive is not None and config.boundary != "driven":
+        raise ValueError("a SineDrive needs the driven boundary, not %r"
+                         % config.boundary)
     if drive is not None and drive.node >= n:
         raise ValueError("drive node %d outside the line" % drive.node)
+    probe_nodes = tuple(int(p) for p in probe_nodes)
+    for p in probe_nodes:
+        if not 0 <= p < n:
+            raise ValueError("probe node %d outside the line" % p)
 
-    scales = _Scales(array, squid, constants)
+    scales = _Scales(array, squid)
     a = array.cell_length
-    budget = stable_timestep(array, squid, pulse, config.courant_fraction,
-                             constants)
+    budget = stable_timestep(array, squid, pulse, config.courant_fraction)
     dt = budget if config.dt is None else config.dt
     if dt > budget * (1.0 + 1e-12):
         raise CourantViolation("dt = %.3e s exceeds %.3g * sqrt(L_min C0) "
@@ -232,7 +238,9 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     chi = scales.chi
 
     positions = (np.arange(n) + 0.5) * a
-    static_bias = pulse.velocity == 0.0 and pulse.broadening == 0.0
+    # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
+    # one inductance serves every half step.
+    static_bias = pulse.velocity == 0.0
 
     def inductance(t):
         # L/L(0) = 1/cos(pi f): circuit.josephson_inductance in scaled units.
@@ -258,7 +266,6 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     rec_energy = np.empty(n_rec)
     rec_density = np.empty((n_rec, n))
 
-    probe_nodes = tuple(int(p) for p in probe_nodes)
     probe_idx = np.array(probe_nodes, dtype=int)
     probe_vals = np.empty((steps + 1, len(probe_nodes)))
     probe_times = initial.time + np.arange(steps + 1) * dt
@@ -310,7 +317,7 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         if config.current_dependent_inductance:
             current = (cap / scales.t_ref) * mom / ind_half
             rel = np.abs(current) / circuit.squid_critical_current(
-                squid, frac_half * constants.flux_quantum, constants)
+                squid, frac_half * FLUX_QUANTUM)
             peak = float(rel.max())
             if peak >= 1.0:
                 raise OverCritical("cell current reached %.3f of critical"
@@ -360,8 +367,7 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
 def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
                     pulse: bias.FluxPulse, center: float, sigma: float,
                     carrier_ka: float, amplitude: float, dt: float,
-                    direction: int = 1,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> LatticeState:
+                    direction: int = 1) -> LatticeState:
     """One-way Gaussian wavepacket as an exact discrete solution.
 
     Builds the potential from a one-sided spectrum and back-steps each mode
@@ -379,9 +385,9 @@ def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
         raise ValueError("direction must be +1 or -1")
 
     flux = (float(np.atleast_1d(bias.flux_fraction_at(pulse, center, 0.0))[0])
-            * constants.flux_quantum)
-    ind = circuit.josephson_inductance(squid, flux, constants=constants)
-    cell_time = circuit.cell_time(array, squid, flux, constants=constants)
+            * FLUX_QUANTUM)
+    ind = circuit.josephson_inductance(squid, flux)
+    cell_time = circuit.cell_time(array, squid, flux)
     # The zone-edge mode needs sin(w dt/2) = dt/cell_time <= 1 to stay real.
     if dt > cell_time:
         raise CourantViolation("dt = %.3e s unstable for the packet region"
@@ -404,7 +410,7 @@ def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
     now = np.fft.ifft(one_sided).real
     before = np.fft.ifft(one_sided * np.exp(1j * direction * omega_hat * dt)).real
 
-    scales = _Scales(array, squid, constants)
+    scales = _Scales(array, squid)
     ind_scaled = ind / scales.l_ref
     dtau = dt / scales.t_ref
     momentum = ind_scaled * (now - before) / dtau * scales.momentum_unit

@@ -14,12 +14,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy.constants import c as LIGHT_SPEED
 
 from squid_horizon import (bias, circuit, config, dispersion, experiments,
                            geometry, lattice)
-from squid_horizon.constants import DEFAULT_CONSTANTS
+from squid_horizon.constants import FLUX_QUANTUM as PHI0
 
-PHI0 = DEFAULT_CONSTANTS.flux_quantum
 
 CRITICAL_CURRENT = 2.0e-6
 PLASMA_OMEGA = 2.0 * math.pi * 1.0e12
@@ -86,7 +86,7 @@ class _Criterion:
 
 def test_01_velocity_scale():
     crit = _Criterion(1, "velocity-scale", 1.0)
-    ratio = DEFAULT_CONSTANTS.light_speed / cell_speed()
+    ratio = LIGHT_SPEED / cell_speed()
     crit.check(60.0 <= ratio <= 120.0,
                "light-speed ratio %.1f outside [60, 120]" % ratio)
     crit.conclude()

@@ -4,9 +4,7 @@ import pytest
 import squid_horizon as sh
 from squid_horizon import errors
 from squid_horizon.bias import calibrate_broadening, comoving_flux_fraction, flux_fraction_at
-
-K = sh.DEFAULT_CONSTANTS
-PHI0 = K.flux_quantum
+from squid_horizon.constants import FLUX_QUANTUM as PHI0
 
 
 class TestPulseValidation:

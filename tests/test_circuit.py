@@ -3,13 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.constants import c as LIGHT_SPEED
 from scipy.integrate import solve_ivp
 
 import squid_horizon as sh
 from squid_horizon import errors
-
-K = sh.DEFAULT_CONSTANTS
-PHI0 = K.flux_quantum
+from squid_horizon.constants import FLUX_QUANTUM as PHI0, RESISTANCE_QUANTUM
 
 
 class TestStaticRelations:
@@ -90,7 +89,7 @@ class TestStaticRelations:
         c = sh.cell_velocity(ref_array, ref_squid, 0.0)
         assert c == pytest.approx(3.897778146429868e6, rel=1e-12)
         # two orders of magnitude under light speed, within the target band
-        assert K.light_speed / 120.0 <= c <= K.light_speed / 60.0
+        assert LIGHT_SPEED / 120.0 <= c <= LIGHT_SPEED / 60.0
 
     def test_junction_energies(self, ref_squid):
         e_j, e_c = sh.junction_energies(ref_squid, 0.0)
@@ -104,7 +103,7 @@ class TestStaticRelations:
         assert sh.beta_l(sq) == pytest.approx(expected, rel=2e-3)
 
     def test_resistance_quantum(self):
-        assert K.resistance_quantum == pytest.approx(6.45e3, rel=1e-3)
+        assert RESISTANCE_QUANTUM == pytest.approx(6.45e3, rel=1e-3)
 
     @pytest.mark.parametrize("c0, expected", [
         (1.0e-16, 0.624),
@@ -114,11 +113,11 @@ class TestStaticRelations:
     ])
     def test_array_impedance_zero_flux(self, ref_squid, c0, expected):
         arr = sh.ArrayParams(n_cells=4800, cell_length=2.5e-7, ground_capacitance=c0)
-        ratio = sh.array_impedance(arr, ref_squid, 0.0) / K.resistance_quantum
+        ratio = sh.array_impedance(arr, ref_squid, 0.0) / RESISTANCE_QUANTUM
         assert ratio == pytest.approx(expected, rel=1e-2)
 
     def test_array_impedance_near_half_quantum(self, ref_array, ref_squid):
-        ratio = sh.array_impedance(ref_array, ref_squid, 0.45 * PHI0) / K.resistance_quantum
+        ratio = sh.array_impedance(ref_array, ref_squid, 0.45 * PHI0) / RESISTANCE_QUANTUM
         assert ratio == pytest.approx(2.23, rel=1e-2)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.25, 0.4, 0.45])

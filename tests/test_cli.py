@@ -224,6 +224,15 @@ class TestBudget:
         assert "MISSED" not in out
         assert (tmp_path / "budget_trace.csv").exists()
 
+    def test_reports_every_written_file(self, tmp_path, capsys):
+        assert main(["budget", "--out", str(tmp_path),
+                     "--emit", "csv,svg"]) == 0
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == ["wrote %s" % (tmp_path / "budget_trace.csv"),
+                         "wrote %s" % (tmp_path / "budget_trace.svg")]
+        assert (tmp_path / "budget_trace.svg").exists()
+
 
 class TestReproduce:
     def test_fig2(self, tmp_path, capsys):

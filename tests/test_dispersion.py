@@ -8,6 +8,7 @@ import pytest
 
 import squid_horizon as sh
 from squid_horizon import circuit, dispersion
+from squid_horizon.constants import FLUX_QUANTUM
 from squid_horizon.errors import BandLimit, FitFailure, OutOfBand
 
 from conftest import REF_CELL_LENGTH, REF_CELL_SPEED, REF_PULSE_SPEED
@@ -106,7 +107,7 @@ class TestCutoffScale:
     @pytest.mark.parametrize("fraction", [0.1, 0.2, 0.35, 0.45])
     def test_flux_independent(self, ref_array, ref_squid, fraction):
         # Speed and plasma frequency carry the same root-cosine factor.
-        flux = fraction * sh.DEFAULT_CONSTANTS.flux_quantum
+        flux = fraction * FLUX_QUANTUM
         biased = dispersion.cutoff_scale(ref_array, ref_squid, flux)
         base = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
         assert biased.scale == pytest.approx(base.scale, rel=1e-12)
@@ -179,7 +180,7 @@ class TestMeasuredCurve:
         assert ratio == pytest.approx(predicted, rel=0.02)
 
     def test_flux_biased_line(self, ref_array, ref_squid):
-        flux = 0.2 * sh.DEFAULT_CONSTANTS.flux_quantum
+        flux = 0.2 * FLUX_QUANTUM
         ind = circuit.josephson_inductance(ref_squid, flux)
         w_max = 2.0 / math.sqrt(ind * ref_array.ground_capacitance)
         curve = dispersion.measure_dispersion(
@@ -218,11 +219,12 @@ class TestMeasuredCurve:
         with pytest.raises(ValueError):
             dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [0.0])
 
-    def test_silent_drive_fails_fit(self, ref_array, ref_squid):
+    def test_silent_drive_fails_fit(self, ref_array, ref_squid,
+                                    monkeypatch):
+        monkeypatch.setattr(dispersion, "DRIVE_AMPLITUDE", 0.0)
         with pytest.raises(FitFailure):
             dispersion.measure_dispersion(ref_array, ref_squid, 0.0,
-                                          [OMEGA_MAX * math.sin(1.0)],
-                                          amplitude=0.0)
+                                          [OMEGA_MAX * math.sin(1.0)])
 
 
 class TestCsvExport:

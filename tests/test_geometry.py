@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 import squid_horizon as sh
 from squid_horizon import errors
 from squid_horizon.bias import comoving_flux_fraction
+from squid_horizon.constants import BOLTZMANN, HBAR
 
 from conftest import (REF_CELL_LENGTH, REF_CELL_SPEED,
                       REF_CRITICAL_CURRENT, REF_GROUND_CAPACITANCE,
                       REF_JUNCTION_CAPACITANCE, REF_LOOP_INDUCTANCE,
                       REF_PULSE_SPEED, REF_STEEPNESS)
 
-K = sh.DEFAULT_CONSTANTS
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -256,7 +256,7 @@ class TestHorizons:
     def test_sample_crossing_has_a_temperature(self):
         prof = sampled_profile([3.0, 2.0, 1.0, 0.0], False)
         assert sh.hawking_temperature(prof) == pytest.approx(
-            K.hbar / (2.0 * math.pi * K.boltzmann), rel=1e-15)
+            HBAR / (2.0 * math.pi * BOLTZMANN), rel=1e-15)
 
     @PROPERTY
     @given(amplitude=st.floats(0.02, 0.45),
@@ -417,7 +417,7 @@ class TestPhotonBudget:
     def test_rate_is_power_over_kt(self, ref_array, ref_squid, broadening_pulse):
         budget = sh.photons_per_pulse(ref_array, ref_squid, broadening_pulse,
                                       line_length_cells=4800, samples=9)
-        rates = budget.powers / (K.boltzmann * budget.temperatures)
+        rates = budget.powers / (BOLTZMANN * budget.temperatures)
         count = np.trapezoid(rates, budget.times)
         assert budget.expected_count == pytest.approx(count, rel=1e-12)
 

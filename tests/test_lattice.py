@@ -5,6 +5,7 @@ import pytest
 
 import squid_horizon as sh
 from squid_horizon import errors, lattice
+from squid_horizon.constants import FLUX_QUANTUM
 
 from conftest import REF_CELL_SPEED
 
@@ -58,7 +59,7 @@ class TestConfigValidation:
         pulse = sh.FluxPulse(amplitude=amplitude, dc_offset=dc_offset)
         smallest = min(dc_offset, dc_offset + amplitude)
         cell_time = sh.cell_time(arr, ref_squid,
-                                 smallest * sh.DEFAULT_CONSTANTS.flux_quantum)
+                                 smallest * FLUX_QUANTUM)
         for fraction in (0.2, 0.1, 0.5):
             assert (lattice.stable_timestep(arr, ref_squid, pulse, fraction)
                     == fraction * cell_time)
@@ -128,6 +129,27 @@ class TestConservationAndSymmetry:
         traj = lattice.run(state, make_array(n), ref_squid, pulse,
                            lattice.SolverConfig(n_steps=5000, record_every=250))
         assert traj.energy_drift < 1.0e-6
+
+    def test_still_front_ignores_broadening(self, ref_squid):
+        # s0/(1 + b*u*t) stays s0 when u = 0, so a broadening rate on a
+        # still front changes nothing, bit for bit.
+        rng = np.random.default_rng(29)
+        n = 256
+        arr = make_array(n)
+        state = lattice.LatticeState(0.0, rng.standard_normal(n) * 1e-6,
+                                     rng.standard_normal(n) * 1e-27)
+        still, broadening = (
+            lattice.run(state, arr, ref_squid,
+                        sh.FluxPulse(amplitude=0.2, steepness=2.0e5,
+                                     front_position=0.5 * n * CELL_LENGTH,
+                                     broadening=b),
+                        lattice.SolverConfig(n_steps=400, record_every=100))
+            for b in (0.0, 444.0))
+        assert np.array_equal(still.potentials, broadening.potentials)
+        assert np.array_equal(still.currents, broadening.currents)
+        assert np.array_equal(still.energies, broadening.energies)
+        assert np.array_equal(still.final_state.momentum,
+                              broadening.final_state.momentum)
 
     def test_mirror_symmetry_bitwise(self, ref_squid, uniform):
         rng = np.random.default_rng(3)
@@ -355,6 +377,15 @@ class TestSineDrive:
                         lattice.SolverConfig(n_steps=10, boundary="driven"),
                         drive=drv)
 
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
+    def test_drive_needs_driven_boundary(self, ref_squid, uniform, boundary):
+        arr = make_array(64)
+        drv = lattice.SineDrive(node=0, amplitude=1e-6, frequency=1.0e12)
+        with pytest.raises(ValueError, match="needs the driven boundary"):
+            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
+                        lattice.SolverConfig(n_steps=10, boundary=boundary),
+                        drive=drv)
+
     def test_zero_amplitude_gives_zero_field(self, ref_squid, uniform):
         arr = make_array(128)
         drv = lattice.SineDrive(node=0, amplitude=0.0, frequency=1.0e11)
@@ -466,6 +497,14 @@ class TestRecording:
         for slot, step_index in enumerate([0, 25, 50, 75, 100]):
             assert traj.probe_values[step_index, 0] == traj.potentials[slot, 30]
             assert traj.probe_values[step_index, 1] == traj.potentials[slot, 64]
+
+    @pytest.mark.parametrize("node", [-1, 16])
+    def test_probe_outside_line_rejected(self, ref_squid, uniform, node):
+        arr = make_array(16)
+        with pytest.raises(ValueError, match="probe node %d outside" % node):
+            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
+                        lattice.SolverConfig(n_steps=1),
+                        probe_nodes=(3, node))
 
     def test_positions_are_cell_centres(self, ref_squid, uniform):
         arr = make_array(16)
