@@ -9,7 +9,9 @@ bump shape is available behind a flag for two-horizon studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -21,6 +23,11 @@ _SHAPES = ("tanh", "gaussian")
 
 # Upper end of the broadening bracket used by the calibration search.
 BROADENING_MAX = 1.0e6
+
+# Scaled front coordinate beyond which each shape sits exactly on its
+# plateaus in float64: tanh is +-1 from 18.99 on and the Gaussian factor
+# underflows to 0 from 38.6 on.
+_SATURATION = {"tanh": 20.0, "gaussian": 40.0}
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,13 @@ class FluxPulse:
         """Largest flux anywhere on the line, as a fraction of Phi_0."""
         return self.dc_offset + self.amplitude
 
+    @cached_property
+    def plateaus(self) -> tuple[float, float]:
+        """Flux fractions far behind and far ahead of the front, exactly as
+        flux_fraction_at gives them there."""
+        return (float(_shape_fraction(self, -math.inf)),
+                float(_shape_fraction(self, math.inf)))
+
 
 def _shape_fraction(pulse: FluxPulse, arg):
     # arg is the scaled front coordinate s * (distance from front centre).
@@ -94,9 +108,8 @@ def _shape_fraction(pulse: FluxPulse, arg):
 def flux_fraction_at(pulse: FluxPulse, x, t: float):
     """Flux through the loop at lab position x and time t, in units of Phi_0.
 
-    Accepts scalar or array x.  The tanh front saturates to its plateaus for
-    |s*(x - x0 - u*t)| beyond about 20, so plateau values are exact in
-    float64 well away from the front.
+    Accepts scalar or array x.  Away from the front the profile is exactly
+    one of two plateau values; front_window says where.
     """
     s = pulse.steepness_at(t)
     arg = s * (np.asarray(x, dtype=float) - pulse.front_position - pulse.velocity * t)
@@ -104,6 +117,33 @@ def flux_fraction_at(pulse: FluxPulse, x, t: float):
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def front_window(pulse: FluxPulse, t: float, positions,
+                 comoving: bool = False) -> tuple[int, int, float, float]:
+    """Index range of sorted positions where the front is not saturated.
+
+    Returns (lo, hi, left, right): the flux fraction at time t is exactly
+    left at positions[:lo] and exactly right at positions[hi:], so only
+    positions[lo:hi] need evaluating.  positions are lab coordinates x, as
+    flux_fraction_at takes them, or comoving xi = x - u*t with comoving
+    set, as comoving_flux_fraction takes them.  The window is one sample
+    wider on each side than the saturation threshold demands.
+
+    Raises ValueError before the broadening pole t = -1/(b*u), where the
+    steepness turns negative.
+    """
+    s = pulse.steepness_at(t)
+    if not s > 0.0:
+        raise ValueError("front steepness %g at t = %g s: before the "
+                         "broadening pole" % (s, t))
+    centre = pulse.front_position
+    if not comoving:
+        centre += pulse.velocity * t
+    half_width = _SATURATION[pulse.shape] / s
+    lo, hi = np.asarray(positions).searchsorted(
+        [centre - half_width, centre + half_width]).tolist()
+    return (max(lo - 1, 0), min(hi + 1, len(positions))) + pulse.plateaus
 
 
 def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):

@@ -36,6 +36,7 @@ __all__ = [
     "effective_plasma_frequency",
     "inductance_stretch",
     "josephson_inductance",
+    "relative_inductance",
     "cell_time",
     "cell_velocity",
     "junction_energies",
@@ -224,6 +225,16 @@ def josephson_inductance(squid: SquidParams, flux, current=0.0):
             "bias current %.4g A exceeds effective critical current %.4g A",
             current, ics)
     return base * inductance_stretch(ratio)
+
+
+def relative_inductance(fraction):
+    """Zero-current inductance L/L(0) = 1/cos(pi*f) at flux fraction f.
+
+    The scaled form of josephson_inductance that the leapfrog kernel steps
+    with.  f is not range-checked: callers pass flux fractions of a
+    FluxPulse, which stay below half a quantum.
+    """
+    return 1.0 / _namespace(fraction).cos(math.pi * fraction)
 
 
 def cell_time(array: ArrayParams, squid: SquidParams, flux, current=0.0):

@@ -149,6 +149,12 @@ def _gradient(profile: VelocityProfile, xi: float, h: float) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
+def _offset(xi: float, evaluator, u: float) -> float:
+    # c(xi) - u as a module function: scipy keeps the function it is given
+    # in a reference cycle, and a closure there would hold the profile.
+    return evaluator(xi) - u
+
+
 def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     """Locate all crossings of c(xi) = u in the sampled profile.
 
@@ -178,8 +184,8 @@ def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
         if j > i + 1:
             root = 0.5 * float(xs[i + 1] + xs[j - 1])
         elif profile.evaluator is not None:
-            root = float(brentq(lambda xi: profile.evaluator(xi) - u,
-                                float(xs[i]), float(xs[j]),
+            root = float(brentq(_offset, float(xs[i]), float(xs[j]),
+                                args=(profile.evaluator, u),
                                 xtol=1.0e-6 * spacing))
         else:
             root = linear

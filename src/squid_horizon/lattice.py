@@ -169,12 +169,6 @@ def zero_state(array: circuit.ArrayParams) -> LatticeState:
     return LatticeState(time=0.0, potential=np.zeros(n), momentum=np.zeros(n))
 
 
-def _laplacian(a: np.ndarray) -> np.ndarray:
-    # Free-end closure: pad the bond differences with zeros so the operator
-    # stays symmetric (this is what makes the product energy conserve).
-    return np.diff(np.diff(a), prepend=0.0, append=0.0)
-
-
 def stable_timestep(array: circuit.ArrayParams, squid: circuit.SquidParams,
                     pulse: bias.FluxPulse,
                     courant_fraction: float = 0.2) -> float:
@@ -238,16 +232,35 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     chi = scales.chi
 
     positions = (np.arange(n) + 0.5) * a
+    # Outside the front's window each cell sits exactly on one of two
+    # plateaus, whose flux stays put as the front moves and broadens.
+    left_frac, right_frac = pulse.plateaus
+    left_ind, right_ind = circuit.relative_inductance(
+        np.array([left_frac, right_frac]))
+    frac = np.empty(n)
+    ind = np.empty(n)  # cell inductance L/L(0)
+    window = [0, n]  # the cells that may be off their plateau
+
+    def set_bias(t):
+        # frac and ind at time t: the front on its window, and the plateau
+        # put back on the cells that left the window since the last call.
+        old_lo, old_hi = window
+        lo, hi = bias.front_window(pulse, t, positions)[:2]
+        if lo > old_lo:
+            frac[old_lo:lo] = left_frac
+            ind[old_lo:lo] = left_ind
+        if hi < old_hi:
+            frac[hi:old_hi] = right_frac
+            ind[hi:old_hi] = right_ind
+        frac[lo:hi] = bias.flux_fraction_at(pulse, positions[lo:hi], t)
+        ind[lo:hi] = circuit.relative_inductance(frac[lo:hi])
+        window[:] = lo, hi
+
     # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
     # one inductance serves every half step.
     static_bias = pulse.velocity == 0.0
-
-    def inductance(t):
-        # L/L(0) = 1/cos(pi f): circuit.josephson_inductance in scaled units.
-        frac = bias.flux_fraction_at(pulse, positions, t)
-        return 1.0 / np.cos(np.pi * frac), frac
-
-    ind_static, frac_static = inductance(0.0) if static_bias else (None, None)
+    if static_bias:
+        set_bias(0.0)
 
     pot = initial.potential.astype(float).copy()
     mom = initial.momentum.astype(float) / scales.momentum_unit
@@ -274,19 +287,34 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     e_kin_unit = cap / chi
     mom_unit = scales.momentum_unit
 
-    def record(slot, lap, ind_now):
+    # The stepping writes into these buffers.  Free-end closure: the bond
+    # differences sit between two zeros, so the Laplacian is symmetric
+    # (this is what makes the product energy conserve), and its end cells
+    # are d[0] - 0.0 and 0.0 - d[-1], signs of zero included.
+    diffs = np.zeros(n + 1)
+    lap = np.empty(n)
+    work = np.empty(n)
+    kick = dtau * chi
+
+    def laplacian():
+        np.subtract(pot[1:], pot[:-1], out=diffs[1:-1])
+        np.subtract(diffs[1:], diffs[:-1], out=lap)
+
+    def record(slot):
         # Product-form energy: q^- q^+ / (2L) is exactly conserved for a
         # static bias, so the recorded drift measures only roundoff.
-        mom_next = mom + dtau * chi * lap
-        kin = e_kin_unit * mom * mom_next / (2.0 * ind_now)
-        d = np.diff(pot)
+        if not static_bias:
+            set_bias(t)
+        mom_next = mom + kick * lap
+        kin = e_kin_unit * mom * mom_next / (2.0 * ind)
+        d = diffs[1:-1]  # np.diff(pot), left by the Laplacian just taken
         bond = 0.5 * cap * d * d
         density = kin.copy()
         density[:-1] += 0.5 * bond
         density[1:] += 0.5 * bond
         rec_times[slot] = t
         rec_pot[slot] = pot
-        rec_cur[slot] = -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind_now
+        rec_cur[slot] = -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind
         rec_energy[slot] = kin.sum() + bond.sum()
         rec_density[slot] = density
 
@@ -298,37 +326,37 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     slot = 0
     next_record = record_steps[slot]
     for m in range(steps):
-        lap = _laplacian(pot)
+        laplacian()
         if m == next_record:
-            ind_now = ind_static if static_bias else inductance(t)[0]
-            record(slot, lap, ind_now)
+            record(slot)
             slot += 1
             next_record = record_steps[slot]
         if probe_nodes:
             probe_vals[m] = pot[probe_idx]
 
-        mom += dtau * chi * lap
-        t_half = t + 0.5 * dt
-        if static_bias:
-            ind_half, frac_half = ind_static, frac_static
-        else:
-            ind_half, frac_half = inductance(t_half)
+        np.multiply(kick, lap, out=work)
+        mom += work
+        if not static_bias:
+            set_bias(t + 0.5 * dt)
+        ind_half = ind
 
         if config.current_dependent_inductance:
-            current = (cap / scales.t_ref) * mom / ind_half
+            current = (cap / scales.t_ref) * mom / ind
             rel = np.abs(current) / circuit.squid_critical_current(
-                squid, frac_half * FLUX_QUANTUM)
+                squid, frac * FLUX_QUANTUM)
             peak = float(rel.max())
             if peak >= 1.0:
                 raise OverCritical("cell current reached %.3f of critical"
                                    % peak)
-            ind_half = ind_half * circuit.inductance_stretch(rel)
+            ind_half = ind * circuit.inductance_stretch(rel)
 
         if mur or driven:
             left_old = (pot[0], pot[1])
             right_old = (pot[-2], pot[-1])
 
-        pot += dtau * mom / ind_half
+        np.multiply(dtau, mom, out=work)
+        np.divide(work, ind_half, out=work)
+        pot += work
 
         if mur:
             kappa = dtau * np.sqrt(chi / ind_half[0])
@@ -347,8 +375,8 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         if (m + 1) % config.check_every == 0 and not np.isfinite(pot).all():
             raise NonFinite("state overflowed at step %d" % (m + 1))
 
-    ind_now = ind_static if static_bias else inductance(t)[0]
-    record(slot, _laplacian(pot), ind_now)
+    laplacian()
+    record(slot)
     if probe_nodes:
         probe_vals[steps] = pot[probe_idx]
     if not (np.isfinite(pot).all() and np.isfinite(mom).all()):

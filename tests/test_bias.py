@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import squid_horizon as sh
 from squid_horizon import errors
-from squid_horizon.bias import calibrate_broadening, comoving_flux_fraction, flux_fraction_at
+from squid_horizon.bias import (calibrate_broadening, comoving_flux_fraction,
+                                 flux_fraction_at, front_window)
 from squid_horizon.constants import FLUX_QUANTUM as PHI0
 
 
@@ -94,6 +97,92 @@ class TestComovingFrame:
     def test_webers(self, step_pulse):
         assert sh.comoving_flux(step_pulse, -1.0e-3, 0.0) == pytest.approx(
             0.2 * PHI0, rel=1e-12)
+
+
+@st.composite
+def pulses(draw):
+    """Tanh fronts and Gaussian bumps, still or moving, with and without
+    broadening, steepness spread over five decades."""
+    return sh.FluxPulse(
+        amplitude=draw(st.floats(0.0, 0.3)),
+        dc_offset=draw(st.floats(0.0, 0.19)),
+        velocity=draw(st.one_of(st.just(0.0), st.floats(1.0e3, 1.0e7))),
+        steepness=10.0 ** draw(st.floats(3.0, 8.0)),
+        front_position=draw(st.floats(-2.0e-3, 2.0e-3)),
+        broadening=draw(st.one_of(st.just(0.0), st.floats(1.0, 1.0e5))),
+        shape=draw(st.sampled_from(["tanh", "gaussian"])))
+
+
+@st.composite
+def sorted_grids(draw):
+    """Uniform grids and sorted scattered points (ties allowed)."""
+    if draw(st.booleans()):
+        pitch = 10.0 ** draw(st.floats(-9.0, -5.0))
+        return (draw(st.floats(-2.0e-3, 2.0e-3))
+                + np.arange(draw(st.integers(1, 300))) * pitch)
+    return np.sort(np.array(draw(st.lists(st.floats(-3.0e-3, 3.0e-3),
+                                          min_size=1, max_size=300))))
+
+
+MIDDLE = sh.FluxPulse(amplitude=0.2, dc_offset=0.05, velocity=3.7e6,
+                      steepness=4.4e5, broadening=444.0)
+LINE = (np.arange(4800) + 0.5) * 2.5e-7
+
+
+class TestFrontWindow:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(pulse=pulses(), t=st.floats(0.0, 1.0e-9), positions=sorted_grids(),
+           comoving=st.booleans())
+    @example(pulse=MIDDLE, t=1.6e-10, positions=LINE, comoving=False)
+    @example(pulse=MIDDLE, t=1.6e-10, positions=LINE - 6.0e-4, comoving=True)
+    @example(pulse=MIDDLE, t=0.0, positions=LINE + 1.0e-3, comoving=False)
+    @example(pulse=MIDDLE, t=0.0, positions=LINE - 1.3e-3, comoving=False)
+    @example(pulse=sh.FluxPulse(amplitude=0.2, steepness=1.0e3,
+                                shape="gaussian"),
+             t=0.0, positions=LINE - 6.0e-4, comoving=True)
+    @example(pulse=sh.FluxPulse(amplitude=0.2, steepness=1.0e6,
+                                shape="gaussian"),
+             t=0.0, positions=np.linspace(-4.5e-5, 4.5e-5, 9001),
+             comoving=True)  # tails beyond 37 are tiny but not yet zero
+    def test_outside_is_exactly_the_plateau(self, pulse, t, positions,
+                                            comoving):
+        lo, hi, left, right = front_window(pulse, t, positions,
+                                           comoving=comoving)
+        flux = comoving_flux_fraction if comoving else flux_fraction_at
+        values = flux(pulse, positions, t)
+        n = len(positions)
+        assert 0 <= lo <= hi <= n
+        assert values[:lo].tobytes() == np.full(lo, left).tobytes()
+        assert values[hi:].tobytes() == np.full(n - hi, right).tobytes()
+        # No wider than the unsaturated samples plus one on each side.
+        centre = pulse.front_position + (0.0 if comoving
+                                         else pulse.velocity * t)
+        reach = {"tanh": 20.0, "gaussian": 40.0}[pulse.shape]
+        near = np.abs(positions - centre) * pulse.steepness_at(t)
+        assert hi - lo <= np.count_nonzero(near <= reach * (1 + 1e-9)) + 2
+
+    def test_plateaus_of_each_shape(self):
+        tanh = sh.FluxPulse(amplitude=0.2, dc_offset=0.05)
+        assert front_window(tanh, 0.0, LINE)[2:] == (0.25, 0.05)
+        bump = sh.FluxPulse(amplitude=0.2, dc_offset=0.05, shape="gaussian")
+        assert front_window(bump, 0.0, LINE)[2:] == (0.05, 0.05)
+
+    def test_no_window_before_the_broadening_pole(self):
+        # s0 / (1 + b*u*t) changes sign at t = -1/(b*u) = -1e-10 s.
+        pulse = sh.FluxPulse(amplitude=0.2, velocity=1.0e6, steepness=4.4e5,
+                             broadening=1.0e4)
+        assert front_window(pulse, -0.5e-10, LINE)[0] == 0
+        with pytest.raises(ValueError, match="broadening pole"):
+            front_window(pulse, -2.0e-10, LINE)
+
+    def test_window_follows_the_front(self):
+        # At 1e-10 s and 2e-10 s the front is near cells 1480 and 2960,
+        # and broadening has widened its window.
+        lo0, hi0, _, _ = front_window(MIDDLE, 1.0e-10, LINE)
+        lo1, hi1, _, _ = front_window(MIDDLE, 2.0e-10, LINE)
+        assert lo0 < 1480 < hi0 < lo1 < 2960 < hi1
+        assert hi1 - lo1 > hi0 - lo0
 
 
 class TestBroadening:

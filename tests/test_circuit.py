@@ -7,7 +7,7 @@ from scipy.constants import c as LIGHT_SPEED
 from scipy.integrate import solve_ivp
 
 import squid_horizon as sh
-from squid_horizon import errors
+from squid_horizon import circuit, errors
 from squid_horizon.constants import FLUX_QUANTUM as PHI0, RESISTANCE_QUANTUM
 
 
@@ -157,13 +157,25 @@ class TestArrayInputs:
                 lambda f: sh.cell_velocity(ref_array, ref_squid, f * PHI0),
             "array_impedance":
                 lambda f: sh.array_impedance(ref_array, ref_squid, f * PHI0),
+            "relative_inductance": circuit.relative_inductance,
         }
 
     @pytest.mark.parametrize("name", ["squid_critical_current",
                                       "josephson_inductance", "cell_time",
-                                      "cell_velocity", "array_impedance"])
+                                      "cell_velocity", "array_impedance",
+                                      "relative_inductance"])
     def test_flux_array_matches_scalar_calls(self, relations, name):
         self.assert_elementwise(relations[name], self.FRACTIONS)
+
+    def test_relative_inductance_is_the_scaled_law(self, ref_squid):
+        # 1/cos(pi f) against L(f)/L(0) from the unscaled relation, away
+        # from the pole, where f * Phi_0 / Phi_0 rounding is not magnified.
+        f = self.FRACTIONS[np.abs(self.FRACTIONS) <= 0.45]
+        scaled = (sh.josephson_inductance(ref_squid, f * PHI0)
+                  / sh.josephson_inductance(ref_squid, 0.0))
+        np.testing.assert_allclose(circuit.relative_inductance(f), scaled,
+                                   rtol=1e-14)
+        assert circuit.relative_inductance(0.0) == 1.0
 
     def test_cell_velocity_is_length_over_cell_time(self, ref_array,
                                                      ref_squid):

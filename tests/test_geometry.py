@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -184,6 +186,23 @@ class TestHorizons:
         expected = (REF_CELL_SPEED * math.pi * math.sin(math.pi * fh) *
                     (0.2 * s / 2.0) * sech2 / (2.0 * math.sqrt(0.9025)))
         assert horizon.gradient == pytest.approx(expected, rel=1e-6)
+
+    def test_profile_freed_without_the_cycle_collector(self, ref_array,
+                                                       ref_squid,
+                                                       step_pulse):
+        # The root refinement must not tie the profile (and its full-line
+        # arrays) into a reference cycle that only the collector can free.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            profile = sh.velocity_profile(ref_array, ref_squid, step_pulse)
+            alive = weakref.ref(profile)
+            assert len(sh.find_horizons(profile)) == 1
+            del profile
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_gaussian_pulse_makes_pair(self, ref_array, ref_squid):
         pulse = sh.FluxPulse(amplitude=0.3, velocity=0.9 * REF_CELL_SPEED,

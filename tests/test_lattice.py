@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import squid_horizon as sh
-from squid_horizon import errors, lattice
+from squid_horizon import bias, errors, lattice
 from squid_horizon.constants import FLUX_QUANTUM
 
 from conftest import REF_CELL_SPEED
@@ -523,6 +523,83 @@ class TestRecording:
                            lattice.SolverConfig(n_steps=100, record_every=20))
         np.testing.assert_allclose(traj.energy_density.sum(axis=1),
                                    traj.energies, rtol=1e-12)
+
+
+class TestWindowedKernel:
+    """run evaluates the front only inside bias.front_window and keeps the
+    plateau values elsewhere; widening the window to the whole line must
+    not change a single bit of the result."""
+
+    N = 480
+    SPEED = 0.9 * REF_CELL_SPEED
+    PULSES = {
+        "broadening-tanh": sh.FluxPulse(
+            amplitude=0.2, dc_offset=0.05, velocity=SPEED, steepness=3.2e6,
+            front_position=150 * CELL_LENGTH, broadening=2.0e4),
+        "gaussian-bump": sh.FluxPulse(
+            amplitude=0.2, dc_offset=0.05, velocity=SPEED, steepness=1.6e6,
+            front_position=150 * CELL_LENGTH, shape="gaussian"),
+        "still-tanh": sh.FluxPulse(
+            amplitude=0.2, dc_offset=0.05, steepness=3.2e6,
+            front_position=240 * CELL_LENGTH),
+    }
+
+    @staticmethod
+    def trajectory(ref_squid, pulse, boundary, current_dependent):
+        n = TestWindowedKernel.N
+        arr = make_array(n)
+        rng = np.random.default_rng(41)
+        state = lattice.LatticeState(0.0, rng.standard_normal(n) * 1e-4,
+                                     rng.standard_normal(n) * 1e-27)
+        drive = (lattice.SineDrive(node=0, amplitude=1e-4,
+                                   frequency=0.3 / CELL_TIME)
+                 if boundary == "driven" else None)
+        cfg = lattice.SolverConfig(
+            n_steps=600, boundary=boundary, record_every=100,
+            current_dependent_inductance=current_dependent)
+        return lattice.run(state, arr, ref_squid, pulse, cfg, drive=drive,
+                           probe_nodes=(10, 200, n - 1))
+
+    def test_start_before_broadening_pole_rejected(self, ref_squid):
+        # s0 / (1 + b*u*t) is negative before t = -1/(b*u): no front there.
+        pulse = self.PULSES["broadening-tanh"]
+        start = -2.0 / (pulse.broadening * pulse.velocity)
+        arr = make_array(self.N)
+        state = lattice.LatticeState(start, np.zeros(self.N),
+                                     np.zeros(self.N))
+        with pytest.raises(ValueError, match="broadening pole"):
+            lattice.run(state, arr, ref_squid, pulse,
+                        lattice.SolverConfig(n_steps=10))
+
+    @pytest.mark.parametrize("current_dependent", [False, True])
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing",
+                                          "driven"])
+    @pytest.mark.parametrize("name", sorted(PULSES))
+    def test_whole_line_window_gives_same_bits(self, ref_squid, monkeypatch,
+                                               name, boundary,
+                                               current_dependent):
+        pulse = self.PULSES[name]
+        positions = (np.arange(self.N) + 0.5) * CELL_LENGTH
+        lo, hi, _, _ = bias.front_window(pulse, 0.0, positions)
+        assert hi - lo < self.N // 2  # the window saves work to begin with
+
+        windowed = self.trajectory(ref_squid, pulse, boundary,
+                                   current_dependent)
+        window = bias.front_window
+        monkeypatch.setattr(
+            bias, "front_window",
+            lambda p, t, x, comoving=False:
+                (0, len(x)) + window(p, t, x, comoving)[2:])
+        whole = self.trajectory(ref_squid, pulse, boundary, current_dependent)
+
+        for field in ("times", "potentials", "currents", "energies",
+                      "energy_density", "probe_values"):
+            a, b = getattr(windowed, field), getattr(whole, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        for field in ("potential", "momentum"):
+            a = getattr(windowed.final_state, field)
+            b = getattr(whole.final_state, field)
+            assert a.tobytes() == b.tobytes(), field
 
 
 class TestExport:
