@@ -89,9 +89,8 @@ class FluxPulse:
         return self.dc_offset + self.amplitude
 
     @cached_property
-    def plateaus(self) -> tuple[float, float]:
-        """Flux fractions far behind and far ahead of the front, exactly as
-        flux_fraction_at gives them there."""
+    def _plateaus(self) -> tuple[float, float]:
+        # front_window's left and right, cached: it runs every half step.
         return (float(_shape_fraction(self, -math.inf)),
                 float(_shape_fraction(self, math.inf)))
 
@@ -119,16 +118,14 @@ def flux_fraction_at(pulse: FluxPulse, x, t: float):
     return out
 
 
-def front_window(pulse: FluxPulse, t: float, positions,
-                 comoving: bool = False) -> tuple[int, int, float, float]:
-    """Index range of sorted positions where the front is not saturated.
+def front_window(pulse: FluxPulse, t: float,
+                 positions) -> tuple[int, int, float, float]:
+    """Index range of sorted lab positions where the front is not saturated.
 
-    Returns (lo, hi, left, right): the flux fraction at time t is exactly
+    Returns (lo, hi, left, right): flux_fraction_at at time t is exactly
     left at positions[:lo] and exactly right at positions[hi:], so only
-    positions[lo:hi] need evaluating.  positions are lab coordinates x, as
-    flux_fraction_at takes them, or comoving xi = x - u*t with comoving
-    set, as comoving_flux_fraction takes them.  The window is one sample
-    wider on each side than the saturation threshold demands.
+    positions[lo:hi] need evaluating.  The window is one sample wider on
+    each side than the saturation threshold demands.
 
     Raises ValueError before the broadening pole t = -1/(b*u), where the
     steepness turns negative.
@@ -137,13 +134,11 @@ def front_window(pulse: FluxPulse, t: float, positions,
     if not s > 0.0:
         raise ValueError("front steepness %g at t = %g s: before the "
                          "broadening pole" % (s, t))
-    centre = pulse.front_position
-    if not comoving:
-        centre += pulse.velocity * t
+    centre = pulse.front_position + pulse.velocity * t
     half_width = _SATURATION[pulse.shape] / s
     lo, hi = np.asarray(positions).searchsorted(
         [centre - half_width, centre + half_width]).tolist()
-    return (max(lo - 1, 0), min(hi + 1, len(positions))) + pulse.plateaus
+    return (max(lo - 1, 0), min(hi + 1, len(positions))) + pulse._plateaus
 
 
 def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):

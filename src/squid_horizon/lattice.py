@@ -234,7 +234,8 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     positions = (np.arange(n) + 0.5) * a
     # Outside the front's window each cell sits exactly on one of two
     # plateaus, whose flux stays put as the front moves and broadens.
-    left_frac, right_frac = pulse.plateaus
+    left_frac, right_frac = bias.front_window(pulse, initial.time,
+                                              positions)[2:]
     left_ind, right_ind = circuit.relative_inductance(
         np.array([left_frac, right_frac]))
     frac = np.empty(n)

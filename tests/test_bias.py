@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import squid_horizon as sh
-from squid_horizon import errors
+from squid_horizon import bias, errors
 from squid_horizon.bias import (calibrate_broadening, comoving_flux_fraction,
                                  flux_fraction_at, front_window)
 from squid_horizon.constants import FLUX_QUANTUM as PHI0
@@ -132,33 +132,28 @@ LINE = (np.arange(4800) + 0.5) * 2.5e-7
 class TestFrontWindow:
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=300)
-    @given(pulse=pulses(), t=st.floats(0.0, 1.0e-9), positions=sorted_grids(),
-           comoving=st.booleans())
-    @example(pulse=MIDDLE, t=1.6e-10, positions=LINE, comoving=False)
-    @example(pulse=MIDDLE, t=1.6e-10, positions=LINE - 6.0e-4, comoving=True)
-    @example(pulse=MIDDLE, t=0.0, positions=LINE + 1.0e-3, comoving=False)
-    @example(pulse=MIDDLE, t=0.0, positions=LINE - 1.3e-3, comoving=False)
+    @given(pulse=pulses(), t=st.floats(0.0, 1.0e-9), positions=sorted_grids())
+    @example(pulse=MIDDLE, t=1.6e-10, positions=LINE)
+    @example(pulse=MIDDLE, t=1.6e-10, positions=LINE - 6.0e-4)
+    @example(pulse=MIDDLE, t=0.0, positions=LINE + 1.0e-3)
+    @example(pulse=MIDDLE, t=0.0, positions=LINE - 1.3e-3)
     @example(pulse=sh.FluxPulse(amplitude=0.2, steepness=1.0e3,
                                 shape="gaussian"),
-             t=0.0, positions=LINE - 6.0e-4, comoving=True)
+             t=0.0, positions=LINE - 6.0e-4)
+    # Gaussian tails beyond 37 are tiny but not yet zero:
     @example(pulse=sh.FluxPulse(amplitude=0.2, steepness=1.0e6,
                                 shape="gaussian"),
-             t=0.0, positions=np.linspace(-4.5e-5, 4.5e-5, 9001),
-             comoving=True)  # tails beyond 37 are tiny but not yet zero
-    def test_outside_is_exactly_the_plateau(self, pulse, t, positions,
-                                            comoving):
-        lo, hi, left, right = front_window(pulse, t, positions,
-                                           comoving=comoving)
-        flux = comoving_flux_fraction if comoving else flux_fraction_at
-        values = flux(pulse, positions, t)
+             t=0.0, positions=np.linspace(-4.5e-5, 4.5e-5, 9001))
+    def test_outside_is_exactly_the_plateau(self, pulse, t, positions):
+        lo, hi, left, right = front_window(pulse, t, positions)
+        values = flux_fraction_at(pulse, positions, t)
         n = len(positions)
         assert 0 <= lo <= hi <= n
         assert values[:lo].tobytes() == np.full(lo, left).tobytes()
         assert values[hi:].tobytes() == np.full(n - hi, right).tobytes()
         # No wider than the unsaturated samples plus one on each side.
-        centre = pulse.front_position + (0.0 if comoving
-                                         else pulse.velocity * t)
-        reach = {"tanh": 20.0, "gaussian": 40.0}[pulse.shape]
+        centre = pulse.front_position + pulse.velocity * t
+        reach = bias._SATURATION[pulse.shape]
         near = np.abs(positions - centre) * pulse.steepness_at(t)
         assert hi - lo <= np.count_nonzero(near <= reach * (1 + 1e-9)) + 2
 

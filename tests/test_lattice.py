@@ -588,8 +588,7 @@ class TestWindowedKernel:
         window = bias.front_window
         monkeypatch.setattr(
             bias, "front_window",
-            lambda p, t, x, comoving=False:
-                (0, len(x)) + window(p, t, x, comoving)[2:])
+            lambda p, t, x: (0, len(x)) + window(p, t, x)[2:])
         whole = self.trajectory(ref_squid, pulse, boundary, current_dependent)
 
         for field in ("times", "potentials", "currents", "energies",
