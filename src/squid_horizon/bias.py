@@ -130,11 +130,27 @@ def front_window(pulse: FluxPulse, t: float,
     Raises ValueError before the broadening pole t = -1/(b*u), where the
     steepness turns negative.
     """
+    return _window(pulse, t, pulse.front_position + pulse.velocity * t,
+                   positions)
+
+
+def comoving_window(pulse: FluxPulse, t: float,
+                    xi) -> tuple[int, int, float, float]:
+    """front_window for sorted comoving coordinates xi = x - u*t.
+
+    comoving_flux_fraction at time t is exactly left at xi[:lo] and exactly
+    right at xi[hi:].  The front stays centred on front_position and only
+    widens for t >= 0, so the window at the latest time of a traversal
+    covers every earlier one.
+    """
+    return _window(pulse, t, pulse.front_position, xi)
+
+
+def _window(pulse: FluxPulse, t: float, centre: float, positions):
     s = pulse.steepness_at(t)
     if not s > 0.0:
         raise ValueError("front steepness %g at t = %g s: before the "
                          "broadening pole" % (s, t))
-    centre = pulse.front_position + pulse.velocity * t
     half_width = _SATURATION[pulse.shape] / s
     lo, hi = np.asarray(positions).searchsorted(
         [centre - half_width, centre + half_width]).tolist()
@@ -145,7 +161,9 @@ def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):
     """Flux at comoving coordinate xi = x - u*t, in units of Phi_0.
 
     Evaluated directly in the front frame, so with broadening disabled the
-    result is independent of t to the last bit.
+    result is independent of t to the last bit.  For an array xi, t may be
+    an array that broadcasts against it, such as a column of times; each
+    element equals the call with that one time.
     """
     s = pulse.steepness_at(t)
     # [()] makes a 0-d array a numpy scalar, whose arithmetic costs a tenth

@@ -20,6 +20,11 @@ from ._csv import write_csv
 from .constants import BOLTZMANN, HBAR
 from .errors import NoHorizon, OutOfRange
 
+# Elements per broadcast block of the photon budget's rows.  Larger
+# temporaries, once freed, make glibc raise its mmap threshold and keep
+# later allocations on the heap, which lifts the peak resident size.
+_BLOCK_ELEMENTS = 8192
+
 __all__ = [
     "VelocityProfile",
     "EffectiveMetric",
@@ -43,20 +48,37 @@ class VelocityProfile:
 
     positions are comoving coordinates xi = x - u*t (m), speed is c(xi)
     (m/s) and flow_speed is the front speed u.  evaluator, when present,
-    computes c at arbitrary xi and is used for sub-cell refinement.
+    computes c at a float or an array of arbitrary xi and is used for
+    sub-cell refinement.  spacing is the pitch of the grid the positions
+    were taken from, which scales the refinement tolerance and gradient
+    step; it defaults to the smallest gap between the positions, so a
+    window cut from a grid must carry the whole grid's.
     """
 
     positions: np.ndarray
     speed: np.ndarray
     flow_speed: float
     time: float = 0.0
-    evaluator: Optional[Callable[[float], float]] = field(
+    evaluator: Optional[Callable] = field(
         default=None, repr=False, compare=False)
+    spacing: Optional[float] = None
 
-    def speed_at(self, xi: float) -> float:
+    def __post_init__(self) -> None:
+        if self.spacing is None:
+            object.__setattr__(self, "spacing", _grid_step(self.positions))
+
+    def speed_at(self, xi):
+        """c at comoving position xi, a float or an array."""
         if self.evaluator is not None:
             return self.evaluator(xi)
-        return float(np.interp(xi, self.positions, self.speed))
+        out = np.interp(xi, self.positions, self.speed)
+        return float(out) if np.ndim(out) == 0 else out
+
+
+def _grid_step(positions) -> float:
+    # Smallest gap between sorted positions; 1.0 for a single sample.
+    xs = np.asarray(positions, dtype=float)
+    return float(np.min(np.diff(xs))) if len(xs) > 1 else 1.0
 
 
 @dataclass(frozen=True)
@@ -111,20 +133,31 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
     the grid samples bit for bit.
     """
     if positions is None:
-        a = array.cell_length
-        n = array.n_cells
-        offsets = (np.arange(n) + 0.5 - 0.5 * n) * a
-        positions = pulse.front_position + offsets
+        positions = _comoving_grid(array, pulse)
     else:
         positions = np.asarray(positions, dtype=float)
-
-    def evaluator(xi):
-        flux = bias.comoving_flux(pulse, xi, time)
-        return circuit.cell_velocity(array, squid, flux)
-
+    evaluator = _speed_evaluator(array, squid, pulse, time)
     return VelocityProfile(positions=positions, speed=evaluator(positions),
                            flow_speed=pulse.velocity, time=time,
                            evaluator=evaluator)
+
+
+def _comoving_grid(array: circuit.ArrayParams,
+                   pulse: bias.FluxPulse) -> np.ndarray:
+    # n_cells cell centres, centred on the front.
+    a = array.cell_length
+    n = array.n_cells
+    return pulse.front_position + (np.arange(n) + 0.5 - 0.5 * n) * a
+
+
+def _speed_evaluator(array: circuit.ArrayParams, squid: circuit.SquidParams,
+                     pulse: bias.FluxPulse, time):
+    # c(xi) at the given time; time may be a column of times against a
+    # row of xi.
+    def evaluator(xi):
+        flux = bias.comoving_flux(pulse, xi, time)
+        return circuit.cell_velocity(array, squid, flux)
+    return evaluator
 
 
 def effective_metric(profile: VelocityProfile, xi: float) -> EffectiveMetric:
@@ -142,10 +175,12 @@ def effective_metric(profile: VelocityProfile, xi: float) -> EffectiveMetric:
 
 
 def _gradient(profile: VelocityProfile, xi: float, h: float) -> float:
-    # Centred difference with one Richardson step: O(h^4).
-    c = profile.speed_at
-    d1 = (c(xi + h) - c(xi - h)) / (2.0 * h)
-    d2 = (c(xi + 0.5 * h) - c(xi - 0.5 * h)) / h
+    # Centred difference with one Richardson step: O(h^4).  The four
+    # probes take one call; each is the value a call with it alone gives.
+    up, down, half_up, half_down = profile.speed_at(
+        xi + np.array([h, -h, 0.5 * h, -0.5 * h])).tolist()
+    d1 = (up - down) / (2.0 * h)
+    d2 = (half_up - half_down) / h
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -170,7 +205,7 @@ def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     u = profile.flow_speed
     xs = np.asarray(profile.positions, dtype=float)
     f = np.asarray(profile.speed, dtype=float) - u
-    spacing = float(np.min(np.diff(xs))) if len(xs) > 1 else 1.0
+    spacing = profile.spacing
     # Brackets (lo, hi) are consecutive nonzero samples whose signs differ;
     # exact zeros lie strictly between them.  A NaN sample counts as nonzero
     # and brackets both its neighbours.  Without exact zeros, lo is
@@ -228,22 +263,41 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
 
     Integrates the emission rate power/(k_B T_H) over the traversal time
     line_length_cells * cell_length / u, with the temperature history taken
-    from the (possibly broadening) comoving profile.  Requires a horizon at
-    t = 0.
+    from the (possibly broadening) comoving profile at samples evenly
+    spaced times.  Only the cells of the front's window at the last, widest
+    sample are evaluated: off it the profile is exactly flat at every
+    sample, so each horizon equals find_horizons on the full
+    velocity_profile.
+
+    Raises ValueError for a still pulse, line_length_cells <= 0 or
+    samples < 2, and NoHorizon at the first sample without a black horizon.
     """
     if pulse.velocity <= 0.0:
         raise ValueError("photon budget needs a moving pulse")
+    if line_length_cells <= 0:
+        raise ValueError("line_length_cells must be positive")
+    if samples < 2:
+        raise ValueError("photon budget needs at least 2 samples")
     total_time = line_length_cells * array.cell_length / pulse.velocity
     times = np.linspace(0.0, total_time, samples)
+
+    grid = _comoving_grid(array, pulse)
+    spacing = _grid_step(grid)
+    lo, hi = bias.comoving_window(pulse, times[-1], grid)[:2]
+    window = grid[lo:hi]
+    rows = max(1, _BLOCK_ELEMENTS // len(window))
 
     positions = np.empty(samples)
     gradients = np.empty(samples)
     temperatures = np.empty(samples)
     powers = np.empty(samples)
-    grid = None  # comoving, so built once for every t
     for i, t in enumerate(times):
-        profile = velocity_profile(array, squid, pulse, t, grid)
-        grid = profile.positions
+        if i % rows == 0:  # the speeds of the next block of rows at once
+            speeds = _speed_evaluator(array, squid, pulse,
+                                      times[i:i + rows, np.newaxis])(window)
+        profile = VelocityProfile(window, speeds[i % rows], pulse.velocity, t,
+                                  _speed_evaluator(array, squid, pulse, t),
+                                  spacing)
         found = find_horizons(profile)
         blacks = [h for h in found if h.kind == "black"]
         if not blacks:

@@ -324,6 +324,17 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     if driven:
         drive_phase_old = np.sin(drive.frequency * t)
 
+    def mur_beta(end_ind):
+        # First-order Mur coefficient for an end cell of inductance L/L(0).
+        kappa = dtau * np.sqrt(chi / end_ind)
+        return (kappa - 1.0) / (kappa + 1.0)
+
+    # Under a static bias without the current-dependent inductance the end
+    # inductances never change, and neither do the coefficients.
+    fixed_ends = static_bias and not config.current_dependent_inductance
+    if fixed_ends:
+        beta_left, beta_right = mur_beta(ind[0]), mur_beta(ind[-1])
+
     slot = 0
     next_record = record_steps[slot]
     for m in range(steps):
@@ -360,13 +371,13 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         pot += work
 
         if mur:
-            kappa = dtau * np.sqrt(chi / ind_half[0])
-            beta = (kappa - 1.0) / (kappa + 1.0)
-            pot[0] = left_old[1] + beta * (pot[1] - left_old[0])
+            if not fixed_ends:
+                beta_left = mur_beta(ind_half[0])
+            pot[0] = left_old[1] + beta_left * (pot[1] - left_old[0])
         if mur or driven:
-            kappa = dtau * np.sqrt(chi / ind_half[-1])
-            beta = (kappa - 1.0) / (kappa + 1.0)
-            pot[-1] = right_old[0] + beta * (pot[-2] - right_old[1])
+            if not fixed_ends:
+                beta_right = mur_beta(ind_half[-1])
+            pot[-1] = right_old[0] + beta_right * (pot[-2] - right_old[1])
         if driven:
             phase = np.sin(drive.frequency * (t + dt))
             pot[drive.node] += drive.amplitude * (phase - drive_phase_old)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import squid_horizon as sh
 from squid_horizon import bias, errors
 from squid_horizon.bias import (calibrate_broadening, comoving_flux_fraction,
-                                 flux_fraction_at, front_window)
+                                 comoving_window, flux_fraction_at,
+                                 front_window)
 from squid_horizon.constants import FLUX_QUANTUM as PHI0
 
 
@@ -94,6 +95,15 @@ class TestComovingFrame:
         # bitwise identical when the front keeps its shape
         assert np.array_equal(early, late)
 
+    def test_column_of_times_matches_each_time(self):
+        # The photon budget evaluates its rows this way.
+        times = np.linspace(0.0, 1.3e-9, 7)
+        xi = np.linspace(-2.0e-4, 2.0e-4, 401)
+        rows = comoving_flux_fraction(MIDDLE, xi, times[:, np.newaxis])
+        for row, t in zip(rows, times):
+            assert row.tobytes() == comoving_flux_fraction(
+                MIDDLE, xi, t).tobytes()
+
     def test_webers(self, step_pulse):
         assert sh.comoving_flux(step_pulse, -1.0e-3, 0.0) == pytest.approx(
             0.2 * PHI0, rel=1e-12)
@@ -178,6 +188,71 @@ class TestFrontWindow:
         lo1, hi1, _, _ = front_window(MIDDLE, 2.0e-10, LINE)
         assert lo0 < 1480 < hi0 < lo1 < 2960 < hi1
         assert hi1 - lo1 > hi0 - lo0
+
+
+# The reference line in the comoving frame, centred on the front.
+XI = LINE - 0.5 * 4800 * 2.5e-7
+
+
+class TestComovingWindow:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(pulse=pulses(), t=st.floats(0.0, 1.0e-9), xi=sorted_grids())
+    @example(pulse=MIDDLE, t=1.6e-10, xi=XI)
+    @example(pulse=MIDDLE, t=1.3e-9, xi=XI)
+    @example(pulse=MIDDLE, t=0.0, xi=XI + 3.0e-4)
+    @example(pulse=MIDDLE, t=0.0, xi=XI - 6.0e-4)
+    @example(pulse=sh.FluxPulse(amplitude=0.2, steepness=1.0e3,
+                                shape="gaussian"),
+             t=0.0, xi=XI)
+    # Gaussian tails beyond 37 are tiny but not yet zero:
+    @example(pulse=sh.FluxPulse(amplitude=0.2, velocity=1.0e6,
+                                steepness=1.0e6, shape="gaussian"),
+             t=1.0e-9, xi=np.linspace(-4.5e-5, 4.5e-5, 9001))
+    def test_outside_is_exactly_the_plateau(self, pulse, t, xi):
+        lo, hi, left, right = comoving_window(pulse, t, xi)
+        values = comoving_flux_fraction(pulse, xi, t)
+        n = len(xi)
+        assert 0 <= lo <= hi <= n
+        assert values[:lo].tobytes() == np.full(lo, left).tobytes()
+        assert values[hi:].tobytes() == np.full(n - hi, right).tobytes()
+        # No wider than the unsaturated samples plus one on each side.
+        reach = bias._SATURATION[pulse.shape]
+        near = np.abs(xi - pulse.front_position) * pulse.steepness_at(t)
+        assert hi - lo <= np.count_nonzero(near <= reach * (1 + 1e-9)) + 2
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(pulse=pulses(), t=st.floats(0.0, 1.0e-9),
+           later=st.floats(0.0, 1.0e-9), xi=sorted_grids())
+    @example(pulse=MIDDLE, t=0.0, later=1.3e-9, xi=XI)
+    def test_later_window_covers_earlier(self, pulse, t, later, xi):
+        # The front widens as t grows, so the photon budget needs only
+        # the window of its last sample.
+        t, later = sorted((t, later))
+        lo, hi = comoving_window(pulse, t, xi)[:2]
+        lo_late, hi_late = comoving_window(pulse, later, xi)[:2]
+        assert lo_late <= lo and hi <= hi_late
+
+    def test_centred_on_the_front_at_every_time(self):
+        # The lab window moves with the front; the comoving one stays put
+        # and only widens.
+        lo0, hi0, _, _ = comoving_window(MIDDLE, 0.0, XI)
+        lo1, hi1, _, _ = comoving_window(MIDDLE, 1.3e-9, XI)
+        assert lo1 < lo0 < 2400 < hi0 < hi1
+        assert lo0 + hi0 == lo1 + hi1 == 4800
+
+    def test_same_plateaus_as_the_lab_frame(self):
+        for pulse in (MIDDLE, sh.FluxPulse(amplitude=0.2, dc_offset=0.05,
+                                           shape="gaussian")):
+            assert (comoving_window(pulse, 0.0, XI)[2:]
+                    == front_window(pulse, 0.0, LINE)[2:])
+
+    def test_no_window_before_the_broadening_pole(self):
+        pulse = sh.FluxPulse(amplitude=0.2, velocity=1.0e6, steepness=4.4e5,
+                             broadening=1.0e4)
+        with pytest.raises(ValueError, match="broadening pole"):
+            comoving_window(pulse, -2.0e-10, XI)
 
 
 class TestBroadening:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -40,7 +41,7 @@ def sampled_profile(speed, with_evaluator, flow_speed=2.0, positions=None):
     speed = np.asarray(speed, dtype=float)
     xs = (np.arange(len(speed), dtype=float) if positions is None
           else np.asarray(positions, dtype=float))
-    evaluator = ((lambda xi: float(np.interp(xi, xs, speed)))
+    evaluator = ((lambda xi: np.interp(xi, xs, speed))
                  if with_evaluator else None)
     return sh.VelocityProfile(positions=xs, speed=speed,
                               flow_speed=flow_speed, evaluator=evaluator)
@@ -72,6 +73,70 @@ def reference_scan(xs, speed, u):
             found.append((root, "black" if grad > 0.0 else "white", grad))
         last = j
     return found
+
+
+def reference_budget(array, squid, pulse, line_length_cells, samples):
+    """photons_per_pulse from the public pieces, each sample on the full
+    comoving line."""
+    times = np.linspace(0.0, line_length_cells * array.cell_length
+                        / pulse.velocity, samples)
+    rows = []
+    for t in times:
+        profile = sh.velocity_profile(array, squid, pulse, t)
+        blacks = [h for h in sh.find_horizons(profile) if h.kind == "black"]
+        if not blacks:
+            raise errors.NoHorizon("no black horizon at t = %.3e s" % t)
+        temp = sh.hawking_temperature(profile, blacks[0])
+        rows.append((blacks[0].position, blacks[0].gradient, temp,
+                     sh.radiated_power(temp)))
+    positions, gradients, temperatures, powers = np.array(rows).T
+    rates = powers / (BOLTZMANN * temperatures)
+    return sh.PhotonBudget(float(np.trapezoid(rates, times)), times,
+                           positions, gradients, temperatures, powers)
+
+
+def budget_bits(budget_call):
+    """Every number of a photon budget as bytes, or the NoHorizon raised."""
+    try:
+        budget = budget_call()
+    except errors.NoHorizon:
+        return "NoHorizon"
+    return [np.asarray(getattr(budget, f.name)).tobytes()
+            for f in dataclasses.fields(budget)]
+
+
+@st.composite
+def budget_pulses(draw):
+    """Tanh fronts and Gaussian bumps, with and without broadening, whose
+    speed sits between the two extreme line speeds or just outside them."""
+    amplitude = draw(st.floats(0.02, 0.4))
+    dc = draw(st.floats(0.0, 1.0)) * (0.45 - amplitude)
+    hi, lo = math.cos(math.pi * dc), math.cos(math.pi * (dc + amplitude))
+    depth = draw(st.one_of(st.floats(0.02, 0.98), st.floats(-0.05, 1.05)))
+    q = lo + depth * (hi - lo)
+    return sh.FluxPulse(
+        amplitude=amplitude, dc_offset=dc,
+        velocity=REF_CELL_SPEED * math.sqrt(q),
+        steepness=10.0 ** draw(st.floats(5.5, 7.5)),
+        front_position=draw(st.floats(-1.0e-4, 1.0e-4)),
+        broadening=draw(st.one_of(st.just(0.0), st.floats(1.0, 2.0e3))),
+        shape=draw(st.sampled_from(["tanh", "gaussian"])))
+
+
+def line_speed(pulse, arg):
+    """Line speed at t = 0 where the front's scaled coordinate is arg;
+    arg = -inf or +inf gives the plateau behind or ahead."""
+    array, squid = reference_line()
+    xi = pulse.front_position + arg / pulse.steepness
+    return float(sh.velocity_profile(array, squid, pulse, 0.0, [xi]).speed[0])
+
+
+OFFSET_FRONT = sh.FluxPulse(amplitude=0.2, dc_offset=0.05, velocity=1.0,
+                            steepness=REF_STEEPNESS)
+# Broadening that doubles the front's width over a 1200-cell traversal.
+WIDENING = 1.0 / (1200 * REF_CELL_LENGTH)
+# Cells 6 scaled units apart: samples at +-3, +-9, +-15, +-21, ...
+COARSE = dataclasses.replace(OFFSET_FRONT, steepness=6.0 / REF_CELL_LENGTH)
 
 
 @pytest.fixture
@@ -432,6 +497,56 @@ class TestPhotonBudget:
         with pytest.raises(ValueError):
             sh.photons_per_pulse(ref_array, ref_squid, pulse,
                                  line_length_cells=100)
+
+    @pytest.mark.parametrize("cells", [0, -100])
+    def test_empty_traversal_rejected(self, ref_array, ref_squid,
+                                      step_pulse, cells):
+        with pytest.raises(ValueError, match="line_length_cells"):
+            sh.photons_per_pulse(ref_array, ref_squid, step_pulse,
+                                 line_length_cells=cells)
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_single_sample_rejected(self, ref_array, ref_squid, step_pulse,
+                                    samples):
+        with pytest.raises(ValueError, match="2 samples"):
+            sh.photons_per_pulse(ref_array, ref_squid, step_pulse,
+                                 line_length_cells=4800, samples=samples)
+
+    @PROPERTY
+    @given(pulse=budget_pulses(), n_cells=st.integers(300, 1500),
+           cells=st.integers(1, 6000), samples=st.integers(2, 9))
+    @example(pulse=sh.FluxPulse(amplitude=0.2, velocity=REF_PULSE_SPEED,
+                                steepness=REF_STEEPNESS,
+                                broadening=4000.0 / 9.0),
+             n_cells=4800, cells=4800, samples=65)
+    # Moving exactly at a plateau's speed: no crossing, so NoHorizon.
+    @example(pulse=dataclasses.replace(
+                 OFFSET_FRONT, velocity=line_speed(OFFSET_FRONT, -math.inf)),
+             n_cells=4800, cells=4800, samples=5)
+    @example(pulse=dataclasses.replace(
+                 OFFSET_FRONT, velocity=line_speed(OFFSET_FRONT, math.inf)),
+             n_cells=4800, cells=4800, samples=5)
+    # A horizon at scaled coordinate 12 that broadening carries to 24,
+    # beyond the front's first window: only the last one holds it.
+    @example(pulse=dataclasses.replace(
+                 OFFSET_FRONT, broadening=WIDENING,
+                 velocity=line_speed(OFFSET_FRONT, 12.0)),
+             n_cells=1200, cells=1200, samples=9)
+    # A horizon at 15.5 between the samples at 15 and 21, the latter on
+    # the plateau beyond the threshold of 20: the extra sample brackets it.
+    @example(pulse=dataclasses.replace(COARSE,
+                                       velocity=line_speed(COARSE, 15.5)),
+             n_cells=300, cells=300, samples=3)
+    def test_window_matches_full_line(self, pulse, n_cells, cells, samples):
+        # Every number of the windowed budget, or its NoHorizon, is the one
+        # the full-line profiles give at each sample.
+        array, squid = reference_line()
+        array = dataclasses.replace(array, n_cells=n_cells)
+        windowed = budget_bits(lambda: sh.photons_per_pulse(
+            array, squid, pulse, cells, samples))
+        full = budget_bits(lambda: reference_budget(
+            array, squid, pulse, cells, samples))
+        assert windowed == full
 
     def test_rate_is_power_over_kt(self, ref_array, ref_squid, broadening_pulse):
         budget = sh.photons_per_pulse(ref_array, ref_squid, broadening_pulse,
