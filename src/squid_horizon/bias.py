@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import FLUX_QUANTUM
 from .errors import FluxOutOfRange, NoRoot
@@ -190,6 +189,8 @@ def calibrate_broadening(pulse: FluxPulse, array, squid, target_decay: float,
 
     Raises NoRoot when no b in [0, BROADENING_MAX] reaches the target.
     """
+    from scipy.optimize import brentq
+
     from . import geometry
 
     if not 0.0 < target_decay < 1.0:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bias, circuit
 from ._csv import write_csv
@@ -202,6 +201,11 @@ def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     streams towards -xi, so a crossing with dc/dxi > 0 traps the region
     behind it (black); the opposite sign releases nothing inwards (white).
     """
+    # Imported here, not at module top: scipy.optimize takes longer to load
+    # than most subcommands take to run, and only this refinement and the
+    # broadening calibration need it.
+    from scipy.optimize import brentq
+
     u = profile.flow_speed
     xs = np.asarray(profile.positions, dtype=float)
     f = np.asarray(profile.speed, dtype=float) - u

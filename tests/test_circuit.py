@@ -7,7 +7,7 @@ from scipy.constants import c as LIGHT_SPEED
 from scipy.integrate import solve_ivp
 
 import squid_horizon as sh
-from squid_horizon import circuit, errors
+from squid_horizon import circuit, constants, errors
 from squid_horizon.constants import FLUX_QUANTUM as PHI0, RESISTANCE_QUANTUM
 
 
@@ -104,6 +104,17 @@ class TestStaticRelations:
 
     def test_resistance_quantum(self):
         assert RESISTANCE_QUANTUM == pytest.approx(6.45e3, rel=1e-3)
+
+    def test_constants_are_scipy_values_bit_for_bit(self):
+        # The package writes the SI values as literals so that importing it
+        # loads no scipy; they must stay the very floats scipy.constants has.
+        from scipy import constants as sc
+        pairs = [(constants._h, sc.h), (constants.ELECTRON_CHARGE, sc.e),
+                 (constants.HBAR, sc.hbar), (constants.BOLTZMANN, sc.k),
+                 (constants.FLUX_QUANTUM, sc.h / (2.0 * sc.e)),
+                 (constants.RESISTANCE_QUANTUM, sc.h / (2.0 * sc.e) ** 2)]
+        for ours, theirs in pairs:
+            assert float(ours).hex() == float(theirs).hex()
 
     @pytest.mark.parametrize("c0, expected", [
         (1.0e-16, 0.624),

@@ -27,6 +27,18 @@ def isolated_cwd(tmp_path, monkeypatch):
     return tmp_path
 
 
+def child_env():
+    """Environment for a child interpreter that imports this copy of the
+    package.  The child may start in another directory, where a relative
+    PYTHONPATH such as "src" no longer resolves, so the tree under test goes
+    first by its absolute path."""
+    env = dict(os.environ)
+    src = str(Path(squid_horizon.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def write_variant(path, **changes):
     """Dump the default configuration with dotted-path overrides applied."""
     data = config.config_to_dict(config.default_config())
@@ -363,16 +375,51 @@ class TestEntryPoint:
             main([])
 
     def test_module_invocation(self, tmp_path):
-        # The child starts in tmp_path, where a relative PYTHONPATH such as
-        # "src" no longer resolves; put the tree under test first, by its
-        # absolute path, so the child imports this copy of the package.
-        env = dict(os.environ)
-        src = str(Path(squid_horizon.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "squid_horizon.cli", "validate",
              "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert "pass" in proc.stdout
+
+
+# Run in a fresh interpreter: which scipy modules are loaded after importing
+# the CLI, after the subcommands that need no root finder, and after a
+# `profile` run, which refines its horizons with brentq.
+COLD_START = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from squid_horizon import cli
+seen = {"import": scipy_modules()}
+out, small = sys.argv[1], sys.argv[2]
+codes = [cli.main(["validate", "--out", out + "/validate"]),
+         cli.main(["reproduce", "fig3", "--out", out + "/fig3"]),
+         cli.main(["simulate", "--config", small, "--out", out + "/simulate"])]
+seen["without_root_finder"] = scipy_modules()
+codes.append(cli.main(["profile", "--out", out + "/profile"]))
+seen["profile"] = scipy_modules()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_for_root_finding(self, tmp_path):
+        data = config.config_to_dict(config.default_config())
+        data["array"]["n_cells"] = 200
+        data["solver"].update(n_steps=100, record_every=50)
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path / "child"),
+             str(small)],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0, 0, 0]
+        assert report["seen"]["import"] == []
+        assert report["seen"]["without_root_finder"] == []
+        assert "scipy.optimize" in report["seen"]["profile"]
+        assert main(["profile", "--out", str(tmp_path / "here")]) == 0
+        assert (tmp_path / "child" / "profile" / "profile.csv").read_bytes() \
+            == (tmp_path / "here" / "profile.csv").read_bytes()
