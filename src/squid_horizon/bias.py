@@ -165,9 +165,7 @@ def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):
     element equals the call with that one time.
     """
     s = pulse.steepness_at(t)
-    # [()] makes a 0-d array a numpy scalar, whose arithmetic costs a tenth
-    # as much: horizon refinement passes one xi at a time, thousands of times.
-    xi = np.asarray(xi, dtype=float)[()]
+    xi = np.asarray(xi, dtype=float)
     out = _shape_fraction(pulse, s * (xi - pulse.front_position))
     return float(out) if xi.ndim == 0 else out
 
@@ -189,8 +187,6 @@ def calibrate_broadening(pulse: FluxPulse, array, squid, target_decay: float,
 
     Raises NoRoot when no b in [0, BROADENING_MAX] reaches the target.
     """
-    from scipy.optimize import brentq
-
     from . import geometry
 
     if not 0.0 < target_decay < 1.0:
@@ -218,4 +214,7 @@ def calibrate_broadening(pulse: FluxPulse, array, squid, target_decay: float,
             "target decay %.3g not reachable with broadening in [0, %g]"
             % (target_decay, BROADENING_MAX)
         )
-    return float(brentq(objective, lo, hi, rtol=1.0e-3))
+    root = geometry.lane_brentq(
+        lambda b, lanes: [objective(v) for v in b.tolist()], [lo], [hi],
+        rtol=1.0e-3)
+    return float(root[0])

@@ -24,6 +24,13 @@ from .errors import NoHorizon, OutOfRange
 # later allocations on the heap, which lifts the peak resident size.
 _BLOCK_ELEMENTS = 8192
 
+# scipy.optimize.brentq's default relative tolerance and iteration cap.
+_RTOL = 4.0 * np.finfo(float).eps
+_MAXITER = 100
+
+# Offsets of the gradient's four probes, in units of its step.
+_PROBES = np.array([1.0, -1.0, 0.5, -0.5])
+
 __all__ = [
     "VelocityProfile",
     "EffectiveMetric",
@@ -32,6 +39,7 @@ __all__ = [
     "velocity_profile",
     "effective_metric",
     "find_horizons",
+    "lane_brentq",
     "emitting_horizon",
     "hawking_temperature",
     "radiated_power",
@@ -51,7 +59,10 @@ class VelocityProfile:
     sub-cell refinement.  spacing is the pitch of the grid the positions
     were taken from, which scales the refinement tolerance and gradient
     step; it defaults to the smallest gap between the positions, so a
-    window cut from a grid must carry the whole grid's.
+    window cut from a grid must carry the whole grid's.  steepness, when
+    known, is the front's inverse width s (1/m): the gradient step then
+    stays below 0.05/s, so the difference resolves a front narrower than
+    the grid pitch.
     """
 
     positions: np.ndarray
@@ -61,6 +72,7 @@ class VelocityProfile:
     evaluator: Optional[Callable] = field(
         default=None, repr=False, compare=False)
     spacing: Optional[float] = None
+    steepness: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.spacing is None:
@@ -138,7 +150,8 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
     evaluator = _speed_evaluator(array, squid, pulse, time)
     return VelocityProfile(positions=positions, speed=evaluator(positions),
                            flow_speed=pulse.velocity, time=time,
-                           evaluator=evaluator)
+                           evaluator=evaluator,
+                           steepness=pulse.steepness_at(time))
 
 
 def _comoving_grid(array: circuit.ArrayParams,
@@ -173,65 +186,185 @@ def effective_metric(profile: VelocityProfile, xi: float) -> EffectiveMetric:
                            sound_speed=profile.speed_at(xi))
 
 
-def _gradient(profile: VelocityProfile, xi: float, h: float) -> float:
-    # Centred difference with one Richardson step: O(h^4).  The four
-    # probes take one call; each is the value a call with it alone gives.
-    up, down, half_up, half_down = profile.speed_at(
-        xi + np.array([h, -h, 0.5 * h, -0.5 * h])).tolist()
+def lane_brentq(f, a, b, xtol=2.0e-12, rtol=_RTOL, maxiter=_MAXITER):
+    """Roots of f in the brackets [a[k], b[k]], one numpy lane per bracket.
+
+    Every lane takes the steps of scipy.optimize.brentq (Brent 1973, as
+    written in scipy's brentq.c) with the same xtol, rtol and maxiter, so
+    each root is bitwise the one brentq finds for its bracket alone.
+    f(x, lanes) returns the function at x[k] for bracket lanes[k]: it is
+    called once for both ends, then once per iteration on the lanes that
+    have not converged.
+
+    Raises ValueError for a NaN value or a bracket whose ends have the same
+    sign, and RuntimeError when a lane has not converged after maxiter
+    iterations.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = len(a)
+    lanes = np.arange(n)
+    ends = _lane_values(f, np.concatenate((a, b)),
+                        np.concatenate((lanes, lanes)))
+    fpre, fcur = ends[:n], ends[n:]
+    roots = np.where(fpre == 0.0, a, b)  # an exact zero at an end is a root
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # Each state array is a copy that the loop may update in place.
+    lanes, xpre, xcur, fpre, fcur = (v[live] for v in
+                                     (lanes, a, b, fpre, fcur))
+    xblk, fblk, spre, scur = (np.zeros(len(lanes)) for _ in range(4))
+    for _ in range(maxiter):
+        # Keep the root between xcur and xblk, with |f(xcur)| the smaller.
+        # brentq.c also asks fpre and fcur to be nonzero: fpre is, and a
+        # lane with fcur == 0 converges at xcur whatever the flip does.
+        flip = np.signbit(fpre) != np.signbit(fcur)
+        if flip.any():
+            xblk[flip] = xpre[flip]
+            fblk[flip] = fpre[flip]
+            spre[flip] = scur[flip] = (xcur - xpre)[flip]
+        swap = np.abs(fblk) < np.abs(fcur)
+        if swap.any():
+            x, fx = xcur[swap], fcur[swap]
+            xcur[swap], fcur[swap] = xblk[swap], fblk[swap]
+            xpre[swap] = xblk[swap] = x
+            fpre[swap] = fblk[swap] = fx
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        abs_sbis = np.abs(sbis)
+        done = (fcur == 0.0) | (abs_sbis < delta)
+        if done.all():  # also with no lanes left
+            roots[lanes] = xcur
+            return roots
+        if done.any():
+            roots[lanes[done]] = xcur[done]
+            keep = ~done
+            (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+             sbis, abs_sbis) = (v[keep] for v in (
+                 lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                 delta, sbis, abs_sbis))
+
+        # An inverse quadratic or secant step where it is short enough,
+        # bisection elsewhere.
+        abs_spre = np.abs(spre)
+        short = (abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
+        if short.any():
+            # Lanes that will bisect may divide by zero here.
+            with np.errstate(all="ignore"):
+                secant = -fcur * (xcur - xpre) / (fcur - fpre)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                quadratic = (-fcur * (fblk * dblk - fpre * dpre) /
+                             (dblk * dpre * (fblk - fpre)))
+            stry = np.where(xpre == xblk, secant, quadratic)
+            short &= 2 * np.abs(stry) < np.minimum(abs_spre,
+                                                   3 * abs_sbis - delta)
+            spre = np.where(short, scur, sbis)
+            scur = np.where(short, stry, sbis)
+        else:
+            spre, scur = sbis, sbis.copy()
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = np.array(_lane_values(f, xcur, lanes))
+    raise RuntimeError("Failed to converge after %d iterations." % maxiter)
+
+
+def _lane_values(f, x, lanes):
+    # f(x, lanes) as one value per lane; a NaN stops the search, as in
+    # scipy's brentq.
+    fx = np.asarray(f(x, lanes), dtype=float)
+    if fx.shape != x.shape:
+        fx = np.broadcast_to(fx, x.shape)
+    nan = np.isnan(fx)
+    if nan.any():
+        raise ValueError("The function value at x=%r is NaN; solver cannot "
+                         "continue." % float(x[nan][0]))
+    return fx
+
+
+def _brackets(f, first_row=0):
+    # Sign changes in each row of f = c - u, numbered from first_row, as
+    # (row, lo, hi, f_lo, f_hi): lo and hi are consecutive nonzero samples
+    # of one row whose signs differ, so exact zeros lie strictly between
+    # them.  A NaN sample counts as nonzero and brackets both its
+    # neighbours.
+    n = f.shape[1]
+    flat = f.ravel()
+    nonzero = np.flatnonzero(flat != 0.0)
+    value = flat[nonzero]
+    crossing = np.flatnonzero(~(value[:-1] * value[1:] >= 0.0))
+    lo, hi = nonzero[crossing], nonzero[crossing + 1]
+    row = lo // n
+    same = row == hi // n  # a pair across the end of a row is none
+    lo, hi, row = lo[same], hi[same], row[same]
+    return row + first_row, lo - row * n, hi - row * n, flat[lo], flat[hi]
+
+
+def _horizons(xs, brackets, speed, u, spacing, steps, refine):
+    # Positions and gradients dc/dxi of the bracketed crossings of c = u.
+    # speed(x, rows) is c at x[k] on sample row rows[k].  A run of exact
+    # zeros between the bracket's ends is one horizon at the run's centre;
+    # other crossings are refined with lane_brentq when refine is set and
+    # interpolated linearly otherwise.  steps holds each row's gradient
+    # step.
+    rows, lo, hi, f_lo, f_hi = brackets
+    if not len(rows):
+        return np.empty(0), np.empty(0)
+    roots = xs[lo] + (xs[hi] - xs[lo]) * f_lo / (f_lo - f_hi)
+    run = hi > lo + 1
+    roots[run] = 0.5 * (xs[lo[run] + 1] + xs[hi[run] - 1])
+    if refine:
+        cell = np.flatnonzero(~run)
+        roots[cell] = lane_brentq(
+            lambda x, lanes: speed(x, rows[cell[lanes]]) - u,
+            xs[lo[cell]], xs[hi[cell]], xtol=1.0e-6 * spacing)
+    # Centred difference with one Richardson step: O(h^4).  One call takes
+    # the four probes of every root.
+    h = steps[rows]
+    probes = roots[:, np.newaxis] + h[:, np.newaxis] * _PROBES
+    up, down, half_up, half_down = speed(
+        probes.ravel(), np.repeat(rows, 4)).reshape(-1, 4).T
     d1 = (up - down) / (2.0 * h)
     d2 = (half_up - half_down) / h
-    return (4.0 * d2 - d1) / 3.0
+    return roots, (4.0 * d2 - d1) / 3.0
 
 
-def _offset(xi: float, evaluator, u: float) -> float:
-    # c(xi) - u as a module function: scipy keeps the function it is given
-    # in a reference cycle, and a closure there would hold the profile.
-    return evaluator(xi) - u
+def _gradient_step(spacing: float, steepness):
+    # A quarter of the grid pitch, and at most 0.05 of the front's scaled
+    # unit 1/s, where the front's shape is known.
+    if steepness is None:
+        return 0.25 * spacing
+    return np.minimum(0.25 * spacing, 0.05 / steepness)
 
 
 def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     """Locate all crossings of c(xi) = u in the sampled profile.
 
     Brackets sign changes between consecutive nonzero samples of c - u and
-    refines each root: with the profile evaluator when available, by linear
-    interpolation otherwise.  A sample where c equals u exactly is a root;
-    a run of such samples between opposite signs is one horizon at the
-    run's centre, and a touch with the same sign on both sides is none.
-    The crossing is classified by its gradient: flow in the front frame
-    streams towards -xi, so a crossing with dc/dxi > 0 traps the region
-    behind it (black); the opposite sign releases nothing inwards (white).
+    refines each root: with the profile evaluator when available (see
+    lane_brentq), by linear interpolation otherwise.  A sample where c
+    equals u exactly is a root; a run of such samples between opposite
+    signs is one horizon at the run's centre, and a touch with the same
+    sign on both sides is none.  The crossing is classified by its
+    gradient: flow in the front frame streams towards -xi, so a crossing
+    with dc/dxi > 0 traps the region behind it (black); the opposite sign
+    releases nothing inwards (white).
     """
-    # Imported here, not at module top: scipy.optimize takes longer to load
-    # than most subcommands take to run, and only this refinement and the
-    # broadening calibration need it.
-    from scipy.optimize import brentq
-
     u = profile.flow_speed
     xs = np.asarray(profile.positions, dtype=float)
     f = np.asarray(profile.speed, dtype=float) - u
-    spacing = profile.spacing
-    # Brackets (lo, hi) are consecutive nonzero samples whose signs differ;
-    # exact zeros lie strictly between them.  A NaN sample counts as nonzero
-    # and brackets both its neighbours.  Without exact zeros, lo is
-    # np.flatnonzero((f[:-1] != 0) & ~(f[:-1] * f[1:] >= 0)) and hi = lo + 1.
-    nonzero = np.flatnonzero(f != 0.0)
-    crossing = ~(f[nonzero[:-1]] * f[nonzero[1:]] >= 0.0)
-    lo, hi = nonzero[:-1][crossing], nonzero[1:][crossing]
-    interpolated = xs[lo] + (xs[hi] - xs[lo]) * f[lo] / (f[lo] - f[hi])
-    reports = []
-    for i, j, linear in zip(lo.tolist(), hi.tolist(), interpolated.tolist()):
-        if j > i + 1:
-            root = 0.5 * float(xs[i + 1] + xs[j - 1])
-        elif profile.evaluator is not None:
-            root = float(brentq(_offset, float(xs[i]), float(xs[j]),
-                                args=(profile.evaluator, u),
-                                xtol=1.0e-6 * spacing))
-        else:
-            root = linear
-        grad = _gradient(profile, root, 0.25 * spacing)
-        kind = "black" if grad > 0.0 else "white"
-        reports.append(HorizonReport(position=root, kind=kind, gradient=grad))
-    return tuple(reports)
+    step = _gradient_step(profile.spacing, profile.steepness)
+    roots, gradients = _horizons(
+        xs, _brackets(f[np.newaxis]), lambda x, rows: profile.speed_at(x), u,
+        profile.spacing, np.array([step]), profile.evaluator is not None)
+    return tuple(HorizonReport(position=root,
+                               kind="black" if grad > 0.0 else "white",
+                               gradient=grad)
+                 for root, grad in zip(roots.tolist(), gradients.tolist()))
 
 
 def emitting_horizon(horizons) -> HorizonReport:
@@ -251,11 +384,17 @@ def hawking_temperature(profile: VelocityProfile,
     """
     if horizon is None:
         horizon = emitting_horizon(find_horizons(profile))
-    return HBAR * abs(horizon.gradient) / (2.0 * np.pi * BOLTZMANN)
+    return _temperature(horizon.gradient)
 
 
-def radiated_power(temperature: float) -> float:
-    """One-dimensional thermal power (pi/12/hbar) (k_B T)^2 in watts."""
+def _temperature(gradient):
+    # hbar*|dc/dxi| / (2*pi*k_B) for a float or an array of gradients.
+    return HBAR * abs(gradient) / (2.0 * np.pi * BOLTZMANN)
+
+
+def radiated_power(temperature):
+    """One-dimensional thermal power (pi/12/hbar) (k_B T)^2 in watts, for
+    a float or an array of temperatures."""
     kt = BOLTZMANN * temperature
     return np.pi * kt * kt / (12.0 * HBAR)
 
@@ -271,7 +410,7 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
     spaced times.  Only the cells of the front's window at the last, widest
     sample are evaluated: off it the profile is exactly flat at every
     sample, so each horizon equals find_horizons on the full
-    velocity_profile.
+    velocity_profile.  The horizons of all samples are refined together.
 
     Raises ValueError for a still pulse, line_length_cells <= 0 or
     samples < 2, and NoHorizon at the first sample without a black horizon.
@@ -289,34 +428,38 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
     spacing = _grid_step(grid)
     lo, hi = bias.comoving_window(pulse, times[-1], grid)[:2]
     window = grid[lo:hi]
-    rows = max(1, _BLOCK_ELEMENTS // len(window))
+    per_block = max(1, _BLOCK_ELEMENTS // len(window))
+    blocks = []
+    for first in range(0, samples, per_block):  # per_block rows at once
+        speeds = _speed_evaluator(
+            array, squid, pulse,
+            times[first:first + per_block, np.newaxis])(window)
+        blocks.append(_brackets(speeds - pulse.velocity, first))
+        if len(np.unique(blocks[-1][0])) < len(speeds):
+            break  # a row without a crossing: no later row is needed
 
-    positions = np.empty(samples)
-    gradients = np.empty(samples)
-    temperatures = np.empty(samples)
-    powers = np.empty(samples)
-    for i, t in enumerate(times):
-        if i % rows == 0:  # the speeds of the next block of rows at once
-            speeds = _speed_evaluator(array, squid, pulse,
-                                      times[i:i + rows, np.newaxis])(window)
-        profile = VelocityProfile(window, speeds[i % rows], pulse.velocity, t,
-                                  _speed_evaluator(array, squid, pulse, t),
-                                  spacing)
-        found = find_horizons(profile)
-        blacks = [h for h in found if h.kind == "black"]
-        if not blacks:
-            raise NoHorizon("no black horizon at t = %.3e s" % t)
-        h = blacks[0]
-        temp = hawking_temperature(profile, h)
-        positions[i] = h.position
-        gradients[i] = h.gradient
-        temperatures[i] = temp
-        powers[i] = radiated_power(temp)
+    def speed(x, rows):
+        return _speed_evaluator(array, squid, pulse, times[rows])(x)
 
+    brackets = tuple(np.concatenate(parts) for parts in zip(*blocks))
+    roots, gradients = _horizons(
+        window, brackets, speed, pulse.velocity, spacing,
+        _gradient_step(spacing, pulse.steepness_at(times)), True)
+    # The first black horizon of each sample.
+    black = np.flatnonzero(gradients > 0.0)
+    sampled, first_black = np.unique(brackets[0][black], return_index=True)
+    if len(sampled) < samples:
+        missing = np.flatnonzero(~np.isin(np.arange(samples), sampled))[0]
+        raise NoHorizon("no black horizon at t = %.3e s" % times[missing])
+    emitter = black[first_black]
+
+    temperatures = _temperature(gradients[emitter])
+    powers = radiated_power(temperatures)
     rates = powers / (BOLTZMANN * temperatures)
     count = float(np.trapezoid(rates, times))
     return PhotonBudget(expected_count=count, times=times,
-                        horizon_positions=positions, gradients=gradients,
+                        horizon_positions=roots[emitter],
+                        gradients=gradients[emitter],
                         temperatures=temperatures, powers=powers)
 
 

@@ -384,42 +384,48 @@ class TestEntryPoint:
 
 
 # Run in a fresh interpreter: which scipy modules are loaded after importing
-# the CLI, after the subcommands that need no root finder, and after a
-# `profile` run, which refines its horizons with brentq.
+# the CLI, after subcommands that refine no horizon, and after those that
+# do.  Horizon refinement runs on the package's own root finder.
 COLD_START = """
 import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from squid_horizon import cli
 seen = {"import": scipy_modules()}
-out, small = sys.argv[1], sys.argv[2]
+out, small, sweep = sys.argv[1], sys.argv[2], sys.argv[3]
 codes = [cli.main(["validate", "--out", out + "/validate"]),
          cli.main(["reproduce", "fig3", "--out", out + "/fig3"]),
          cli.main(["simulate", "--config", small, "--out", out + "/simulate"])]
 seen["without_root_finder"] = scipy_modules()
-codes.append(cli.main(["profile", "--out", out + "/profile"]))
-seen["profile"] = scipy_modules()
+codes += [cli.main(["profile", "--out", out + "/profile"]),
+          cli.main(["budget", "--out", out + "/budget"]),
+          cli.main(["reproduce", "fig2", "--out", out + "/fig2"]),
+          cli.main(["sweep", "--config", sweep, "--out", out + "/sweep"])]
+seen["with_root_finder"] = scipy_modules()
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
 class TestColdStart:
-    def test_scipy_loads_only_for_root_finding(self, tmp_path):
+    def test_no_scipy_at_run_time(self, tmp_path):
         data = config.config_to_dict(config.default_config())
         data["array"]["n_cells"] = 200
         data["solver"].update(n_steps=100, record_every=50)
         small = tmp_path / "small.json"
         small.write_text(json.dumps(data))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "axes": [{"path": "pulse.amplitude", "values": [0.1, 0.2]}],
+            "outputs": ["horizon_count", "photon_count"]}))
         proc = subprocess.run(
             [sys.executable, "-c", COLD_START, str(tmp_path / "child"),
-             str(small)],
+             str(small), str(sweep)],
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [0, 0, 0, 0]
-        assert report["seen"]["import"] == []
-        assert report["seen"]["without_root_finder"] == []
-        assert "scipy.optimize" in report["seen"]["profile"]
+        assert report["codes"] == [0] * 7
+        assert report["seen"] == {"import": [], "without_root_finder": [],
+                                  "with_root_finder": []}
         assert main(["profile", "--out", str(tmp_path / "here")]) == 0
         assert (tmp_path / "child" / "profile" / "profile.csv").read_bytes() \
             == (tmp_path / "here" / "profile.csv").read_bytes()

@@ -413,6 +413,143 @@ class TestHorizons:
         expected = reference_scan(xs.tolist(), speed, u)
         assert [(h.position, h.kind, h.gradient) for h in found] == expected
 
+    @pytest.mark.parametrize("cell_steepness", [0.1, 1.0, 3.0, 9.0, 30.0])
+    @pytest.mark.parametrize("arg", [-3.0, 0.3, 2.0, 7.0])
+    def test_gradient_resolves_narrow_front(self, cell_steepness, arg):
+        # c = c0 sqrt(cos(pi f)) and f = dc + (A/2)(1 - tanh(s (xi - xi0)))
+        # give dc/dxi = (pi/2) c tan(pi f) (A s/2) sech^2(s (xi - xi0)).
+        # With a*s up to 30 the grid pitch spans many scaled units; a step
+        # of a quarter pitch read the horizon at 7 as white for a*s >= 9.
+        array, squid = reference_line()
+        array = dataclasses.replace(array, n_cells=300)
+        pulse = dataclasses.replace(
+            OFFSET_FRONT, steepness=cell_steepness / REF_CELL_LENGTH)
+        pulse = dataclasses.replace(pulse, velocity=line_speed(pulse, arg))
+        found = sh.find_horizons(sh.velocity_profile(array, squid, pulse))
+        assert len(found) == 1 and found[0].kind == "black"
+        f = comoving_flux_fraction(pulse, found[0].position, 0.0)
+        s = pulse.steepness
+        expected = (0.5 * math.pi * pulse.velocity * math.tan(math.pi * f) *
+                    0.5 * pulse.amplitude * s /
+                    math.cosh(s * (found[0].position - pulse.front_position))
+                    ** 2)
+        assert found[0].gradient == pytest.approx(expected, rel=1e-6)
+
+    def test_budget_on_a_narrow_front(self):
+        # The same narrow front keeps its black horizon at every sample.
+        array, squid = reference_line()
+        array = dataclasses.replace(array, n_cells=300)
+        pulse = dataclasses.replace(OFFSET_FRONT,
+                                    steepness=9.0 / REF_CELL_LENGTH)
+        pulse = dataclasses.replace(pulse, velocity=line_speed(pulse, 7.0))
+        budget = sh.photons_per_pulse(array, squid, pulse, 300, samples=3)
+        assert np.all(budget.gradients > 0.0)
+
+
+def scipy_brentq(f, a, b, **kwargs):
+    """scipy's brentq on one lane of f, evaluated through the array path."""
+    from scipy.optimize import brentq
+    lane = np.array([0])
+    return brentq(lambda x: f(np.array([x]), lane)[0], a, b, **kwargs)
+
+
+def lane_of(f, k):
+    """Lane k of the lane function f, as a one-lane function."""
+    return lambda x, lanes: f(x, np.full(len(x), k))
+
+
+@st.composite
+def smooth_brackets(draw):
+    """Brackets about random roots of tanh plus a cubic, each lane with its
+    own root, scale and bracket, and a shared tolerance."""
+    n = draw(st.integers(1, 12))
+    lane = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 2.0),
+                     st.floats(0.0, 2.0), st.floats(0.01, 5.0),
+                     st.floats(0.01, 5.0), st.booleans())
+    root, log_scale, cubic, left, right, flip = map(
+        np.array, zip(*draw(st.lists(lane, min_size=n, max_size=n))))
+    scale = 10.0 ** log_scale
+    sign = np.where(flip, -1.0, 1.0)
+
+    def f(x, lanes):
+        d = (x - root[lanes]) * scale[lanes]
+        return sign[lanes] * (np.tanh(d) + cubic[lanes] * d ** 3)
+
+    xtol = 10.0 ** draw(st.floats(-14.0, -3.0))
+    return f, root - left, root + right, xtol
+
+
+class TestLaneBrentq:
+    @PROPERTY
+    @given(brackets=smooth_brackets(),
+           rtol=st.sampled_from([1.0e-3, 4.0 * np.finfo(float).eps]))
+    def test_bitwise_scipy(self, brackets, rtol):
+        f, a, b, xtol = brackets
+        roots = sh.geometry.lane_brentq(f, a, b, xtol=xtol, rtol=rtol)
+        expected = [scipy_brentq(lane_of(f, k), a[k], b[k], xtol=xtol,
+                                 rtol=rtol) for k in range(len(a))]
+        assert roots.tolist() == expected
+
+    def test_converged_lanes_drop_out(self):
+        # Brackets from 1e-6 to 10 wide need different iteration counts.
+        root = np.array([0.3, -1.2, 2.5, 0.01])
+        a = root - np.array([1.0e-6, 0.5, 4.0, 10.0])
+        b = root + np.array([2.0e-6, 0.7, 1.0, 3.0])
+        live = []
+
+        def f(x, lanes):
+            live.append(lanes.tolist())
+            return np.tanh(x - root[lanes]) + (x - root[lanes]) ** 3
+
+        roots = sh.geometry.lane_brentq(f, a, b, xtol=1.0e-12)
+        assert live[0] == [0, 1, 2, 3, 0, 1, 2, 3]
+        sizes = [len(lanes) for lanes in live[1:]]
+        assert sizes == sorted(sizes, reverse=True)
+        assert len(set(sizes)) >= 3
+        assert roots.tolist() == [
+            scipy_brentq(lane_of(f, k), a[k], b[k], xtol=1.0e-12)
+            for k in range(4)]
+
+    def test_exact_zero_at_either_end(self):
+        # Lane 0 has its root at a, lane 1 at b, lane 2 inside.
+        root = np.array([-1.0, 2.0, 0.25])
+        a, b = np.array([-1.0, 0.0, 0.0]), np.array([1.0, 2.0, 1.0])
+
+        def f(x, lanes):
+            return x - root[lanes]
+
+        roots = sh.geometry.lane_brentq(f, a, b)
+        assert roots.tolist() == [-1.0, 2.0, 0.25]
+        assert roots.tolist() == [scipy_brentq(lane_of(f, k), a[k], b[k])
+                                  for k in range(3)]
+
+    def test_nan_raises(self):
+        def f(x, lanes):
+            return np.where(x > 0.5, np.nan, x - 0.75)
+
+        with pytest.raises(ValueError, match="NaN") as ours:
+            sh.geometry.lane_brentq(f, [0.0], [1.0])
+        with pytest.raises(ValueError, match="NaN") as theirs:
+            scipy_brentq(f, 0.0, 1.0)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_same_signs_raise(self):
+        def f(x, lanes):
+            return x * x + 1.0
+
+        with pytest.raises(ValueError, match="different signs"):
+            sh.geometry.lane_brentq(f, [-1.0, 0.0], [1.0, 2.0])
+
+    def test_maxiter_raises(self):
+        def f(x, lanes):
+            return x ** 3 - 0.5
+
+        with pytest.raises(RuntimeError) as ours:
+            sh.geometry.lane_brentq(f, [0.0], [1.0], maxiter=2)
+        with pytest.raises(RuntimeError) as theirs:
+            scipy_brentq(f, 0.0, 1.0, maxiter=2)
+        assert str(ours.value) == str(theirs.value)
+
 
 class TestTemperatureAndPower:
     def test_temperature_from_gradient(self):
