@@ -186,18 +186,19 @@ def effective_metric(profile: VelocityProfile, xi: float) -> EffectiveMetric:
                            sound_speed=profile.speed_at(xi))
 
 
-def lane_brentq(f, a, b, xtol=2.0e-12, rtol=_RTOL, maxiter=_MAXITER):
+def lane_brentq(f, a, b, xtol=2.0e-12, rtol=_RTOL):
     """Roots of f in the brackets [a[k], b[k]], one numpy lane per bracket.
 
     Every lane takes the steps of scipy.optimize.brentq (Brent 1973, as
-    written in scipy's brentq.c) with the same xtol, rtol and maxiter, so
-    each root is bitwise the one brentq finds for its bracket alone.
+    written in scipy's brentq.c) with the same xtol and rtol and brentq's
+    iteration cap, so each root is bitwise the one brentq finds for its
+    bracket alone.
     f(x, lanes) returns the function at x[k] for bracket lanes[k]: it is
     called once for both ends, then once per iteration on the lanes that
     have not converged.
 
     Raises ValueError for a NaN value or a bracket whose ends have the same
-    sign, and RuntimeError when a lane has not converged after maxiter
+    sign, and RuntimeError when a lane has not converged after _MAXITER
     iterations.
     """
     a = np.asarray(a, dtype=float)
@@ -215,7 +216,7 @@ def lane_brentq(f, a, b, xtol=2.0e-12, rtol=_RTOL, maxiter=_MAXITER):
     lanes, xpre, xcur, fpre, fcur = (v[live] for v in
                                      (lanes, a, b, fpre, fcur))
     xblk, fblk, spre, scur = (np.zeros(len(lanes)) for _ in range(4))
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         # Keep the root between xcur and xblk, with |f(xcur)| the smaller.
         # brentq.c also asks fpre and fcur to be nonzero: fpre is, and a
         # lane with fcur == 0 converges at xcur whatever the flip does.
@@ -269,16 +270,15 @@ def lane_brentq(f, a, b, xtol=2.0e-12, rtol=_RTOL, maxiter=_MAXITER):
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur,
                                np.where(sbis > 0, delta, -delta))
-        fcur = np.array(_lane_values(f, xcur, lanes))
-    raise RuntimeError("Failed to converge after %d iterations." % maxiter)
+        fcur = _lane_values(f, xcur, lanes)
+    raise RuntimeError("Failed to converge after %d iterations." % _MAXITER)
 
 
 def _lane_values(f, x, lanes):
-    # f(x, lanes) as one value per lane; a NaN stops the search, as in
-    # scipy's brentq.
-    fx = np.asarray(f(x, lanes), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
+    # f(x, lanes) as a copy the search may update in place, one value per
+    # lane also from an evaluator that returns a constant; a NaN stops the
+    # search, as in scipy's brentq.
+    fx = np.broadcast_to(f(x, lanes), x.shape).astype(float)
     nan = np.isnan(fx)
     if nan.any():
         raise ValueError("The function value at x=%r is NaN; solver cannot "

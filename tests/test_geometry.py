@@ -540,12 +540,13 @@ class TestLaneBrentq:
         with pytest.raises(ValueError, match="different signs"):
             sh.geometry.lane_brentq(f, [-1.0, 0.0], [1.0, 2.0])
 
-    def test_maxiter_raises(self):
+    def test_maxiter_raises(self, monkeypatch):
         def f(x, lanes):
             return x ** 3 - 0.5
 
+        monkeypatch.setattr(sh.geometry, "_MAXITER", 2)
         with pytest.raises(RuntimeError) as ours:
-            sh.geometry.lane_brentq(f, [0.0], [1.0], maxiter=2)
+            sh.geometry.lane_brentq(f, [0.0], [1.0])
         with pytest.raises(RuntimeError) as theirs:
             scipy_brentq(f, 0.0, 1.0, maxiter=2)
         assert str(ours.value) == str(theirs.value)
