@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_flags(cfg: config.RunConfig, args) -> config.RunConfig:
     if args.emit is not None:
         flags = [f for f in args.emit.split(",") if f]
-        cfg = config.apply_override(cfg, "output.emit", flags)
+        cfg = config.apply_override(cfg, {"output.emit": flags})
     return cfg
 
 

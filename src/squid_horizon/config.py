@@ -259,9 +259,11 @@ def resolve_path(path: str) -> tuple:
     return section, key
 
 
-def apply_override(cfg: RunConfig, path: str, value) -> RunConfig:
-    """New configuration with one dotted parameter replaced."""
-    section, key = resolve_path(path)
+def apply_override(cfg: RunConfig, overrides) -> RunConfig:
+    """New configuration with each dotted parameter path in the mapping
+    overrides replaced by its value, validated once with all in place."""
     data = config_to_dict(cfg)
-    data[section][key] = value
+    for path, value in overrides.items():
+        section, key = resolve_path(path)
+        data[section][key] = value
     return from_dict(data)

@@ -37,9 +37,10 @@ __all__ = [
     "write_dispersion_csv",
 ]
 
-# Bias fronts with spectral weight above half a radian per cell undercut the
-# smooth-geometry picture; front_resolved flags them.
+# A front with over _POWER_TOLERANCE of its gradient power above half a radian
+# per cell undercuts the smooth-geometry picture; front_resolved flags it.
 FRONT_KA_LIMIT = 0.5
+_POWER_TOLERANCE = 1e-3
 
 # measure_dispersion drives node 0 with amplitude DRIVE_AMPLITUDE, settles
 # for the group-delay crossing plus SETTLE_PERIODS drive periods and then
@@ -220,17 +221,17 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
 
 
 def front_spectral_fraction(pulse: bias.FluxPulse,
-                            array: circuit.ArrayParams,
-                            time: float = 0.0) -> float:
-    """Fraction of the front-gradient power above ka = FRONT_KA_LIMIT."""
+                            array: circuit.ArrayParams) -> float:
+    """Fraction of the front-gradient power above ka = FRONT_KA_LIMIT, at
+    t = 0: broadening to s0/(1 + b u t) only makes the front smoother."""
     a = array.cell_length
-    s = pulse.steepness_at(time)
+    s = pulse.steepness
     width = 1.0 / max(s, 1.0 / (array.n_cells * a))
     span = max(40.0 * width, 40.0 * a)
     m = 8192
     x = np.linspace(-span, span, m, endpoint=False)
     dx = 2.0 * span / m
-    frac = bias.comoving_flux_fraction(pulse, x + pulse.front_position, time)
+    frac = bias.comoving_flux_fraction(pulse, x + pulse.front_position, 0.0)
     # Scalar spacing keeps the gradient of a constant profile exactly zero;
     # per-point spacings would inject rounding noise across the spectrum.
     gradient = np.gradient(frac, dx)
@@ -242,10 +243,9 @@ def front_spectral_fraction(pulse: bias.FluxPulse,
     return float(power[k * a > FRONT_KA_LIMIT].sum() / total)
 
 
-def front_resolved(pulse: bias.FluxPulse, array: circuit.ArrayParams,
-                   time: float = 0.0, power_tolerance: float = 1e-3) -> bool:
+def front_resolved(pulse: bias.FluxPulse, array: circuit.ArrayParams) -> bool:
     """True when the bias front is smooth on the lattice scale."""
-    return front_spectral_fraction(pulse, array, time) <= power_tolerance
+    return front_spectral_fraction(pulse, array) <= _POWER_TOLERANCE
 
 
 def write_dispersion_csv(path, curve: DispersionCurve) -> None:

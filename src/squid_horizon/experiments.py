@@ -52,12 +52,11 @@ TRAP_CARRIER_KA = 0.1
 TRAP_WINDOW_TRAVERSALS = 5.0
 
 
-def _prepare(cfg: Optional[RunConfig], out_dir, emit):
+def _prepare(cfg: Optional[RunConfig], out_dir):
     cfg = cfg if cfg is not None else config.default_config()
     out = Path(out_dir) if out_dir is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    emit = tuple(emit) if emit is not None else cfg.output.emit
-    return cfg, out, emit
+    return cfg, out, cfg.output.emit
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,14 @@ class Fig2Result:
     svg_path: Optional[str]
 
 
-def reproduce_fig2(cfg: Optional[RunConfig] = None, out_dir=".",
-                   emit=None) -> Fig2Result:
+def reproduce_fig2(cfg: Optional[RunConfig] = None,
+                   out_dir=".") -> Fig2Result:
     """Speed profile across the moving front with the horizon marked.
 
     Emits c(xi)/c(0) together with the constant flow line u/c(0); the
     single horizon of the monotone front sits where the two cross.
     """
-    cfg, out, emit = _prepare(cfg, out_dir, emit)
+    cfg, out, emit = _prepare(cfg, out_dir)
     pulse, array, squid = cfg.pulse, cfg.array, cfg.squid
     c0 = circuit.cell_velocity(array, squid, pulse.dc_offset * FLUX_QUANTUM)
     span = 15.0 / pulse.steepness
@@ -133,10 +132,10 @@ class Fig3Result:
         return tuple(float(v) for v in self.ratios[:, 0])
 
 
-def reproduce_fig3(cfg: Optional[RunConfig] = None, out_dir=".",
-                   emit=None) -> Fig3Result:
+def reproduce_fig3(cfg: Optional[RunConfig] = None,
+                   out_dir=".") -> Fig3Result:
     """Z/R_Q versus flux for four ground capacitances at fixed junctions."""
-    cfg, out, emit = _prepare(cfg, out_dir, emit)
+    cfg, out, emit = _prepare(cfg, out_dir)
     fractions = np.linspace(0.0, 0.49, 99)
     ratios = np.empty((len(FIG3_CAPACITANCES), len(fractions)))
     for i, cap in enumerate(FIG3_CAPACITANCES):
@@ -169,7 +168,8 @@ def reproduce_fig3(cfg: Optional[RunConfig] = None, out_dir=".",
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Emission budget of one traversal against the design targets."""
+    """Emission budget of one traversal against the design targets;
+    temperature_ratio_1000 is NaN on a line shorter than 1000 cells."""
 
     initial_temperature: float
     temperature_ratio_1000: float
@@ -189,15 +189,16 @@ class BudgetReport:
         }
 
 
-def temperature_budget(cfg: Optional[RunConfig] = None, out_dir=".",
-                       emit=None) -> BudgetReport:
+def temperature_budget(cfg: Optional[RunConfig] = None,
+                       out_dir=".") -> BudgetReport:
     """Temperature history and photon count for the configured pulse."""
-    cfg, out, emit = _prepare(cfg, out_dir, emit)
+    cfg, out, emit = _prepare(cfg, out_dir)
     budget = geometry.photons_per_pulse(cfg.array, cfg.squid, cfg.pulse,
                                         cfg.array.n_cells)
     t0 = float(budget.temperatures[0])
     t_1000 = 1000.0 * cfg.array.cell_length / cfg.pulse.velocity
-    ratio = float(np.interp(t_1000, budget.times, budget.temperatures)) / t0
+    ratio = (float(np.interp(t_1000, budget.times, budget.temperatures)) / t0
+             if cfg.array.n_cells >= 1000 else math.nan)
 
     csv_path = svg_path = None
     if "csv" in emit:
@@ -250,7 +251,7 @@ def _centroid_offsets(traj: lattice.LatticeTrajectory, flow: float,
 
 
 def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
-                        emit=None, scenario: str = "pulse") -> TrappingReport:
+                        scenario: str = "pulse") -> TrappingReport:
     """Launch counter-propagating packets around the horizon and classify.
 
     In the "pulse" scenario a forward packet behind the horizon and a
@@ -261,7 +262,7 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
     """
     if scenario not in ("pulse", "static"):
         raise ValueError("scenario must be 'pulse' or 'static'")
-    cfg, out, emit = _prepare(cfg, out_dir, emit)
+    cfg, out, emit = _prepare(cfg, out_dir)
     array, squid = cfg.array, cfg.squid
     a = array.cell_length
     center = 0.5 * array.n_cells * a
@@ -348,8 +349,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.axes) > 2:
             raise ConfigError("at most two sweep axes are supported")
+        paths = [path for path, _ in self.axes]
         for path, values in self.axes:
             config.resolve_path(path)
+            if paths.count(path) > 1:
+                raise ConfigError("axis %r is given more than once" % path)
             if len(values) == 0:
                 raise ConfigError("axis %r has no values" % path)
         if not self.outputs:
@@ -407,14 +411,14 @@ def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid in row-major order, one point after another;
-    per-point failures are recorded, not raised."""
+    """Evaluate the grid in row-major order, one point after another,
+    validating each point with all its coordinates in place; per-point
+    failures are recorded, not raised."""
+    paths = tuple(path for path, _ in spec.axes)
     points = []
     for coords in itertools.product(*[tuple(v) for _, v in spec.axes]):
         try:
-            cfg = spec.base
-            for (path, _), value in zip(spec.axes, coords):
-                cfg = config.apply_override(cfg, path, value)
+            cfg = config.apply_override(spec.base, dict(zip(paths, coords)))
             outputs = _evaluate_outputs(spec.outputs, cfg)
             points.append(SweepPoint(coordinates=coords, outputs=outputs,
                                      error=None))
@@ -422,7 +426,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             points.append(SweepPoint(coordinates=coords, outputs={},
                                      error="%s: %s" % (type(exc).__name__,
                                                        exc)))
-    return SweepResult(axis_paths=tuple(path for path, _ in spec.axes),
+    return SweepResult(axis_paths=paths,
                        output_names=tuple(spec.outputs),
                        points=tuple(points))
 

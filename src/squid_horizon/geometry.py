@@ -56,10 +56,8 @@ class VelocityProfile:
     positions are comoving coordinates xi = x - u*t (m), speed is c(xi)
     (m/s) and flow_speed is the front speed u.  evaluator, when present,
     computes c at a float or an array of arbitrary xi and is used for
-    sub-cell refinement.  spacing is the pitch of the grid the positions
-    were taken from, which scales the refinement tolerance and gradient
-    step; it defaults to the smallest gap between the positions, so a
-    window cut from a grid must carry the whole grid's.  steepness, when
+    sub-cell refinement.  The smallest gap between the positions scales
+    the refinement tolerance and the gradient step.  steepness, when
     known, is the front's inverse width s (1/m): the gradient step then
     stays below 0.05/s, so the difference resolves a front narrower than
     the grid pitch.
@@ -71,12 +69,7 @@ class VelocityProfile:
     time: float = 0.0
     evaluator: Optional[Callable] = field(
         default=None, repr=False, compare=False)
-    spacing: Optional[float] = None
     steepness: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.spacing is None:
-            object.__setattr__(self, "spacing", _grid_step(self.positions))
 
     def speed_at(self, xi):
         """c at comoving position xi, a float or an array."""
@@ -357,10 +350,11 @@ def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     u = profile.flow_speed
     xs = np.asarray(profile.positions, dtype=float)
     f = np.asarray(profile.speed, dtype=float) - u
-    step = _gradient_step(profile.spacing, profile.steepness)
+    spacing = _grid_step(xs)
+    step = _gradient_step(spacing, profile.steepness)
     roots, gradients = _horizons(
         xs, _brackets(f[np.newaxis]), lambda x, rows: profile.speed_at(x), u,
-        profile.spacing, np.array([step]), profile.evaluator is not None)
+        spacing, np.array([step]), profile.evaluator is not None)
     return tuple(HorizonReport(position=root,
                                kind="black" if grad > 0.0 else "white",
                                gradient=grad)

@@ -54,6 +54,7 @@ __all__ = [
 
 _BOUNDARIES = ("reflecting", "absorbing", "driven")
 _BINARY_MAGIC = b"SQHZ1"
+_LOCALIZATION_THRESHOLD = 0.25  # largest participation ratio of a packet
 
 
 @dataclass(frozen=True)
@@ -457,12 +458,11 @@ def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
     return LatticeState(time=0.0, potential=now, momentum=momentum)
 
 
-def measure_pulse_speed(trajectory: LatticeTrajectory,
-                        localization_threshold: float = 0.25) -> float:
+def measure_pulse_speed(trajectory: LatticeTrajectory) -> float:
     """Signed packet velocity from a linear fit of the energy centroid.
 
     Raises NoPacket when the recorded energy is absent or not localized
-    (participation ratio above the threshold).
+    (participation ratio above 0.25).
     """
     density = trajectory.energy_density
     totals = density.sum(axis=1)
@@ -479,7 +479,7 @@ def measure_pulse_speed(trajectory: LatticeTrajectory,
     n = density.shape[1]
     participation = totals ** 2 / (n * (density ** 2).sum(axis=1))
     worst = float(participation.max())
-    if worst > localization_threshold:
+    if worst > _LOCALIZATION_THRESHOLD:
         raise NoPacket("energy not localized (participation ratio %.3f)"
                        % worst)
 

@@ -9,7 +9,7 @@ optional vertical markers, a legend.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = ["line_plot"]
 
@@ -45,13 +45,11 @@ def _fmt(value: float) -> str:
 
 
 def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
-              ylabel: str, vlines: Sequence[tuple] = (),
-              x_range: Optional[tuple] = None,
-              y_range: Optional[tuple] = None) -> None:
+              ylabel: str, vlines: Sequence[tuple] = ()) -> None:
     """Write an SVG with one polyline per (x, y, label) triple.
 
-    ``vlines`` holds (x, label) pairs drawn as dashed markers.  Ranges
-    default to the data extent padded by 5%.
+    ``vlines`` holds (x, label) pairs drawn as dashed markers.  Each axis
+    spans the data extent padded by 5%.
     """
     xs = [float(v) for x, _, _ in series for v in x]
     ys = [float(v) for _, y, _ in series for v in y]
@@ -59,17 +57,15 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
     if not xs or not ys:
         raise ValueError("line_plot needs at least one point")
 
-    def padded(values, forced):
-        if forced is not None:
-            return float(forced[0]), float(forced[1])
+    def padded(values):
         lo, hi = min(values), max(values)
         if hi == lo:
             lo, hi = lo - 1.0, hi + 1.0
         pad = 0.05 * (hi - lo)
         return lo - pad, hi + pad
 
-    x0, x1 = padded(xs, x_range)
-    y0, y1 = padded(ys, y_range)
+    x0, x1 = padded(xs)
+    y0, y1 = padded(ys)
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

@@ -118,7 +118,8 @@ def test_03_photon_budget():
 
 def test_04_impedance_intercepts():
     crit = _Criterion(4, "impedance-intercepts", 1.0)
-    result = experiments.reproduce_fig3(emit=())
+    result = experiments.reproduce_fig3(
+        config.apply_override(config.default_config(), {"output.emit": []}))
     targets = (0.624, 0.883, 1.974, 2.791)
     for target, intercept in zip(targets, result.intercepts):
         crit.check(abs(intercept / target - 1.0) <= 0.01,
@@ -134,7 +135,8 @@ def test_04_impedance_intercepts():
 
 def test_05_front_horizon():
     crit = _Criterion(5, "front-horizon", 1.0)
-    result = experiments.reproduce_fig2(emit=())
+    result = experiments.reproduce_fig2(
+        config.apply_override(config.default_config(), {"output.emit": []}))
     profile = geometry.velocity_profile(make_array(), SQUID,
                                         reference_pulse(), 0.0)
     horizons = geometry.find_horizons(profile)

@@ -132,7 +132,7 @@ class TestRoundTrip:
 
     def test_roundtrip_after_override(self, tmp_path):
         cfg = config.apply_override(config.default_config(),
-                                    "array.ground_capacitance", 1.0e-16)
+                                    {"array.ground_capacitance": 1.0e-16})
         path = tmp_path / "cfg.json"
         config.write_config(path, cfg)
         assert config.load_config(path) == cfg
@@ -200,7 +200,7 @@ class TestOverrides:
 
     def test_apply_override_changes_one_field(self):
         base = config.default_config()
-        cfg = config.apply_override(base, "solver.n_steps", 77)
+        cfg = config.apply_override(base, {"solver.n_steps": 77})
         assert cfg.solver.n_steps == 77
         assert cfg.pulse == base.pulse
         assert base.solver.n_steps == 5000
@@ -208,4 +208,4 @@ class TestOverrides:
     def test_apply_override_still_validates(self):
         with pytest.raises(ConfigError):
             config.apply_override(config.default_config(),
-                                  "pulse.amplitude", 0.7)
+                                  {"pulse.amplitude": 0.7})

@@ -12,44 +12,46 @@ from squid_horizon.errors import ConfigError, ParseError, UnknownKey
 TRAVERSAL_TIME = experiments.TRAP_LAUNCH_CELLS * 2.5e-7 / 3897778.146429868
 
 
+def emitting(*flags):
+    """The shipped configuration writing the given formats."""
+    return config.apply_override(config.default_config(),
+                                 {"output.emit": list(flags)})
+
+
 @pytest.fixture(scope="module")
 def default_cfg():
     return config.default_config()
 
 
 @pytest.fixture(scope="module")
-def fig2_result(default_cfg, tmp_path_factory):
+def fig2_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig2")
-    return experiments.reproduce_fig2(default_cfg, out_dir=out,
-                                      emit=("csv", "svg")), out
+    return experiments.reproduce_fig2(emitting("csv", "svg"),
+                                      out_dir=out), out
 
 
 @pytest.fixture(scope="module")
 def fig3_result(default_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("fig3")
-    return experiments.reproduce_fig3(default_cfg, out_dir=out,
-                                      emit=("csv",)), out
+    return experiments.reproduce_fig3(default_cfg, out_dir=out), out
 
 
 @pytest.fixture(scope="module")
 def budget_report(default_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("budget")
-    return experiments.temperature_budget(default_cfg, out_dir=out,
-                                          emit=("csv",)), out
+    return experiments.temperature_budget(default_cfg, out_dir=out), out
 
 
 @pytest.fixture(scope="module")
 def trap_pulse(default_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("trap")
-    return experiments.wavepacket_trapping(default_cfg, out_dir=out,
-                                           emit=("csv",)), out
+    return experiments.wavepacket_trapping(default_cfg, out_dir=out), out
 
 
 @pytest.fixture(scope="module")
 def trap_static(default_cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("trap_static")
     return experiments.wavepacket_trapping(default_cfg, out_dir=out,
-                                           emit=("csv",),
                                            scenario="static"), out
 
 
@@ -93,14 +95,12 @@ class TestFig2:
 
     def test_deterministic_bytes(self, default_cfg, tmp_path, fig2_result):
         result, _ = fig2_result
-        again = experiments.reproduce_fig2(default_cfg, out_dir=tmp_path,
-                                           emit=("csv",))
+        again = experiments.reproduce_fig2(default_cfg, out_dir=tmp_path)
         assert open(again.csv_path, "rb").read() == \
             open(result.csv_path, "rb").read()
 
-    def test_no_emission_when_disabled(self, default_cfg, tmp_path):
-        result = experiments.reproduce_fig2(default_cfg, out_dir=tmp_path,
-                                            emit=())
+    def test_no_emission_when_disabled(self, tmp_path):
+        result = experiments.reproduce_fig2(emitting(), out_dir=tmp_path)
         assert result.csv_path is None
         assert result.svg_path is None
         assert list(tmp_path.iterdir()) == []
@@ -162,6 +162,14 @@ class TestBudget:
         report, _ = budget_report
         assert report.targets_met == {"temperature": True, "decay": True,
                                       "count": True}
+
+    def test_no_ratio_on_a_line_shorter_than_1000_cells(self, tmp_path):
+        cfg = config.apply_override(config.default_config(),
+                                    {"array.n_cells": 400,
+                                     "output.emit": []})
+        report = experiments.temperature_budget(cfg, out_dir=tmp_path)
+        assert math.isnan(report.temperature_ratio_1000)
+        assert report.targets_met["decay"] is False
 
     def test_traversal_time(self, budget_report, default_cfg):
         report, _ = budget_report
@@ -227,16 +235,16 @@ class TestTrapping:
 
     def test_pulse_scenario_needs_motion(self, tmp_path):
         cfg = config.apply_override(config.default_config(),
-                                    "pulse.velocity", 0.0)
+                                    {"pulse.velocity": 0.0})
         with pytest.raises(ValueError):
             experiments.wavepacket_trapping(cfg, out_dir=tmp_path)
 
 
 @pytest.fixture(scope="module")
 def static_base():
-    cfg = config.apply_override(config.default_config(),
-                                "pulse.amplitude", 0.0)
-    return config.apply_override(cfg, "pulse.velocity", 0.0)
+    return config.apply_override(config.default_config(),
+                                 {"pulse.amplitude": 0.0,
+                                  "pulse.velocity": 0.0})
 
 
 class TestSweep:
@@ -246,7 +254,7 @@ class TestSweep:
             outputs=("cell_speed",))
         result = experiments.run_sweep(spec)
         assert len(result.points) == 1
-        cfg = config.apply_override(static_base, "pulse.dc_offset", 0.2)
+        cfg = config.apply_override(static_base, {"pulse.dc_offset": 0.2})
         direct = circuit.cell_velocity(
             cfg.array, cfg.squid,
             0.2 * 2.067833848461929e-15)
@@ -301,11 +309,26 @@ class TestSweep:
         ((("pulse.bogus", (0.1,)),), ("cell_speed",)),
         ((("pulse.dc_offset", (0.1,)),), ("bogus_output",)),
         ((("pulse.dc_offset", (0.1,)),), ()),
+        ((("pulse.amplitude", (0.1, 0.2)), ("pulse.amplitude", (0.3,))),
+         ("cell_speed",)),
     ])
     def test_invalid_specs_rejected(self, static_base, axes, outputs):
         with pytest.raises(ConfigError):
             experiments.SweepSpec(base=static_base, axes=axes,
                                   outputs=outputs)
+
+    def test_point_is_validated_as_a_whole(self, default_cfg):
+        # (0.45, 0.0) is valid, but the amplitude alone on the 0.1 base
+        # offset would put the peak flux past the half-quantum pole.
+        base = config.apply_override(default_cfg, {"pulse.dc_offset": 0.1})
+        spec = experiments.SweepSpec(
+            base=base, axes=(("pulse.amplitude", (0.2, 0.45)),
+                             ("pulse.dc_offset", (0.0,))),
+            outputs=("cell_speed",))
+        for point in experiments.run_sweep(spec).points:
+            assert point.error is None
+            assert point.outputs["cell_speed"] == pytest.approx(
+                3897778.146429868, rel=1e-12)
 
     def test_load_sweep_file(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -36,14 +36,6 @@ def test_flat_series_does_not_collapse(tmp_path):
     assert "<polyline" in path.read_text()
 
 
-def test_forced_ranges(tmp_path):
-    path = tmp_path / "ranged.svg"
-    x = np.arange(10.0)
-    svgplot.line_plot(path, [(x, x, None)], title="r", xlabel="x",
-                      ylabel="y", x_range=(0.0, 20.0), y_range=(0.0, 20.0))
-    assert "20" in path.read_text()
-
-
 def test_empty_input_rejected(tmp_path):
     with pytest.raises(ValueError):
         svgplot.line_plot(tmp_path / "no.svg", [], title="", xlabel="",
