@@ -89,7 +89,8 @@ class FluxPulse:
 
     @cached_property
     def _plateaus(self) -> tuple[float, float]:
-        # front_window's left and right, cached: it runs every half step.
+        # front_window's left and right, cached: it runs once per block of
+        # steps.
         return (float(_shape_fraction(self, -math.inf)),
                 float(_shape_fraction(self, math.inf)))
 
@@ -107,7 +108,9 @@ def flux_fraction_at(pulse: FluxPulse, x, t: float):
     """Flux through the loop at lab position x and time t, in units of Phi_0.
 
     Accepts scalar or array x.  Away from the front the profile is exactly
-    one of two plateau values; front_window says where.
+    one of two plateau values; front_window says where.  For an array x, t
+    may be an array that broadcasts against it, such as a column of times;
+    each element equals the call with that one time.
     """
     s = pulse.steepness_at(t)
     arg = s * (np.asarray(x, dtype=float) - pulse.front_position - pulse.velocity * t)
@@ -117,17 +120,19 @@ def flux_fraction_at(pulse: FluxPulse, x, t: float):
     return out
 
 
-def front_window(pulse: FluxPulse, t: float,
+def front_window(pulse: FluxPulse, t,
                  positions) -> tuple[int, int, float, float]:
     """Index range of sorted lab positions where the front is not saturated.
 
     Returns (lo, hi, left, right): flux_fraction_at at time t is exactly
     left at positions[:lo] and exactly right at positions[hi:], so only
     positions[lo:hi] need evaluating.  The window is one sample wider on
-    each side than the saturation threshold demands.
+    each side than the saturation threshold demands.  t may be an array of
+    times; the window is then the union of their windows, from the
+    smallest lo to the largest hi.
 
-    Raises ValueError before the broadening pole t = -1/(b*u), where the
-    steepness turns negative.
+    Raises ValueError when any t lies before the broadening pole
+    t = -1/(b*u), where the steepness turns negative.
     """
     return _window(pulse, t, pulse.front_position + pulse.velocity * t,
                    positions)
@@ -145,14 +150,19 @@ def comoving_window(pulse: FluxPulse, t: float,
     return _window(pulse, t, pulse.front_position, xi)
 
 
-def _window(pulse: FluxPulse, t: float, centre: float, positions):
-    s = pulse.steepness_at(t)
-    if not s > 0.0:
+def _window(pulse: FluxPulse, t, centre, positions):
+    # searchsorted is monotone, so the window of the extreme edges is the
+    # union of the windows of every time in t.
+    s = np.asarray(pulse.steepness_at(t))
+    pole = np.logical_not(s > 0.0)
+    if pole.any():
+        first = pole.argmax()
         raise ValueError("front steepness %g at t = %g s: before the "
-                         "broadening pole" % (s, t))
+                         "broadening pole" % (s.flat[first],
+                                              np.ravel(t)[first]))
     half_width = _SATURATION[pulse.shape] / s
     lo, hi = np.asarray(positions).searchsorted(
-        [centre - half_width, centre + half_width]).tolist()
+        [np.min(centre - half_width), np.max(centre + half_width)]).tolist()
     return (max(lo - 1, 0), min(hi + 1, len(positions))) + pulse._plateaus
 
 

@@ -10,7 +10,7 @@ spatial phase, which is how the relation would be mapped out on hardware.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,6 +139,52 @@ def _demodulate(samples: np.ndarray, times: np.ndarray, omega: float):
     return coef[0] + 1j * coef[1]
 
 
+def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
+                      pulse: bias.FluxPulse, dt: float, cell_time: float,
+                      w: float, wavelengths_in_window: float) -> float:
+    # One point of measure_dispersion: its own driven line, settled, then
+    # probed and fitted.  Its arrays are freed before the next point runs.
+    a = array.cell_length
+    omega_max = 2.0 / cell_time
+    ka = 2.0 * math.asin(w / omega_max)
+    wavelength_cells = 2.0 * math.pi / ka
+    window_start = 60
+    window_cells = int(math.ceil(wavelengths_in_window * wavelength_cells))
+    n = window_start + window_cells + 60
+    line = replace(array, n_cells=n)
+
+    drive = lattice.SineDrive(node=0, amplitude=DRIVE_AMPLITUDE,
+                              frequency=w)
+    v_group = (a / cell_time) * math.cos(0.5 * ka)
+    period = 2.0 * math.pi / w
+    settle_time = n * a / v_group + SETTLE_PERIODS * period
+    settle_steps = int(math.ceil(settle_time / dt))
+    fit_steps = int(math.ceil(FIT_PERIODS * period / dt))
+
+    warmup = lattice.run(lattice.zero_state(line), line, squid, pulse,
+                         lattice.SolverConfig(n_steps=settle_steps, dt=dt,
+                                              boundary="driven"),
+                         drive=drive)
+    window = range(window_start, window_start + window_cells)
+    traj = lattice.run(warmup.final_state, line, squid, pulse,
+                       lattice.SolverConfig(n_steps=fit_steps, dt=dt,
+                                            boundary="driven"),
+                       drive=drive, probe_nodes=window)
+
+    phasors = _demodulate(traj.probe_values, traj.probe_times, w)
+    if np.max(np.abs(phasors)) < 1e-9 * max(abs(DRIVE_AMPLITUDE), 1e-30):
+        raise FitFailure("no steady wave at %.3e rad/s" % w)
+    phase = np.unwrap(np.angle(phasors))
+    x = traj.positions[window]
+    slope, intercept = np.polyfit(x, phase, 1)
+    residual = phase - (slope * x + intercept)
+    rms = float(np.sqrt(np.mean(residual ** 2)))
+    if rms > RESIDUAL_THRESHOLD:
+        raise FitFailure("phase fit residual %.3f rad at %.3e rad/s"
+                         % (rms, w))
+    return abs(slope)
+
+
 def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
                        flux_dc: float, frequencies,
                        wavelengths_in_window: float = 10.0
@@ -167,48 +213,9 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     pulse = bias.FluxPulse(amplitude=0.0, dc_offset=flux_fraction)
     dt = lattice.stable_timestep(array, squid, pulse, COURANT_FRACTION)
 
-    measured_k = []
-    for w in frequencies:
-        ka = 2.0 * math.asin(w / omega_max)
-        wavelength_cells = 2.0 * math.pi / ka
-        window_start = 60
-        window_cells = int(math.ceil(wavelengths_in_window * wavelength_cells))
-        n = window_start + window_cells + 60
-        line = circuit.ArrayParams(n_cells=n, cell_length=a,
-                                   ground_capacitance=cap,
-                                   environment_impedance=array.environment_impedance)
-
-        drive = lattice.SineDrive(node=0, amplitude=DRIVE_AMPLITUDE,
-                                  frequency=w)
-        v_group = (a / cell_time) * math.cos(0.5 * ka)
-        period = 2.0 * math.pi / w
-        settle_time = n * a / v_group + SETTLE_PERIODS * period
-        settle_steps = int(math.ceil(settle_time / dt))
-        fit_steps = int(math.ceil(FIT_PERIODS * period / dt))
-
-        warmup = lattice.run(lattice.zero_state(line), line, squid, pulse,
-                             lattice.SolverConfig(n_steps=settle_steps, dt=dt,
-                                                  boundary="driven"),
-                             drive=drive)
-        window = range(window_start, window_start + window_cells)
-        traj = lattice.run(warmup.final_state, line, squid, pulse,
-                           lattice.SolverConfig(n_steps=fit_steps, dt=dt,
-                                                boundary="driven"),
-                           drive=drive, probe_nodes=window)
-
-        phasors = _demodulate(traj.probe_values, traj.probe_times, w)
-        if np.max(np.abs(phasors)) < 1e-9 * max(abs(DRIVE_AMPLITUDE), 1e-30):
-            raise FitFailure("no steady wave at %.3e rad/s" % w)
-        phase = np.unwrap(np.angle(phasors))
-        x = traj.positions[window]
-        slope, intercept = np.polyfit(x, phase, 1)
-        residual = phase - (slope * x + intercept)
-        rms = float(np.sqrt(np.mean(residual ** 2)))
-        if rms > RESIDUAL_THRESHOLD:
-            raise FitFailure("phase fit residual %.3f rad at %.3e rad/s"
-                             % (rms, w))
-        measured_k.append(abs(slope))
-
+    measured_k = [_point_wavenumber(array, squid, pulse, dt, cell_time, w,
+                                    wavelengths_in_window)
+                  for w in frequencies]
     k = np.array(measured_k)
     order = np.argsort(k)
     k = k[order]

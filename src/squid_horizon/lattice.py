@@ -20,6 +20,7 @@ interfaces are SI.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -55,6 +56,8 @@ __all__ = [
 _BOUNDARIES = ("reflecting", "absorbing", "driven")
 _BINARY_MAGIC = b"SQHZ1"
 _LOCALIZATION_THRESHOLD = 0.25  # largest participation ratio of a packet
+# run evaluates the moving bias and the drive for this many steps at once.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -243,26 +246,31 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     ind = np.empty(n)  # cell inductance L/L(0)
     window = [0, n]  # the cells that may be off their plateau
 
-    def set_bias(t):
-        # frac and ind at time t: the front on its window, and the plateau
-        # put back on the cells that left the window since the last call.
+    def bias_rows(times):
+        # frac and ind at each of the times, one row each, on the union of
+        # their windows; a row is exactly on the plateau wherever its own
+        # window ends.  The plateau goes back on the cells of frac and ind
+        # that left the window since the last call.
         old_lo, old_hi = window
-        lo, hi = bias.front_window(pulse, t, positions)[:2]
+        lo, hi = bias.front_window(pulse, times, positions)[:2]
         if lo > old_lo:
             frac[old_lo:lo] = left_frac
             ind[old_lo:lo] = left_ind
         if hi < old_hi:
             frac[hi:old_hi] = right_frac
             ind[hi:old_hi] = right_ind
-        frac[lo:hi] = bias.flux_fraction_at(pulse, positions[lo:hi], t)
-        ind[lo:hi] = circuit.relative_inductance(frac[lo:hi])
         window[:] = lo, hi
+        rows = bias.flux_fraction_at(pulse, positions[lo:hi],
+                                     times[:, np.newaxis])
+        return lo, hi, rows, circuit.relative_inductance(rows)
 
     # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
     # one inductance serves every half step.
     static_bias = pulse.velocity == 0.0
     if static_bias:
-        set_bias(0.0)
+        lo, hi, rows, ind_rows = bias_rows(np.zeros(1))
+        frac[lo:hi] = rows[0]
+        ind[lo:hi] = ind_rows[0]
 
     pot = initial.potential.astype(float).copy()
     mom = initial.momentum.astype(float) / scales.momentum_unit
@@ -294,101 +302,126 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     # (this is what makes the product energy conserve), and its end cells
     # are d[0] - 0.0 and 0.0 - d[-1], signs of zero included.
     diffs = np.zeros(n + 1)
+    bonds = diffs[1:-1]  # np.diff(pot), left by the latest Laplacian
+    pot_right, pot_left = pot[1:], pot[:-1]
+    diffs_right, diffs_left = diffs[1:], diffs[:-1]
     lap = np.empty(n)
     work = np.empty(n)
     kick = dtau * chi
 
-    def laplacian():
-        np.subtract(pot[1:], pot[:-1], out=diffs[1:-1])
-        np.subtract(diffs[1:], diffs[:-1], out=lap)
-
     def record(slot):
         # Product-form energy: q^- q^+ / (2L) is exactly conserved for a
         # static bias, so the recorded drift measures only roundoff.
+        ind_now = ind
         if not static_bias:
-            set_bias(t)
+            lo, hi = bias.front_window(pulse, t, positions)[:2]
+            ind_now = np.empty(n)
+            ind_now[:lo] = left_ind
+            ind_now[hi:] = right_ind
+            ind_now[lo:hi] = circuit.relative_inductance(
+                bias.flux_fraction_at(pulse, positions[lo:hi], t))
         mom_next = mom + kick * lap
-        kin = e_kin_unit * mom * mom_next / (2.0 * ind)
-        d = diffs[1:-1]  # np.diff(pot), left by the Laplacian just taken
-        bond = 0.5 * cap * d * d
+        kin = e_kin_unit * mom * mom_next / (2.0 * ind_now)
+        bond = 0.5 * cap * bonds * bonds
         density = kin.copy()
         density[:-1] += 0.5 * bond
         density[1:] += 0.5 * bond
         rec_times[slot] = t
         rec_pot[slot] = pot
-        rec_cur[slot] = -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind
+        rec_cur[slot] = -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind_now
         rec_energy[slot] = kin.sum() + bond.sum()
         rec_density[slot] = density
 
     mur = config.boundary == "absorbing"
     driven = config.boundary == "driven"
+    open_right = mur or driven
+    stretch = config.current_dependent_inductance
+    check_every = config.check_every
     if driven:
         drive_phase_old = np.sin(drive.frequency * t)
 
     def mur_beta(end_ind):
         # First-order Mur coefficient for an end cell of inductance L/L(0).
-        kappa = dtau * np.sqrt(chi / end_ind)
+        kappa = dtau * math.sqrt(chi / end_ind)
         return (kappa - 1.0) / (kappa + 1.0)
 
-    # Under a static bias without the current-dependent inductance the end
-    # inductances never change, and neither do the coefficients.
-    fixed_ends = static_bias and not config.current_dependent_inductance
-    if fixed_ends:
-        beta_left, beta_right = mur_beta(ind[0]), mur_beta(ind[-1])
+    # The end inductances the Mur coefficients were computed for; they
+    # change only under the current-dependent inductance or when the front
+    # reaches an end.
+    left_end = right_end = None
 
     slot = 0
     next_record = record_steps[slot]
-    for m in range(steps):
-        laplacian()
-        if m == next_record:
-            record(slot)
-            slot += 1
-            next_record = record_steps[slot]
-        if probe_nodes:
-            probe_vals[m] = pot[probe_idx]
-
-        np.multiply(kick, lap, out=work)
-        mom += work
-        if not static_bias:
-            set_bias(t + 0.5 * dt)
-        ind_half = ind
-
-        if config.current_dependent_inductance:
-            current = (cap / scales.t_ref) * mom / ind
-            rel = np.abs(current) / circuit.squid_critical_current(
-                squid, frac * FLUX_QUANTUM)
-            peak = float(rel.max())
-            if peak >= 1.0:
-                raise OverCritical("cell current reached %.3f of critical"
-                                   % peak)
-            ind_half = ind * circuit.inductance_stretch(rel)
-
-        if mur or driven:
-            left_old = (pot[0], pot[1])
-            right_old = (pot[-2], pot[-1])
-
-        np.multiply(dtau, mom, out=work)
-        np.divide(work, ind_half, out=work)
-        pot += work
-
-        if mur:
-            if not fixed_ends:
-                beta_left = mur_beta(ind_half[0])
-            pot[0] = left_old[1] + beta_left * (pot[1] - left_old[0])
-        if mur or driven:
-            if not fixed_ends:
-                beta_right = mur_beta(ind_half[-1])
-            pot[-1] = right_old[0] + beta_right * (pot[-2] - right_old[1])
+    for first in range(0, steps, _BLOCK):
+        block = range(first, min(first + _BLOCK, steps))
+        # The loop's own times t of the block's steps, as the same floats
+        # (at m = 0, initial.time + 0.0 is initial.time).
+        times = initial.time + np.arange(first, block.stop) * dt
+        if not static_bias:  # at the half steps t + dt/2
+            lo, hi, rows, ind_rows = bias_rows(times + 0.5 * dt)
         if driven:
-            phase = np.sin(drive.frequency * (t + dt))
-            pot[drive.node] += drive.amplitude * (phase - drive_phase_old)
-            drive_phase_old = phase
+            phases = np.sin(drive.frequency * (times + dt))
+            kicks = (drive.amplitude
+                     * np.diff(phases, prepend=drive_phase_old)).tolist()
+            drive_phase_old = phases[-1]
 
-        t = initial.time + (m + 1) * dt
-        if (m + 1) % config.check_every == 0 and not np.isfinite(pot).all():
-            raise NonFinite("state overflowed at step %d" % (m + 1))
+        for m in block:
+            np.subtract(pot_right, pot_left, out=bonds)
+            np.subtract(diffs_right, diffs_left, out=lap)
+            if m == next_record:
+                record(slot)
+                slot += 1
+                next_record = record_steps[slot]
+            if probe_nodes:
+                probe_vals[m] = pot[probe_idx]
 
-    laplacian()
+            np.multiply(kick, lap, out=work)
+            mom += work
+            if not static_bias:
+                row = m - first
+                ind[lo:hi] = ind_rows[row]
+                if stretch:
+                    frac[lo:hi] = rows[row]
+            ind_half = ind
+
+            if stretch:
+                current = (cap / scales.t_ref) * mom / ind
+                rel = np.abs(current) / circuit.squid_critical_current(
+                    squid, frac * FLUX_QUANTUM)
+                peak = float(rel.max())
+                if peak >= 1.0:
+                    raise OverCritical("cell current reached %.3f of critical"
+                                       % peak)
+                ind_half = ind * circuit.inductance_stretch(rel)
+
+            if mur:
+                left_old0, left_old1 = pot.item(0), pot.item(1)
+            if open_right:
+                right_old0, right_old1 = pot.item(-2), pot.item(-1)
+
+            np.multiply(dtau, mom, out=work)
+            np.divide(work, ind_half, out=work)
+            pot += work
+
+            if mur:
+                end = ind_half.item(0)
+                if end != left_end:
+                    left_end, beta_left = end, mur_beta(end)
+                pot[0] = left_old1 + beta_left * (pot.item(1) - left_old0)
+            if open_right:
+                end = ind_half.item(-1)
+                if end != right_end:
+                    right_end, beta_right = end, mur_beta(end)
+                pot[-1] = right_old0 + beta_right * (pot.item(-2) - right_old1)
+            if driven:
+                pot[drive.node] += kicks[m - first]
+
+            t = initial.time + (m + 1) * dt
+            if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
+                raise NonFinite("state overflowed at step %d" % (m + 1))
+
+    np.subtract(pot_right, pot_left, out=bonds)
+    np.subtract(diffs_right, diffs_left, out=lap)
     record(slot)
     if probe_nodes:
         probe_vals[steps] = pot[probe_idx]

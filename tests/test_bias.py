@@ -181,6 +181,43 @@ class TestFrontWindow:
         with pytest.raises(ValueError, match="broadening pole"):
             front_window(pulse, -2.0e-10, LINE)
 
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(pulse=pulses(),
+           times=st.lists(st.floats(0.0, 1.0e-9), min_size=1, max_size=8),
+           positions=sorted_grids())
+    @example(pulse=MIDDLE, times=[1.0e-10, 1.6e-10, 2.0e-10],
+             positions=LINE)
+    def test_times_give_the_union_window(self, pulse, times, positions):
+        # The lattice kernel asks for one window per block of steps.
+        each = [front_window(pulse, t, positions) for t in times]
+        union = front_window(pulse, np.array(times), positions)
+        assert union == (min(w[0] for w in each), max(w[1] for w in each),
+                         each[0][2], each[0][3])
+
+    @pytest.mark.parametrize("pulse", [
+        MIDDLE, sh.FluxPulse(amplitude=0.2, dc_offset=0.05, velocity=3.7e6,
+                             steepness=4.4e5, shape="gaussian")],
+        ids=["broadening-tanh", "gaussian"])
+    def test_column_of_times_matches_each_time(self, pulse):
+        # The lattice kernel evaluates a block of half steps this way.
+        times = 1.0e-10 + np.arange(64) * 1.3e-14 + 0.65e-14
+        lo, hi = front_window(pulse, times, LINE)[:2]
+        rows = flux_fraction_at(pulse, LINE[lo:hi], times[:, np.newaxis])
+        assert rows.shape == (64, hi - lo)
+        for row, t in zip(rows, times):
+            assert row.tobytes() == flux_fraction_at(
+                pulse, LINE[lo:hi], t).tobytes()
+
+    def test_no_union_window_when_any_time_is_before_the_pole(self):
+        pulse = sh.FluxPulse(amplitude=0.2, velocity=1.0e6, steepness=4.4e5,
+                             broadening=1.0e4)
+        times = np.array([0.0, -0.5e-10, -2.0e-10, 1.0e-10])
+        with pytest.raises(ValueError,
+                           match=r"at t = -2e-10 s: before the broadening"):
+            front_window(pulse, times, LINE)
+        assert front_window(pulse, times[:2], LINE)[0] == 0
+
     def test_window_follows_the_front(self):
         # At 1e-10 s and 2e-10 s the front is near cells 1480 and 2960,
         # and broadening has widened its window.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import squid_horizon as sh
-from squid_horizon import bias, errors, lattice
+from squid_horizon import bias, circuit, errors, lattice
 from squid_horizon.constants import FLUX_QUANTUM
 
 from conftest import REF_CELL_SPEED
@@ -525,12 +525,95 @@ class TestRecording:
                                    traj.energies, rtol=1e-12)
 
 
+def reference_run(initial, arr, squid, pulse, config, drive=None,
+                  probe_nodes=()):
+    """The leapfrog of lattice.run written plainly: the bias of the whole
+    line at every half step from a scalar time, np.sin at every step and
+    both Mur coefficients at every step.  Returns the fields of a
+    LatticeTrajectory by name, the final state's included."""
+    n = arr.n_cells
+    scales = lattice._Scales(arr, squid)
+    dt = config.dt or lattice.stable_timestep(arr, squid, pulse,
+                                              config.courant_fraction)
+    dtau, chi, cap = dt / scales.t_ref, scales.chi, scales.cap
+    kick = dtau * chi
+    positions = (np.arange(n) + 0.5) * arr.cell_length
+    probe_idx = np.array(probe_nodes, dtype=int)
+
+    def bias_at(t):
+        frac = bias.flux_fraction_at(pulse, positions, t)
+        return frac, circuit.relative_inductance(frac)
+
+    def laplacian(pot):
+        return np.diff(np.concatenate(([0.0], np.diff(pot), [0.0])))
+
+    def mur_beta(end_ind):
+        kappa = dtau * np.sqrt(chi / end_ind)
+        return (kappa - 1.0) / (kappa + 1.0)
+
+    out = {key: [] for key in ("times", "potentials", "currents",
+                               "energies", "energy_density",
+                               "probe_values")}
+
+    def record(t, pot, mom):
+        ind = bias_at(t)[1]
+        mom_next = mom + kick * laplacian(pot)
+        kin = (cap / chi) * mom * mom_next / (2.0 * ind)
+        d = np.diff(pot)
+        bond = 0.5 * cap * d * d
+        density = kin.copy()
+        density[:-1] += 0.5 * bond
+        density[1:] += 0.5 * bond
+        out["times"].append(t)
+        out["potentials"].append(pot.copy())
+        out["currents"].append(
+            -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind)
+        out["energies"].append(kin.sum() + bond.sum())
+        out["energy_density"].append(density)
+
+    steps = config.n_steps
+    cadence = config.record_every or steps
+    record_steps = set(range(0, steps, cadence)) | {steps}
+    pot = initial.potential.copy()
+    mom = initial.momentum / scales.momentum_unit
+    t = initial.time
+    if drive is not None:
+        phase_old = np.sin(drive.frequency * t)
+    for m in range(steps):
+        if m in record_steps:
+            record(t, pot, mom)
+        out["probe_values"].append(pot[probe_idx])
+        mom = mom + kick * laplacian(pot)
+        frac, ind = bias_at(t + 0.5 * dt)
+        if config.current_dependent_inductance:
+            rel = np.abs((cap / scales.t_ref) * mom / ind) / (
+                circuit.squid_critical_current(squid, frac * FLUX_QUANTUM))
+            ind = ind * circuit.inductance_stretch(rel)
+        old = pot.copy()
+        pot = pot + dtau * mom / ind
+        if config.boundary == "absorbing":
+            pot[0] = old[1] + mur_beta(ind[0]) * (pot[1] - old[0])
+        if config.boundary != "reflecting":
+            pot[-1] = old[-2] + mur_beta(ind[-1]) * (pot[-2] - old[-1])
+        if drive is not None:
+            phase = np.sin(drive.frequency * (t + dt))
+            pot[drive.node] += drive.amplitude * (phase - phase_old)
+            phase_old = phase
+        t = initial.time + (m + 1) * dt
+    record(t, pot, mom)
+    out["probe_values"].append(pot[probe_idx])
+    out = {key: np.array(value) for key, value in out.items()}
+    out["potential"], out["momentum"] = pot, mom * scales.momentum_unit
+    return out
+
+
 class TestWindowedKernel:
-    """run evaluates the front only inside bias.front_window and keeps the
-    plateau values elsewhere; widening the window to the whole line must
-    not change a single bit of the result."""
+    """run evaluates the front only inside bias.front_window, keeps the
+    plateau values elsewhere and takes the bias and the drive of a block
+    of steps at once; none of it may change a bit against reference_run."""
 
     N = 480
+    STEPS = 600  # not a multiple of lattice._BLOCK
     SPEED = 0.9 * REF_CELL_SPEED
     PULSES = {
         "broadening-tanh": sh.FluxPulse(
@@ -545,20 +628,33 @@ class TestWindowedKernel:
     }
 
     @staticmethod
-    def trajectory(ref_squid, pulse, boundary, current_dependent):
+    def assert_same_bits(ref_squid, pulse, boundary, current_dependent,
+                         start=0.0):
         n = TestWindowedKernel.N
         arr = make_array(n)
         rng = np.random.default_rng(41)
-        state = lattice.LatticeState(0.0, rng.standard_normal(n) * 1e-4,
+        state = lattice.LatticeState(start, rng.standard_normal(n) * 1e-4,
                                      rng.standard_normal(n) * 1e-27)
         drive = (lattice.SineDrive(node=0, amplitude=1e-4,
                                    frequency=0.3 / CELL_TIME)
                  if boundary == "driven" else None)
         cfg = lattice.SolverConfig(
-            n_steps=600, boundary=boundary, record_every=100,
-            current_dependent_inductance=current_dependent)
-        return lattice.run(state, arr, ref_squid, pulse, cfg, drive=drive,
-                           probe_nodes=(10, 200, n - 1))
+            n_steps=TestWindowedKernel.STEPS, boundary=boundary,
+            record_every=100, current_dependent_inductance=current_dependent)
+        probes = (10, 200, n - 1)
+        assert cfg.n_steps % lattice._BLOCK != 0
+        kernel = lattice.run(state, arr, ref_squid, pulse, cfg, drive=drive,
+                             probe_nodes=probes)
+        reference = reference_run(state, arr, ref_squid, pulse, cfg,
+                                  drive=drive, probe_nodes=probes)
+
+        for field in ("times", "potentials", "currents", "energies",
+                      "energy_density", "probe_values"):
+            a, b = getattr(kernel, field), reference[field]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        for field in ("potential", "momentum"):
+            a = getattr(kernel.final_state, field)
+            assert a.tobytes() == reference[field].tobytes(), field
 
     def test_start_before_broadening_pole_rejected(self, ref_squid):
         # s0 / (1 + b*u*t) is negative before t = -1/(b*u): no front there.
@@ -575,30 +671,19 @@ class TestWindowedKernel:
     @pytest.mark.parametrize("boundary", ["reflecting", "absorbing",
                                           "driven"])
     @pytest.mark.parametrize("name", sorted(PULSES))
-    def test_whole_line_window_gives_same_bits(self, ref_squid, monkeypatch,
-                                               name, boundary,
-                                               current_dependent):
+    def test_whole_line_window_gives_same_bits(self, ref_squid, name,
+                                               boundary, current_dependent):
         pulse = self.PULSES[name]
         positions = (np.arange(self.N) + 0.5) * CELL_LENGTH
         lo, hi, _, _ = bias.front_window(pulse, 0.0, positions)
         assert hi - lo < self.N // 2  # the window saves work to begin with
+        self.assert_same_bits(ref_squid, pulse, boundary, current_dependent)
 
-        windowed = self.trajectory(ref_squid, pulse, boundary,
-                                   current_dependent)
-        window = bias.front_window
-        monkeypatch.setattr(
-            bias, "front_window",
-            lambda p, t, x: (0, len(x)) + window(p, t, x)[2:])
-        whole = self.trajectory(ref_squid, pulse, boundary, current_dependent)
-
-        for field in ("times", "potentials", "currents", "energies",
-                      "energy_density", "probe_values"):
-            a, b = getattr(windowed, field), getattr(whole, field)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
-        for field in ("potential", "momentum"):
-            a = getattr(windowed.final_state, field)
-            b = getattr(whole.final_state, field)
-            assert a.tobytes() == b.tobytes(), field
+    @pytest.mark.parametrize("boundary", ["absorbing", "driven"])
+    def test_later_start_gives_same_bits(self, ref_squid, boundary):
+        # The blocks' times start from initial.time, as the loop's do.
+        self.assert_same_bits(ref_squid, self.PULSES["broadening-tanh"],
+                              boundary, True, start=2.7e-12)
 
 
 class TestExport:
