@@ -13,11 +13,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squid_horizon
-from squid_horizon import config
+from squid_horizon import config, experiments, lattice
 from squid_horizon.cli import main
+
+from test_csv import reference_csv
 
 
 @pytest.fixture(autouse=True)
@@ -216,6 +219,18 @@ class TestSimulate:
         # Header plus (initial snapshot + 4 records) * 600 nodes.
         assert len(lines) == 1 + 5 * 600
 
+    def test_csv_text_is_percent_formatting(self, tmp_path, small_cfg):
+        main(["simulate", "--config", str(small_cfg),
+              "--out", str(tmp_path), "--emit", "csv,bin"])
+        times, potentials, currents, volts = lattice.read_trajectory_binary(
+            tmp_path / "trajectory.sqhz")
+        n_rec, n = potentials.shape
+        expected = reference_csv(
+            "t,node,A,I,V", "%.12e,%d,%.12e,%.12e,%.12e",
+            np.repeat(times, n), np.tile(np.arange(n), n_rec),
+            potentials.ravel(), currents.ravel(), volts.ravel())
+        assert (tmp_path / "trajectory.csv").read_bytes() == expected
+
 
 class TestDispersion:
     def test_measures_standard_points(self, tmp_path, capsys):
@@ -273,6 +288,25 @@ class TestReproduce:
         assert "static: forward_behind crossed" in out
         assert (tmp_path / "trapping_pulse.csv").exists()
         assert (tmp_path / "trapping_static.csv").exists()
+
+    @pytest.mark.parametrize("target, names",
+                             [("fig3", ["fig3_impedance.csv"]),
+                              ("trapping", ["trapping_pulse.csv",
+                                            "trapping_static.csv"])])
+    def test_csv_text_is_percent_formatting(self, tmp_path, monkeypatch,
+                                            target, names):
+        calls = {}
+
+        def recording(path, header, fmt, *columns):
+            calls[Path(path).name] = reference_csv(header, fmt, *columns)
+            real_write_csv(path, header, fmt, *columns)
+
+        real_write_csv = experiments.write_csv
+        monkeypatch.setattr(experiments, "write_csv", recording)
+        assert main(["reproduce", target, "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == calls[name]
 
     def test_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
