@@ -61,19 +61,19 @@ class FluxPulse:
     shape: str = "tanh"
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0.0 or self.dc_offset < 0.0:
-            raise ValueError("amplitude and dc_offset must be non-negative")
+        # Written so that NaN fails every check.
+        for name in ("amplitude", "dc_offset", "velocity", "broadening"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be non-negative and finite" % name)
+        if not 0.0 < self.steepness < math.inf:
+            raise ValueError("steepness must be positive and finite")
+        if not math.isfinite(self.front_position):
+            raise ValueError("front_position must be finite")
         if self.dc_offset + self.amplitude >= 0.5:
             raise FluxOutOfRange(
                 "peak flux %.4f Phi_0 reaches the half-quantum pole"
                 % (self.dc_offset + self.amplitude)
             )
-        if self.velocity < 0.0:
-            raise ValueError("velocity must be non-negative")
-        if self.steepness <= 0.0:
-            raise ValueError("steepness must be positive")
-        if self.broadening < 0.0:
-            raise ValueError("broadening must be non-negative")
         if not np.isfinite(self.broadening * self.velocity):
             raise ValueError("broadening * velocity must be finite")
         if self.shape not in _SHAPES:

@@ -58,12 +58,15 @@ class JunctionParams:
     normal_resistance: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.critical_current <= 0.0:
-            raise ValueError("critical_current must be positive")
-        if self.capacitance <= 0.0:
-            raise ValueError("capacitance must be positive")
-        if self.normal_resistance is not None and self.normal_resistance <= 0.0:
-            raise ValueError("normal_resistance must be positive when given")
+        # Written so that NaN fails every check.
+        if not 0.0 < self.critical_current < math.inf:
+            raise ValueError("critical_current must be positive and finite")
+        if not 0.0 < self.capacitance < math.inf:
+            raise ValueError("capacitance must be positive and finite")
+        if self.normal_resistance is not None and \
+                not 0.0 < self.normal_resistance < math.inf:
+            raise ValueError("normal_resistance must be positive and finite "
+                             "when given")
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class SquidParams:
     loop_inductance: float
 
     def __post_init__(self) -> None:
-        if self.loop_inductance < 0.0:
-            raise ValueError("loop_inductance must be non-negative")
+        if not 0.0 <= self.loop_inductance < math.inf:
+            raise ValueError("loop_inductance must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,13 @@ class ArrayParams:
     def __post_init__(self) -> None:
         if self.n_cells < 2:
             raise ValueError("n_cells must be at least 2")
-        if self.cell_length <= 0.0:
-            raise ValueError("cell_length must be positive")
-        if self.ground_capacitance <= 0.0:
-            raise ValueError("ground_capacitance must be positive")
-        if self.environment_impedance < 0.0:
-            raise ValueError("environment_impedance must be non-negative")
+        if not 0.0 < self.cell_length < math.inf:
+            raise ValueError("cell_length must be positive and finite")
+        if not 0.0 < self.ground_capacitance < math.inf:
+            raise ValueError("ground_capacitance must be positive and finite")
+        if not 0.0 <= self.environment_impedance < math.inf:
+            raise ValueError("environment_impedance must be non-negative and "
+                             "finite")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,8 +121,8 @@ class SolverConfig:
             raise ValueError("record_every must be non-negative")
         if self.check_every < 1:
             raise ValueError("check_every must be positive")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,10 @@ class SineDrive:
     frequency: float
 
     def __post_init__(self):
-        if self.frequency <= 0.0:
-            raise ValueError("drive frequency must be positive")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError("drive frequency must be positive and finite")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("drive amplitude must be finite")
         if self.node < 0:
             raise ValueError("drive node %d outside the line" % self.node)
 
@@ -166,6 +169,11 @@ class LatticeTrajectory:
         e0 = self.energies[0]
         scale = max(abs(e0), 1e-300)
         return float(np.max(np.abs(self.energies - e0)) / scale)
+
+    @cached_property
+    def voltages(self) -> np.ndarray:
+        """Capacitor voltages of each record, as LatticeState.voltages."""
+        return np.diff(self.potentials, prepend=0.0)
 
 
 def zero_state(array: circuit.ArrayParams) -> LatticeState:
@@ -236,30 +244,18 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     chi = scales.chi
 
     positions = (np.arange(n) + 0.5) * a
-    # Outside the front's window each cell sits exactly on one of two
-    # plateaus, whose flux stays put as the front moves and broadens.
-    left_frac, right_frac = bias.front_window(pulse, initial.time,
-                                              positions)[2:]
-    left_ind, right_ind = circuit.relative_inductance(
-        np.array([left_frac, right_frac]))
     frac = np.empty(n)
     ind = np.empty(n)  # cell inductance L/L(0)
-    window = [0, n]  # the cells that may be off their plateau
 
     def bias_rows(times):
-        # frac and ind at each of the times, one row each, on the union of
-        # their windows; a row is exactly on the plateau wherever its own
-        # window ends.  The plateau goes back on the cells of frac and ind
-        # that left the window since the last call.
-        old_lo, old_hi = window
-        lo, hi = bias.front_window(pulse, times, positions)[:2]
-        if lo > old_lo:
-            frac[old_lo:lo] = left_frac
-            ind[old_lo:lo] = left_ind
-        if hi < old_hi:
-            frac[hi:old_hi] = right_frac
-            ind[hi:old_hi] = right_ind
-        window[:] = lo, hi
+        # Each time's row of flux fraction and L/L(0) on the union of the
+        # times' windows.  Outside that window every cell sits exactly on
+        # one of the two plateaus at each of the times, and frac and ind are
+        # put there.
+        lo, hi, left, right = bias.front_window(pulse, times, positions)
+        frac[:lo], frac[hi:] = left, right
+        ind[:lo], ind[hi:] = circuit.relative_inductance(
+            np.array([left, right]))
         rows = bias.flux_fraction_at(pulse, positions[lo:hi],
                                      times[:, np.newaxis])
         return lo, hi, rows, circuit.relative_inductance(rows)
@@ -312,14 +308,12 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     def record(slot):
         # Product-form energy: q^- q^+ / (2L) is exactly conserved for a
         # static bias, so the recorded drift measures only roundoff.
-        ind_now = ind
-        if not static_bias:
-            lo, hi = bias.front_window(pulse, t, positions)[:2]
-            ind_now = np.empty(n)
-            ind_now[:lo] = left_ind
-            ind_now[hi:] = right_ind
-            ind_now[lo:hi] = circuit.relative_inductance(
-                bias.flux_fraction_at(pulse, positions[lo:hi], t))
+        # A front that moves more than a cell per half step can take the
+        # record's window past its block's, where the stepping reads ind,
+        # so the record's row goes into a copy.
+        lo, hi, _, ind_rows = bias_rows(np.array([t]))
+        ind_now = ind.copy()
+        ind_now[lo:hi] = ind_rows[0]
         mom_next = mom + kick * lap
         kin = e_kin_unit * mom * mom_next / (2.0 * ind_now)
         bond = 0.5 * cap * bonds * bonds
@@ -524,21 +518,20 @@ def measure_pulse_speed(trajectory: LatticeTrajectory) -> float:
 def write_trajectory_csv(path, trajectory: LatticeTrajectory) -> None:
     """Row-per-node dump with columns t, node, A, I, V."""
     n_rec, n = trajectory.potentials.shape
-    volts = np.diff(trajectory.potentials, axis=1, prepend=0.0)
     write_csv(path, "t,node,A,I,V", "%.12e,%d,%.12e,%.12e,%.12e",
               np.repeat(trajectory.times, n), np.tile(np.arange(n), n_rec),
               trajectory.potentials.ravel(), trajectory.currents.ravel(),
-              volts.ravel())
+              trajectory.voltages.ravel())
 
 
 def write_trajectory_binary(path, trajectory: LatticeTrajectory) -> None:
     """Columnar little-endian dump: header, times, then A, I, V blocks."""
     n_rec, n = trajectory.potentials.shape
-    volts = np.diff(trajectory.potentials, axis=1, prepend=0.0)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5sII", _BINARY_MAGIC, n, n_rec))
         fh.write(np.ascontiguousarray(trajectory.times, dtype="<f8").tobytes())
-        for block in (trajectory.potentials, trajectory.currents, volts):
+        for block in (trajectory.potentials, trajectory.currents,
+                      trajectory.voltages):
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,14 @@ class TestPulseValidation:
     def test_negative_velocity_rejected(self):
         with pytest.raises(ValueError):
             sh.FluxPulse(amplitude=0.2, velocity=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["amplitude", "dc_offset", "velocity",
+                                       "steepness", "front_position",
+                                       "broadening"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sh.FluxPulse(**{"amplitude": 0.2, field: value})
 
 
 class TestTanhProfile:

@@ -139,6 +139,30 @@ class TestStaticRelations:
         assert z * z * math.cos(math.pi * fraction) == pytest.approx(z0 * z0, rel=1e-12)
 
 
+class TestParameterValidation:
+    VALID = {
+        "JunctionParams": {"critical_current": 2e-6, "capacitance": 1.5e-16,
+                           "normal_resistance": 100.0},
+        "SquidParams": {"junction": sh.JunctionParams(2e-6, 1.5e-16),
+                        "loop_inductance": 1e-11},
+        "ArrayParams": {"n_cells": 10, "cell_length": 2.5e-7,
+                        "ground_capacitance": 5e-17,
+                        "environment_impedance": 50.0},
+    }
+    FIELDS = [(name, field) for name, kwargs in VALID.items()
+              for field, value in kwargs.items() if isinstance(value, float)]
+
+    def test_valid_parameters_accepted(self):
+        for name, kwargs in self.VALID.items():
+            getattr(sh, name)(**kwargs)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, field", FIELDS)
+    def test_negative_or_non_finite_rejected(self, name, field, value):
+        with pytest.raises(ValueError, match=field):
+            getattr(sh, name)(**{**self.VALID[name], field: value})
+
+
 class TestArrayInputs:
     """The static relations take a float or an array of flux (and current);
     element i of an array call equals the scalar call on element i."""

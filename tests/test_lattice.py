@@ -32,6 +32,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             lattice.SolverConfig(n_steps=10, boundary="periodic")
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-15, math.nan, math.inf,
+                                    -math.inf])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            lattice.SolverConfig(n_steps=10, dt=dt)
+
     def test_oversized_dt_rejected(self, ref_squid, uniform):
         arr = make_array(64)
         cfg = lattice.SolverConfig(n_steps=10, dt=CELL_TIME)
@@ -359,10 +365,16 @@ class TestAbsorbingBoundary:
 
 
 class TestSineDrive:
-    @pytest.mark.parametrize("frequency", [0.0, -1.0e11])
+    @pytest.mark.parametrize("frequency", [0.0, -1.0e11, math.nan, math.inf,
+                                           -math.inf])
     def test_non_positive_frequency_rejected(self, frequency):
         with pytest.raises(ValueError, match="frequency must be positive"):
             lattice.SineDrive(node=0, amplitude=1e-6, frequency=frequency)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            lattice.SineDrive(node=0, amplitude=amplitude, frequency=1.0e11)
 
     def test_negative_node_rejected(self):
         with pytest.raises(ValueError, match="drive node -1 outside"):
@@ -625,6 +637,18 @@ class TestWindowedKernel:
         "still-tanh": sh.FluxPulse(
             amplitude=0.2, dc_offset=0.05, steepness=3.2e6,
             front_position=240 * CELL_LENGTH),
+        # More than two cells per half step: a record's window can reach
+        # past the union window of its block's half steps.
+        "racing-tanh": sh.FluxPulse(
+            amplitude=0.2, dc_offset=0.05, velocity=40 * REF_CELL_SPEED,
+            steepness=3.2e6, front_position=60 * CELL_LENGTH),
+        # The windows of these two reach the ends of the line.
+        "entering-tanh": sh.FluxPulse(
+            amplitude=0.2, dc_offset=0.05, velocity=SPEED, steepness=3.2e6,
+            front_position=-60 * CELL_LENGTH, broadening=2.0e4),
+        "leaving-tanh": sh.FluxPulse(
+            amplitude=0.2, dc_offset=0.05, velocity=SPEED, steepness=3.2e6,
+            front_position=420 * CELL_LENGTH),
     }
 
     @staticmethod
@@ -678,6 +702,18 @@ class TestWindowedKernel:
         lo, hi, _, _ = bias.front_window(pulse, 0.0, positions)
         assert hi - lo < self.N // 2  # the window saves work to begin with
         self.assert_same_bits(ref_squid, pulse, boundary, current_dependent)
+
+    def test_windows_reach_both_ends_of_the_line(self, ref_squid):
+        positions = (np.arange(self.N) + 0.5) * CELL_LENGTH
+        entering, leaving = (self.PULSES[name]
+                             for name in ("entering-tanh", "leaving-tanh"))
+        dt = lattice.stable_timestep(make_array(self.N), ref_squid, leaving)
+        end = self.STEPS * dt
+        assert bias.front_window(entering, 0.0, positions)[:2] == (0, 1)
+        assert bias.front_window(entering, end, positions)[0] > 0
+        assert bias.front_window(leaving, 0.0, positions)[1] < self.N
+        assert bias.front_window(leaving, end, positions)[:2] == (
+            self.N - 1, self.N)
 
     @pytest.mark.parametrize("boundary", ["absorbing", "driven"])
     def test_later_start_gives_same_bits(self, ref_squid, boundary):
