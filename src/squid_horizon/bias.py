@@ -10,17 +10,16 @@ bump shape is available behind a flag for two-horizon studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import FLUX_QUANTUM
-from .errors import FluxOutOfRange, NoRoot
+from .errors import FluxOutOfRange, NoHorizon, NoRoot
 
 _SHAPES = ("tanh", "gaussian")
 
-# Upper end of the broadening bracket used by the calibration search.
+# Largest broadening rate the calibration returns (1/m).
 BROADENING_MAX = 1.0e6
 
 # Scaled front coordinate beyond which each shape sits exactly on its
@@ -86,13 +85,6 @@ class FluxPulse:
     def peak_fraction(self) -> float:
         """Largest flux anywhere on the line, as a fraction of Phi_0."""
         return self.dc_offset + self.amplitude
-
-    @cached_property
-    def _plateaus(self) -> tuple[float, float]:
-        # front_window's left and right, cached: it runs once per block of
-        # steps.
-        return (float(_shape_fraction(self, -math.inf)),
-                float(_shape_fraction(self, math.inf)))
 
 
 def _shape_fraction(pulse: FluxPulse, arg):
@@ -163,7 +155,8 @@ def _window(pulse: FluxPulse, t, centre, positions):
     half_width = _SATURATION[pulse.shape] / s
     lo, hi = np.asarray(positions).searchsorted(
         [np.min(centre - half_width), np.max(centre + half_width)]).tolist()
-    return (max(lo - 1, 0), min(hi + 1, len(positions))) + pulse._plateaus
+    return (max(lo - 1, 0), min(hi + 1, len(positions)),
+            *_shape_fraction(pulse, np.array([-math.inf, math.inf])).tolist())
 
 
 def comoving_flux_fraction(pulse: FluxPulse, xi, t: float):
@@ -189,13 +182,14 @@ def calibrate_broadening(pulse: FluxPulse, array, squid, target_decay: float,
                          n_cells: int) -> float:
     """Broadening rate that makes the horizon temperature decay as requested.
 
-    Finds b such that the Hawking temperature of the comoving profile drops
-    by target_decay (e.g. 0.1 for ten percent) after the front has travelled
-    n_cells lattice cells.  The temperature is evaluated through the horizon
-    machinery rather than the closed-form steepness law, so the calibration
-    also exercises the profile and gradient code paths.
+    Returns b = target_decay / ((1 - target_decay) * n_cells * a), the rate
+    at which T_H drops by target_decay (0.1 for ten percent) while the front
+    travels n_cells cells: every horizon keeps its scaled front coordinate,
+    so T_H follows the steepness s0/(1 + b*u*t).
 
-    Raises NoRoot when no b in [0, BROADENING_MAX] reaches the target.
+    Raises ValueError for target_decay outside (0, 1) or a still pulse,
+    NoHorizon when the line has no horizon at t = 0, and NoRoot when b
+    lies outside (0, BROADENING_MAX], as it does for n_cells <= 0.
     """
     from . import geometry
 
@@ -203,28 +197,12 @@ def calibrate_broadening(pulse: FluxPulse, array, squid, target_decay: float,
         raise ValueError("target_decay must lie in (0, 1)")
     if pulse.velocity <= 0.0:
         raise ValueError("broadening calibration needs a moving pulse")
-
-    travel_time = n_cells * array.cell_length / pulse.velocity
-    goal = 1.0 - target_decay
-
-    def temperature(b: float, t: float) -> float:
-        probe = replace(pulse, broadening=b)
-        profile = geometry.velocity_profile(array, squid, probe, t)
-        return geometry.hawking_temperature(profile)
-
-    def objective(b: float) -> float:
-        return temperature(b, travel_time) / temperature(b, 0.0) - goal
-
-    lo, hi = 0.0, BROADENING_MAX
-    f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_lo * f_hi > 0.0:
+    if not geometry.line_horizons(array, squid, pulse):
+        raise NoHorizon("no horizon on the line to calibrate")
+    span = (1.0 - target_decay) * n_cells * array.cell_length
+    if not target_decay <= BROADENING_MAX * span:
         raise NoRoot(
             "target decay %.3g not reachable with broadening in [0, %g]"
             % (target_decay, BROADENING_MAX)
         )
-    root = geometry.lane_brentq(
-        lambda b, lanes: [objective(v) for v in b.tolist()], [lo], [hi],
-        rtol=1.0e-3)
-    return float(root[0])
+    return target_decay / span

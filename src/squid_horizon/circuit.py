@@ -14,6 +14,7 @@ flux (and current); each array element equals the float result bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -92,8 +93,8 @@ class ArrayParams:
     environment_impedance: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.n_cells < 2:
-            raise ValueError("n_cells must be at least 2")
+        if not isinstance(self.n_cells, numbers.Integral) or self.n_cells < 2:
+            raise ValueError("n_cells must be an integer of at least 2")
         if not 0.0 < self.cell_length < math.inf:
             raise ValueError("cell_length must be positive and finite")
         if not 0.0 < self.ground_capacitance < math.inf:

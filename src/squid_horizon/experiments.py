@@ -274,10 +274,11 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
             raise ValueError("the pulse scenario needs a moving front")
         span = 30.0 / pulse.steepness
         xi = center + np.linspace(-span, span, 2001)
-        profile = geometry.velocity_profile(array, squid, pulse, 0.0,
-                                            positions=xi)
-        horizon = geometry.find_horizons(profile)[0]
-        reference = horizon.position
+        horizons = geometry.find_horizons(
+            geometry.velocity_profile(array, squid, pulse, 0.0, positions=xi))
+        if not horizons:
+            raise NoHorizon("the pulse has no horizon to launch around")
+        reference = horizons[0].position
     else:
         pulse = bias.FluxPulse(amplitude=0.0, dc_offset=cfg.pulse.dc_offset,
                                velocity=0.0, steepness=cfg.pulse.steepness,
@@ -380,16 +381,14 @@ class SweepResult:
 
 def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
     # In request order, so a failing point records the first error it hits.
-    # The t = 0 profile and its horizons are built once, on first use.
+    # The line's t = 0 horizons are found once, on first use.
     flux_dc = cfg.pulse.dc_offset * FLUX_QUANTUM
     horizons = None
     outputs = {}
     for name in names:
         if name in ("horizon_count", "hawking_temperature") and \
                 horizons is None:
-            profile = geometry.velocity_profile(cfg.array, cfg.squid,
-                                                cfg.pulse, 0.0)
-            horizons = geometry.find_horizons(profile)
+            horizons = geometry.line_horizons(cfg.array, cfg.squid, cfg.pulse)
         if name == "cell_speed":
             value = circuit.cell_velocity(cfg.array, cfg.squid, flux_dc)
         elif name == "impedance_ratio":
@@ -399,7 +398,7 @@ def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
             value = float(len(horizons))
         elif name == "hawking_temperature":
             value = geometry.hawking_temperature(
-                profile, geometry.emitting_horizon(horizons))
+                None, geometry.emitting_horizon(horizons))
         elif name == "photon_count":
             value = geometry.photons_per_pulse(
                 cfg.array, cfg.squid, cfg.pulse, cfg.array.n_cells

@@ -39,6 +39,7 @@ __all__ = [
     "velocity_profile",
     "effective_metric",
     "find_horizons",
+    "line_horizons",
     "lane_brentq",
     "emitting_horizon",
     "hawking_temperature",
@@ -355,10 +356,53 @@ def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     roots, gradients = _horizons(
         xs, _brackets(f[np.newaxis]), lambda x, rows: profile.speed_at(x), u,
         spacing, np.array([step]), profile.evaluator is not None)
+    return _reports(roots, gradients)
+
+
+def line_horizons(array: circuit.ArrayParams, squid: circuit.SquidParams,
+                  pulse: bias.FluxPulse, time: float = 0.0
+                  ) -> tuple[HorizonReport, ...]:
+    """The line's horizons at the given time: bit for bit those of
+    find_horizons(velocity_profile(array, squid, pulse, time)), found from
+    the cells of the front's window only."""
+    return _reports(*_window_horizons(array, squid, pulse,
+                                      np.array([time], dtype=float))[1:])
+
+
+def _reports(roots, gradients):
     return tuple(HorizonReport(position=root,
                                kind="black" if grad > 0.0 else "white",
                                gradient=grad)
                  for root, grad in zip(roots.tolist(), gradients.tolist()))
+
+
+def _window_horizons(array, squid, pulse, times):
+    # (rows, roots, gradients) of the line's crossings at each of the times
+    # from the front's window at the last, widest time: off it the profile
+    # is exactly flat at every time.  No row block is scanned after one
+    # with a row without a crossing.
+    grid = _comoving_grid(array, pulse)
+    spacing = _grid_step(grid)
+    lo, hi = bias.comoving_window(pulse, times[-1], grid)[:2]
+    window = grid[lo:hi]
+    per_block = max(1, _BLOCK_ELEMENTS // len(window))
+    blocks = []
+    for first in range(0, len(times), per_block):  # per_block rows at once
+        speeds = _speed_evaluator(
+            array, squid, pulse,
+            times[first:first + per_block, np.newaxis])(window)
+        blocks.append(_brackets(speeds - pulse.velocity, first))
+        if len(np.unique(blocks[-1][0])) < len(speeds):
+            break  # a row without a crossing: no later row is needed
+
+    def speed(x, rows):
+        return _speed_evaluator(array, squid, pulse, times[rows])(x)
+
+    brackets = tuple(np.concatenate(parts) for parts in zip(*blocks))
+    roots, gradients = _horizons(
+        window, brackets, speed, pulse.velocity, spacing,
+        _gradient_step(spacing, pulse.steepness_at(times)), True)
+    return brackets[0], roots, gradients
 
 
 def emitting_horizon(horizons) -> HorizonReport:
@@ -369,12 +413,13 @@ def emitting_horizon(horizons) -> HorizonReport:
     return next((h for h in horizons if h.kind == "black"), horizons[0])
 
 
-def hawking_temperature(profile: VelocityProfile,
+def hawking_temperature(profile: Optional[VelocityProfile],
                         horizon: Optional[HorizonReport] = None) -> float:
     """Emission temperature hbar*|dc/dxi| / (2*pi*k_B) at the horizon (K).
 
     With no horizon given, uses the emitting horizon of the profile (see
     emitting_horizon); raises NoHorizon when the profile has none at all.
+    The profile is read only then, so it may be None with a horizon.
     """
     if horizon is None:
         horizon = emitting_horizon(find_horizons(profile))
@@ -401,10 +446,8 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
     Integrates the emission rate power/(k_B T_H) over the traversal time
     line_length_cells * cell_length / u, with the temperature history taken
     from the (possibly broadening) comoving profile at samples evenly
-    spaced times.  Only the cells of the front's window at the last, widest
-    sample are evaluated: off it the profile is exactly flat at every
-    sample, so each horizon equals find_horizons on the full
-    velocity_profile.  The horizons of all samples are refined together.
+    spaced times.  Each sample's horizons are line_horizons' at its time;
+    all samples are scanned from one window and refined together.
 
     Raises ValueError for a still pulse, line_length_cells <= 0 or
     samples < 2, and NoHorizon at the first sample without a black horizon.
@@ -417,31 +460,10 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
         raise ValueError("photon budget needs at least 2 samples")
     total_time = line_length_cells * array.cell_length / pulse.velocity
     times = np.linspace(0.0, total_time, samples)
-
-    grid = _comoving_grid(array, pulse)
-    spacing = _grid_step(grid)
-    lo, hi = bias.comoving_window(pulse, times[-1], grid)[:2]
-    window = grid[lo:hi]
-    per_block = max(1, _BLOCK_ELEMENTS // len(window))
-    blocks = []
-    for first in range(0, samples, per_block):  # per_block rows at once
-        speeds = _speed_evaluator(
-            array, squid, pulse,
-            times[first:first + per_block, np.newaxis])(window)
-        blocks.append(_brackets(speeds - pulse.velocity, first))
-        if len(np.unique(blocks[-1][0])) < len(speeds):
-            break  # a row without a crossing: no later row is needed
-
-    def speed(x, rows):
-        return _speed_evaluator(array, squid, pulse, times[rows])(x)
-
-    brackets = tuple(np.concatenate(parts) for parts in zip(*blocks))
-    roots, gradients = _horizons(
-        window, brackets, speed, pulse.velocity, spacing,
-        _gradient_step(spacing, pulse.steepness_at(times)), True)
+    rows, roots, gradients = _window_horizons(array, squid, pulse, times)
     # The first black horizon of each sample.
     black = np.flatnonzero(gradients > 0.0)
-    sampled, first_black = np.unique(brackets[0][black], return_index=True)
+    sampled, first_black = np.unique(rows[black], return_index=True)
     if len(sampled) < samples:
         missing = np.flatnonzero(~np.isin(np.arange(samples), sampled))[0]
         raise NoHorizon("no black horizon at t = %.3e s" % times[missing])

@@ -21,6 +21,7 @@ interfaces are SI.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,16 +112,18 @@ class SolverConfig:
     check_every: int = 128
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+            raise ValueError("n_steps must be an integer of at least 1")
         if not 0.0 < self.courant_fraction <= 0.5:
             raise ValueError("courant_fraction must lie in (0, 0.5]")
         if self.boundary not in _BOUNDARIES:
             raise ValueError("boundary must be one of %s" % (_BOUNDARIES,))
-        if self.record_every < 0:
-            raise ValueError("record_every must be non-negative")
-        if self.check_every < 1:
-            raise ValueError("check_every must be positive")
+        if (not isinstance(self.record_every, numbers.Integral)
+                or self.record_every < 0):
+            raise ValueError("record_every must be a non-negative integer")
+        if (not isinstance(self.check_every, numbers.Integral)
+                or self.check_every < 1):
+            raise ValueError("check_every must be a positive integer")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
 

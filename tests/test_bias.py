@@ -335,6 +335,33 @@ class TestBroadeningCalibration:
             calibrate_broadening(pulse, ref_array, ref_squid,
                                  target_decay=1.0 - 1e-12, n_cells=1)
 
+    @pytest.mark.parametrize("delta, n", [(0.1, 1000), (0.3, 250),
+                                          (0.01, 4800)])
+    def test_closed_form(self, ref_array, ref_squid, step_pulse, delta, n):
+        # T_H follows s0 / (1 + b u t), so the ratio at t = n a / u is
+        # 1 / (1 + b n a).
+        pulse = sh.FluxPulse(amplitude=0.2, velocity=step_pulse.velocity,
+                             steepness=step_pulse.steepness)
+        b = calibrate_broadening(pulse, ref_array, ref_squid,
+                                 target_decay=delta, n_cells=n)
+        assert b == pytest.approx(
+            delta / ((1.0 - delta) * n * ref_array.cell_length), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -1000])
+    def test_no_root_without_travel(self, ref_array, ref_squid, step_pulse, n):
+        pulse = sh.FluxPulse(amplitude=0.2, velocity=step_pulse.velocity,
+                             steepness=step_pulse.steepness)
+        with pytest.raises(errors.NoRoot):
+            calibrate_broadening(pulse, ref_array, ref_squid,
+                                 target_decay=0.1, n_cells=n)
+
+    def test_no_horizon_when_too_slow(self, ref_array, ref_squid, step_pulse):
+        pulse = sh.FluxPulse(amplitude=0.2, velocity=0.5 * step_pulse.velocity,
+                             steepness=step_pulse.steepness)
+        with pytest.raises(errors.NoHorizon):
+            calibrate_broadening(pulse, ref_array, ref_squid,
+                                 target_decay=0.1, n_cells=1000)
+
     def test_calibrated_pulse_hits_target(self, ref_array, ref_squid, step_pulse):
         delta = 0.1
         n = 1000

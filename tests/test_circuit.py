@@ -163,6 +163,16 @@ class TestParameterValidation:
             getattr(sh, name)(**{**self.VALID[name], field: value})
 
 
+    @pytest.mark.parametrize("value", [10.5, 10.0, math.nan, math.inf, "10"])
+    def test_non_integral_cell_count_rejected(self, value):
+        with pytest.raises(ValueError, match="n_cells"):
+            sh.ArrayParams(**{**self.VALID["ArrayParams"], "n_cells": value})
+
+    def test_numpy_integer_cell_count_accepted(self):
+        arr = sh.ArrayParams(**{**self.VALID["ArrayParams"],
+                                "n_cells": np.int64(10)})
+        assert arr.n_cells == 10
+
 class TestArrayInputs:
     """The static relations take a float or an array of flux (and current);
     element i of an array call equals the scalar call on element i."""

@@ -289,6 +289,15 @@ class TestReproduce:
         assert (tmp_path / "trapping_pulse.csv").exists()
         assert (tmp_path / "trapping_static.csv").exists()
 
+    def test_trapping_without_a_horizon(self, tmp_path, capsys):
+        # 9e6 m/s outruns both plateau speeds, 3.90e6 and 3.51e6 m/s.
+        path = write_variant(tmp_path / "fast.json", pulse__velocity=9.0e6)
+        code = main(["reproduce", "trapping", "--config", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "horizon" in err
+
     @pytest.mark.parametrize("target, names",
                              [("fig3", ["fig3_impedance.csv"]),
                               ("trapping", ["trapping_pulse.csv",

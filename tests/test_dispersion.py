@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import squid_horizon as sh
-from squid_horizon import circuit, dispersion
+from squid_horizon import circuit, dispersion, lattice
+from squid_horizon.cli import _DISPERSION_KA
 from squid_horizon.constants import FLUX_QUANTUM
 from squid_horizon.errors import BandLimit, FitFailure, OutOfBand
 
@@ -225,6 +226,32 @@ class TestMeasuredCurve:
         with pytest.raises(FitFailure):
             dispersion.measure_dispersion(ref_array, ref_squid, 0.0,
                                           [OMEGA_MAX * math.sin(1.0)])
+
+
+class TestLeapfrogRelation:
+    @pytest.mark.parametrize("dc_offset", [0.0, 0.1])
+    def test_measured_k_solves_leapfrog_relation(self, ref_array, ref_squid,
+                                                 dc_offset):
+        # The scheme's exact relation is sin(w dt/2) = (dt/sqrt(L C0))
+        # sin(k a/2); the measured k stays within 2e-5 of its solution,
+        # far inside the 1% that criterion 7 allows against the
+        # continuous-time relation.
+        assert {0.1, 0.2, 0.3, 2.0} <= set(_DISPERSION_KA)  # criterion 7's
+        flux = dc_offset * FLUX_QUANTUM
+        cell_time = circuit.cell_time(ref_array, ref_squid, flux)
+        freqs = [2.0 / cell_time * math.sin(0.5 * ka)
+                 for ka in _DISPERSION_KA]
+        curve = dispersion.measure_dispersion(ref_array, ref_squid, flux,
+                                              freqs)
+        dt = lattice.stable_timestep(
+            ref_array, ref_squid,
+            sh.FluxPulse(amplitude=0.0, dc_offset=flux / FLUX_QUANTUM),
+            dispersion.COURANT_FRACTION)
+        k_leap = 2.0 / REF_CELL_LENGTH * np.arcsin(
+            cell_time / dt * np.sin(0.5 * curve.omega_measured * dt))
+        deviation = np.abs(curve.wavenumbers / k_leap - 1.0)
+        assert len(curve) == len(_DISPERSION_KA)
+        assert np.max(deviation) <= 2e-5, deviation
 
 
 class TestCsvExport:

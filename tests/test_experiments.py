@@ -345,13 +345,13 @@ class TestSweep:
     def test_horizon_outputs_share_one_scan(self, default_cfg, monkeypatch):
         from squid_horizon import geometry
         calls = []
-        scan = geometry.find_horizons
+        scan = geometry.line_horizons
 
-        def counted(profile):
-            calls.append(profile)
-            return scan(profile)
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
 
-        monkeypatch.setattr(geometry, "find_horizons", counted)
+        monkeypatch.setattr(geometry, "line_horizons", counted)
         spec = experiments.SweepSpec(
             base=default_cfg, axes=(("pulse.dc_offset", (0.0, 0.1)),),
             outputs=("horizon_count", "cell_speed", "hawking_temperature"))

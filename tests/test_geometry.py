@@ -479,6 +479,69 @@ def smooth_brackets(draw):
     return f, root - left, root + right, xtol
 
 
+def horizon_bits(horizons):
+    """Position, kind and gradient of each horizon, floats as hex."""
+    return [(h.position.hex(), h.kind, h.gradient.hex()) for h in horizons]
+
+
+GAUSSIAN_BUMP = dataclasses.replace(OFFSET_FRONT, shape="gaussian")
+
+
+class TestLineHorizons:
+    @PROPERTY
+    @given(pulse=budget_pulses(), n_cells=st.integers(300, 4800),
+           fraction=st.floats(0.0, 1.0))
+    # Moving exactly at a plateau's speed: no crossing.
+    @example(pulse=dataclasses.replace(
+                 OFFSET_FRONT, velocity=line_speed(OFFSET_FRONT, math.inf)),
+             n_cells=4800, fraction=0.5)
+    # A still front: c > u = 0 everywhere.
+    @example(pulse=dataclasses.replace(OFFSET_FRONT, velocity=0.0),
+             n_cells=4800, fraction=0.5)
+    # A Gaussian bump crossed at scaled coordinates -1 and +1.
+    @example(pulse=dataclasses.replace(
+                 GAUSSIAN_BUMP, velocity=line_speed(GAUSSIAN_BUMP, 1.0)),
+             n_cells=4800, fraction=0.5)
+    # A horizon at scaled coordinate 12 that broadening carries to 24 over
+    # the 1200-cell traversal.
+    @example(pulse=dataclasses.replace(
+                 OFFSET_FRONT, broadening=WIDENING,
+                 velocity=line_speed(OFFSET_FRONT, 12.0)),
+             n_cells=1200, fraction=1.0)
+    # A horizon at 15.5 between the samples at 15 and 21, the latter on
+    # the plateau beyond the threshold of 20.
+    @example(pulse=dataclasses.replace(COARSE,
+                                       velocity=line_speed(COARSE, 15.5)),
+             n_cells=300, fraction=0.5)
+    def test_matches_full_line_scan(self, pulse, n_cells, fraction):
+        # At t = 0 and at a time within the traversal of the line.
+        array, squid = reference_line()
+        array = dataclasses.replace(array, n_cells=n_cells)
+        later = fraction * n_cells * array.cell_length / max(
+            pulse.velocity, REF_CELL_SPEED)
+        for time in (0.0, later):
+            full = sh.find_horizons(
+                sh.velocity_profile(array, squid, pulse, time))
+            windowed = sh.geometry.line_horizons(array, squid, pulse, time)
+            assert horizon_bits(windowed) == horizon_bits(full)
+
+    @pytest.mark.parametrize("pulse, kinds", [
+        (dataclasses.replace(OFFSET_FRONT,
+                             velocity=line_speed(OFFSET_FRONT, math.inf)),
+         []),
+        (dataclasses.replace(OFFSET_FRONT, velocity=0.0), []),
+        (dataclasses.replace(GAUSSIAN_BUMP,
+                             velocity=line_speed(GAUSSIAN_BUMP, 1.0)),
+         ["white", "black"]),
+        (dataclasses.replace(COARSE, velocity=line_speed(COARSE, 15.5)),
+         ["black"]),
+    ])
+    def test_examples_cover_their_cases(self, pulse, kinds):
+        array, squid = reference_line()
+        found = sh.geometry.line_horizons(array, squid, pulse)
+        assert [h.kind for h in found] == kinds
+
+
 class TestLaneBrentq:
     @PROPERTY
     @given(brackets=smooth_brackets(),

@@ -38,6 +38,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             lattice.SolverConfig(n_steps=10, dt=dt)
 
+    @pytest.mark.parametrize("value", [10.5, 10.0, math.nan, math.inf, "10"])
+    @pytest.mark.parametrize("field", ["n_steps", "record_every",
+                                       "check_every"])
+    def test_non_integral_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            lattice.SolverConfig(**{"n_steps": 10, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = lattice.SolverConfig(n_steps=np.int64(10),
+                                   record_every=np.int32(2),
+                                   check_every=np.uint8(4))
+        assert (cfg.n_steps, cfg.record_every, cfg.check_every) == (10, 2, 4)
+
     def test_oversized_dt_rejected(self, ref_squid, uniform):
         arr = make_array(64)
         cfg = lattice.SolverConfig(n_steps=10, dt=CELL_TIME)
