@@ -192,10 +192,12 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     """Map the dispersion relation by driving uniform lines, one per point.
 
     Each drive frequency gets its own line, sized so the phase fit spans the
-    requested number of wavelengths.  Raises BandLimit for drives above 95%
-    of the band edge and FitFailure when the steady state yields no usable
-    phase profile.
+    requested number of wavelengths (positive and finite, else ValueError).
+    Raises BandLimit for drives above 95% of the band edge and FitFailure
+    when the steady state yields no usable phase profile.
     """
+    if not 0.0 < wavelengths_in_window < math.inf:
+        raise ValueError("wavelengths_in_window must be positive and finite")
     ind = circuit.josephson_inductance(squid, flux_dc)
     cap = array.ground_capacitance
     a = array.cell_length

@@ -9,6 +9,7 @@ there sets an emission temperature and the associated thermal power.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -449,15 +450,16 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
     spaced times.  Each sample's horizons are line_horizons' at its time;
     all samples are scanned from one window and refined together.
 
-    Raises ValueError for a still pulse, line_length_cells <= 0 or
-    samples < 2, and NoHorizon at the first sample without a black horizon.
+    Raises ValueError for a still pulse, a line_length_cells that is not
+    positive and finite, or samples that is not an integer of at least 2,
+    and NoHorizon at the first sample without a black horizon.
     """
     if pulse.velocity <= 0.0:
         raise ValueError("photon budget needs a moving pulse")
-    if line_length_cells <= 0:
-        raise ValueError("line_length_cells must be positive")
-    if samples < 2:
-        raise ValueError("photon budget needs at least 2 samples")
+    if not 0.0 < line_length_cells < np.inf:
+        raise ValueError("line_length_cells must be positive and finite")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError("photon budget needs an integer of at least 2 samples")
     total_time = line_length_cells * array.cell_length / pulse.velocity
     times = np.linspace(0.0, total_time, samples)
     rows, roots, gradients = _window_horizons(array, squid, pulse, times)

@@ -142,6 +142,8 @@ class SineDrive:
             raise ValueError("drive frequency must be positive and finite")
         if not math.isfinite(self.amplitude):
             raise ValueError("drive amplitude must be finite")
+        if not isinstance(self.node, numbers.Integral):
+            raise ValueError("drive node %r is not an integer" % (self.node,))
         if self.node < 0:
             raise ValueError("drive node %d outside the line" % self.node)
 
@@ -207,6 +209,8 @@ class _Scales:
         self.chi = (self.t_ref / circuit.cell_time(array, squid, 0.0)) ** 2
         # momentum: q_physical = q_scaled * l_ref * cap / t_ref
         self.momentum_unit = self.l_ref * self.cap / self.t_ref
+        # I/I_c^s = 2*pi*|q|/Phi_0 at every flux, since L*I_c^s = Phi_0/(2*pi)
+        self.phase_unit = 2.0 * math.pi * self.momentum_unit / FLUX_QUANTUM
 
 
 def run(initial: LatticeState, array: circuit.ArrayParams,
@@ -216,9 +220,9 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     """Integrate the line under the given bias and return the recording.
 
     Raises ValueError for a drive without the driven boundary (or the
-    reverse) and for a drive or probe node outside the line,
-    CourantViolation when the configured dt exceeds the stability budget,
-    and NonFinite when the state overflows mid-run.
+    reverse), a drive node outside the line and a probe node that is not an
+    integer inside it, CourantViolation when the configured dt exceeds the
+    stability budget, and NonFinite when the state overflows mid-run.
     """
     n = array.n_cells
     if initial.n_cells != n:
@@ -231,8 +235,10 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
                          % config.boundary)
     if drive is not None and drive.node >= n:
         raise ValueError("drive node %d outside the line" % drive.node)
-    probe_nodes = tuple(int(p) for p in probe_nodes)
+    probe_nodes = tuple(probe_nodes)
     for p in probe_nodes:
+        if not isinstance(p, numbers.Integral):
+            raise ValueError("probe node %r is not an integer" % (p,))
         if not 0 <= p < n:
             raise ValueError("probe node %d outside the line" % p)
 
@@ -247,28 +253,23 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     chi = scales.chi
 
     positions = (np.arange(n) + 0.5) * a
-    frac = np.empty(n)
     ind = np.empty(n)  # cell inductance L/L(0)
 
     def bias_rows(times):
-        # Each time's row of flux fraction and L/L(0) on the union of the
-        # times' windows.  Outside that window every cell sits exactly on
-        # one of the two plateaus at each of the times, and frac and ind are
-        # put there.
+        # Each time's row of L/L(0) on the union of the times' windows.
+        # Outside that window every cell sits exactly on one of the two
+        # plateaus at each of the times, and ind is put there.
         lo, hi, left, right = bias.front_window(pulse, times, positions)
-        frac[:lo], frac[hi:] = left, right
         ind[:lo], ind[hi:] = circuit.relative_inductance(
             np.array([left, right]))
-        rows = bias.flux_fraction_at(pulse, positions[lo:hi],
-                                     times[:, np.newaxis])
-        return lo, hi, rows, circuit.relative_inductance(rows)
+        return lo, hi, circuit.relative_inductance(bias.flux_fraction_at(
+            pulse, positions[lo:hi], times[:, np.newaxis]))
 
     # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
     # one inductance serves every half step.
     static_bias = pulse.velocity == 0.0
     if static_bias:
-        lo, hi, rows, ind_rows = bias_rows(np.zeros(1))
-        frac[lo:hi] = rows[0]
+        lo, hi, ind_rows = bias_rows(np.zeros(1))
         ind[lo:hi] = ind_rows[0]
 
     pot = initial.potential.astype(float).copy()
@@ -294,7 +295,6 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
 
     cap = scales.cap
     e_kin_unit = cap / chi
-    mom_unit = scales.momentum_unit
 
     # The stepping writes into these buffers.  Free-end closure: the bond
     # differences sit between two zeros, so the Laplacian is symmetric
@@ -314,7 +314,7 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         # A front that moves more than a cell per half step can take the
         # record's window past its block's, where the stepping reads ind,
         # so the record's row goes into a copy.
-        lo, hi, _, ind_rows = bias_rows(np.array([t]))
+        lo, hi, ind_rows = bias_rows(np.array([t]))
         ind_now = ind.copy()
         ind_now[lo:hi] = ind_rows[0]
         mom_next = mom + kick * lap
@@ -355,7 +355,7 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         # (at m = 0, initial.time + 0.0 is initial.time).
         times = initial.time + np.arange(first, block.stop) * dt
         if not static_bias:  # at the half steps t + dt/2
-            lo, hi, rows, ind_rows = bias_rows(times + 0.5 * dt)
+            lo, hi, ind_rows = bias_rows(times + 0.5 * dt)
         if driven:
             phases = np.sin(drive.frequency * (times + dt))
             kicks = (drive.amplitude
@@ -375,16 +375,11 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
             np.multiply(kick, lap, out=work)
             mom += work
             if not static_bias:
-                row = m - first
-                ind[lo:hi] = ind_rows[row]
-                if stretch:
-                    frac[lo:hi] = rows[row]
+                ind[lo:hi] = ind_rows[m - first]
             ind_half = ind
 
             if stretch:
-                current = (cap / scales.t_ref) * mom / ind
-                rel = np.abs(current) / circuit.squid_critical_current(
-                    squid, frac * FLUX_QUANTUM)
+                rel = np.abs(mom) * scales.phase_unit
                 peak = float(rel.max())
                 if peak >= 1.0:
                     raise OverCritical("cell current reached %.3f of critical"
@@ -426,7 +421,7 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         raise NonFinite("state overflowed during the run")
 
     final = LatticeState(time=t, potential=pot.copy(),
-                         momentum=mom * mom_unit)
+                         momentum=mom * scales.momentum_unit)
     return LatticeTrajectory(
         times=rec_times, potentials=rec_pot, currents=rec_cur,
         energies=rec_energy, energy_density=rec_density,

@@ -220,6 +220,14 @@ class TestMeasuredCurve:
         with pytest.raises(ValueError):
             dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [0.0])
 
+    @pytest.mark.parametrize("wavelengths", [0.0, -1.0, math.nan, math.inf,
+                                             -math.inf])
+    def test_bad_window_rejected(self, ref_array, ref_squid, wavelengths):
+        with pytest.raises(ValueError, match="wavelengths_in_window"):
+            dispersion.measure_dispersion(ref_array, ref_squid, 0.0,
+                                          [OMEGA_MAX * math.sin(1.0)],
+                                          wavelengths_in_window=wavelengths)
+
     def test_silent_drive_fails_fit(self, ref_array, ref_squid,
                                     monkeypatch):
         monkeypatch.setattr(dispersion, "DRIVE_AMPLITUDE", 0.0)

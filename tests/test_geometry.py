@@ -699,14 +699,15 @@ class TestPhotonBudget:
             sh.photons_per_pulse(ref_array, ref_squid, pulse,
                                  line_length_cells=100)
 
-    @pytest.mark.parametrize("cells", [0, -100])
+    @pytest.mark.parametrize("cells", [0, -100, math.nan, math.inf,
+                                       -math.inf])
     def test_empty_traversal_rejected(self, ref_array, ref_squid,
                                       step_pulse, cells):
         with pytest.raises(ValueError, match="line_length_cells"):
             sh.photons_per_pulse(ref_array, ref_squid, step_pulse,
                                  line_length_cells=cells)
 
-    @pytest.mark.parametrize("samples", [0, 1])
+    @pytest.mark.parametrize("samples", [0, 1, 2.5, 65.0, math.nan, "65"])
     def test_single_sample_rejected(self, ref_array, ref_squid, step_pulse,
                                     samples):
         with pytest.raises(ValueError, match="2 samples"):

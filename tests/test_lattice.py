@@ -393,6 +393,15 @@ class TestSineDrive:
         with pytest.raises(ValueError, match="drive node -1 outside"):
             lattice.SineDrive(node=-1, amplitude=1e-6, frequency=1.0e11)
 
+    @pytest.mark.parametrize("node", [1.5, 1.0, math.nan, math.inf, "1"])
+    def test_non_integral_node_rejected(self, node):
+        with pytest.raises(ValueError, match="drive node .* not an integer"):
+            lattice.SineDrive(node=node, amplitude=1e-6, frequency=1.0e11)
+
+    def test_numpy_integer_node_accepted(self):
+        assert lattice.SineDrive(node=np.int64(3), amplitude=1e-6,
+                                 frequency=1.0e11).node == 3
+
     @pytest.mark.parametrize("node", [64, 65])
     def test_node_beyond_line_rejected(self, ref_squid, uniform, node):
         arr = make_array(64)
@@ -502,6 +511,35 @@ class TestNonlinearOption:
                                              current_dependent_inductance=True))
 
 
+class TestPhaseLaw:
+    """Under the current-dependent inductance run reads a cell's I/I_c^s
+    as |q| * _Scales.phase_unit, since L * I_c^s = Phi_0/(2 pi) at every
+    flux; the ratio it replaced is the recorded current over circuit's
+    critical current at the cell's flux."""
+
+    @pytest.mark.parametrize("critical_current, ground_capacitance", [
+        (2.0e-6, 5.0e-17), (3.7e-7, 1.3e-15)])
+    def test_matches_current_over_critical_current(self, critical_current,
+                                                   ground_capacitance):
+        squid = sh.SquidParams(
+            junction=sh.JunctionParams(critical_current=critical_current,
+                                       capacitance=1.5e-16),
+            loop_inductance=1.0e-11)
+        arr = sh.ArrayParams(n_cells=16, cell_length=CELL_LENGTH,
+                             ground_capacitance=ground_capacitance)
+        scales = lattice._Scales(arr, squid)
+        rng = np.random.default_rng(29)
+        fraction = np.concatenate(([0.0, 0.45],
+                                   rng.uniform(0.0, 0.45, 20000)))
+        mom = rng.standard_normal(fraction.size)  # scaled momentum
+        current = ((scales.cap / scales.t_ref) * mom
+                   / circuit.relative_inductance(fraction))
+        ratio = np.abs(current) / circuit.squid_critical_current(
+            squid, fraction * FLUX_QUANTUM)
+        np.testing.assert_allclose(np.abs(mom) * scales.phase_unit, ratio,
+                                   rtol=4e-15, atol=0.0)
+
+
 class TestRecording:
     def test_cadence_and_probes(self, ref_squid, uniform):
         n = 128
@@ -530,6 +568,22 @@ class TestRecording:
             lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
                         lattice.SolverConfig(n_steps=1),
                         probe_nodes=(3, node))
+
+    @pytest.mark.parametrize("nodes", [(1.5, 2.9), (3, math.nan), (3.0,)])
+    def test_non_integral_probe_rejected(self, ref_squid, uniform, nodes):
+        # int() would have recorded nodes 1 and 2 for (1.5, 2.9).
+        arr = make_array(16)
+        with pytest.raises(ValueError, match="probe node .* not an integer"):
+            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
+                        lattice.SolverConfig(n_steps=1), probe_nodes=nodes)
+
+    def test_numpy_integer_probes_accepted(self, ref_squid, uniform):
+        arr = make_array(16)
+        traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
+                           lattice.SolverConfig(n_steps=1),
+                           probe_nodes=np.array([3, 7]))
+        assert traj.probe_nodes == (3, 7)
+        assert traj.probe_values.shape == (2, 2)
 
     def test_positions_are_cell_centres(self, ref_squid, uniform):
         arr = make_array(16)
@@ -566,8 +620,8 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
     probe_idx = np.array(probe_nodes, dtype=int)
 
     def bias_at(t):
-        frac = bias.flux_fraction_at(pulse, positions, t)
-        return frac, circuit.relative_inductance(frac)
+        return circuit.relative_inductance(
+            bias.flux_fraction_at(pulse, positions, t))
 
     def laplacian(pot):
         return np.diff(np.concatenate(([0.0], np.diff(pot), [0.0])))
@@ -581,7 +635,7 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
                                "probe_values")}
 
     def record(t, pot, mom):
-        ind = bias_at(t)[1]
+        ind = bias_at(t)
         mom_next = mom + kick * laplacian(pot)
         kin = (cap / chi) * mom * mom_next / (2.0 * ind)
         d = np.diff(pot)
@@ -609,11 +663,11 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
             record(t, pot, mom)
         out["probe_values"].append(pot[probe_idx])
         mom = mom + kick * laplacian(pot)
-        frac, ind = bias_at(t + 0.5 * dt)
+        ind = bias_at(t + 0.5 * dt)
         if config.current_dependent_inductance:
-            rel = np.abs((cap / scales.t_ref) * mom / ind) / (
-                circuit.squid_critical_current(squid, frac * FLUX_QUANTUM))
-            ind = ind * circuit.inductance_stretch(rel)
+            # I/I_c^s from the momentum: TestPhaseLaw checks the law.
+            ind = ind * circuit.inductance_stretch(np.abs(mom)
+                                                   * scales.phase_unit)
         old = pot.copy()
         pot = pot + dtau * mom / ind
         if config.boundary == "absorbing":
