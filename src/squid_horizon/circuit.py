@@ -149,20 +149,21 @@ def _namespace(value):
     return np if isinstance(value, np.ndarray) else math
 
 
-def _reject(mask, error, message, *values):
-    # Raise error(message % values) at the first element where mask holds.
-    # Comparing floats gives a bool, so only arrays pay for numpy.
-    if mask if isinstance(mask, bool) else mask.any():
+def _require(valid, error, message, *values):
+    # Raise error(message % values) at the first element that fails valid,
+    # as NaN does.  Comparing floats gives a bool, so only arrays pay numpy.
+    if not (valid if isinstance(valid, bool) else valid.all()):
         raise error(message % tuple(
-            np.extract(mask, np.broadcast_to(v, np.shape(mask)))[0]
+            np.extract(np.logical_not(valid),
+                       np.broadcast_to(v, np.shape(valid)))[0]
             for v in values))
 
 
 def _flux_fraction(flux):
     # flux / Phi_0, inside (-0.5, 0.5) where the inductance is finite.
     fraction = flux / FLUX_QUANTUM
-    _reject(abs(fraction) >= 0.5, FluxOutOfRange,
-            "flux %.4g Phi_0 outside the open interval (-0.5, 0.5)", fraction)
+    _require(abs(fraction) < 0.5, FluxOutOfRange,
+             "flux %.4g Phi_0 outside the open interval (-0.5, 0.5)", fraction)
     return fraction
 
 
@@ -226,9 +227,9 @@ def josephson_inductance(squid: SquidParams, flux, current=0.0):
     if not isinstance(current, np.ndarray) and current == 0.0:
         return base
     ratio = current / ics
-    _reject(abs(ratio) > 1.0, OverCritical,
-            "bias current %.4g A exceeds effective critical current %.4g A",
-            current, ics)
+    _require(abs(ratio) <= 1.0, OverCritical,
+             "bias current %.4g A exceeds effective critical current %.4g A",
+             current, ics)
     return base * inductance_stretch(ratio)
 
 

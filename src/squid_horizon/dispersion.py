@@ -208,8 +208,9 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
         if w > 0.95 * omega_max:
             raise BandLimit("drive %.3e rad/s above 0.95 of the band edge "
                             "%.3e rad/s" % (w, omega_max))
-        if w <= 0.0:
-            raise ValueError("drive frequencies must be positive")
+        if not w > 0.0:  # NaN included
+            raise ValueError("drive frequency %.3e rad/s is not positive"
+                             % w)
 
     flux_fraction = flux_dc / FLUX_QUANTUM
     pulse = bias.FluxPulse(amplitude=0.0, dc_offset=flux_fraction)

@@ -253,35 +253,31 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     chi = scales.chi
 
     positions = (np.arange(n) + 0.5) * a
-    ind = np.empty(n)  # cell inductance L/L(0)
-
-    def bias_rows(times):
-        # Each time's row of L/L(0) on the union of the times' windows.
-        # Outside that window every cell sits exactly on one of the two
-        # plateaus at each of the times, and ind is put there.
-        lo, hi, left, right = bias.front_window(pulse, times, positions)
-        ind[:lo], ind[hi:] = circuit.relative_inductance(
-            np.array([left, right]))
-        return lo, hi, circuit.relative_inductance(bias.flux_fraction_at(
-            pulse, positions[lo:hi], times[:, np.newaxis]))
+    steps = config.n_steps
+    step_times = initial.time + np.arange(steps + 1) * dt  # the run's clock
+    # The first record comes half a step before the blocks' pole check.
+    if not pulse.steepness_at(step_times[0]) > 0.0:
+        raise ValueError("run starts at t = %g s, before the front's "
+                         "broadening pole" % initial.time)
 
     # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
     # one inductance serves every half step.
     static_bias = pulse.velocity == 0.0
     if static_bias:
-        lo, hi, ind_rows = bias_rows(np.zeros(1))
-        ind[lo:hi] = ind_rows[0]
+        ind = circuit.relative_inductance(
+            bias.flux_fraction_at(pulse, positions, 0.0))
+    else:
+        ind = np.empty(n)  # filled by each block of steps
 
     pot = initial.potential.astype(float).copy()
     mom = initial.momentum.astype(float) / scales.momentum_unit
-    t = initial.time
     if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
         raise NonFinite("initial state is not finite")
 
-    steps = config.n_steps
+    # Records fall on the steps m % cadence == 0, in slot m // cadence, and
+    # after the last step, in the last slot.
     cadence = config.record_every if config.record_every > 0 else steps
-    record_steps = sorted(set(range(0, steps, cadence)) | {steps})
-    n_rec = len(record_steps)
+    n_rec = (steps - 1) // cadence + 2
 
     rec_times = np.empty(n_rec)
     rec_pot = np.empty((n_rec, n))
@@ -291,7 +287,6 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
 
     probe_idx = np.array(probe_nodes, dtype=int)
     probe_vals = np.empty((steps + 1, len(probe_nodes)))
-    probe_times = initial.time + np.arange(steps + 1) * dt
 
     cap = scales.cap
     e_kin_unit = cap / chi
@@ -308,15 +303,11 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     work = np.empty(n)
     kick = dtau * chi
 
-    def record(slot):
+    def record(slot, t):
         # Product-form energy: q^- q^+ / (2L) is exactly conserved for a
         # static bias, so the recorded drift measures only roundoff.
-        # A front that moves more than a cell per half step can take the
-        # record's window past its block's, where the stepping reads ind,
-        # so the record's row goes into a copy.
-        lo, hi, ind_rows = bias_rows(np.array([t]))
-        ind_now = ind.copy()
-        ind_now[lo:hi] = ind_rows[0]
+        ind_now = circuit.relative_inductance(
+            bias.flux_fraction_at(pulse, positions, t))
         mom_next = mom + kick * lap
         kin = e_kin_unit * mom * mom_next / (2.0 * ind_now)
         bond = 0.5 * cap * bonds * bonds
@@ -335,7 +326,7 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     stretch = config.current_dependent_inductance
     check_every = config.check_every
     if driven:
-        drive_phase_old = np.sin(drive.frequency * t)
+        drive_phase_old = np.sin(drive.frequency * step_times[0])
 
     def mur_beta(end_ind):
         # First-order Mur coefficient for an end cell of inductance L/L(0).
@@ -347,15 +338,20 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     # reaches an end.
     left_end = right_end = None
 
-    slot = 0
-    next_record = record_steps[slot]
     for first in range(0, steps, _BLOCK):
         block = range(first, min(first + _BLOCK, steps))
-        # The loop's own times t of the block's steps, as the same floats
-        # (at m = 0, initial.time + 0.0 is initial.time).
-        times = initial.time + np.arange(first, block.stop) * dt
-        if not static_bias:  # at the half steps t + dt/2
-            lo, hi, ind_rows = bias_rows(times + 0.5 * dt)
+        times = step_times[first:block.stop]
+        if not static_bias:
+            # Each half step's row of L/L(0) on the union of the rows'
+            # windows; outside it every cell sits exactly on one of the two
+            # plateaus at each of the half steps.
+            half_times = times + 0.5 * dt
+            lo, hi, left, right = bias.front_window(pulse, half_times,
+                                                    positions)
+            ind[:lo], ind[hi:] = circuit.relative_inductance(
+                np.array([left, right]))
+            ind_rows = circuit.relative_inductance(bias.flux_fraction_at(
+                pulse, positions[lo:hi], half_times[:, np.newaxis]))
         if driven:
             phases = np.sin(drive.frequency * (times + dt))
             kicks = (drive.amplitude
@@ -365,10 +361,8 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         for m in block:
             np.subtract(pot_right, pot_left, out=bonds)
             np.subtract(diffs_right, diffs_left, out=lap)
-            if m == next_record:
-                record(slot)
-                slot += 1
-                next_record = record_steps[slot]
+            if m % cadence == 0:
+                record(m // cadence, step_times[m])
             if probe_nodes:
                 probe_vals[m] = pot[probe_idx]
 
@@ -408,25 +402,24 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
             if driven:
                 pot[drive.node] += kicks[m - first]
 
-            t = initial.time + (m + 1) * dt
             if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
                 raise NonFinite("state overflowed at step %d" % (m + 1))
 
     np.subtract(pot_right, pot_left, out=bonds)
     np.subtract(diffs_right, diffs_left, out=lap)
-    record(slot)
+    record(n_rec - 1, step_times[steps])
     if probe_nodes:
         probe_vals[steps] = pot[probe_idx]
     if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
         raise NonFinite("state overflowed during the run")
 
-    final = LatticeState(time=t, potential=pot.copy(),
+    final = LatticeState(time=step_times.item(steps), potential=pot.copy(),
                          momentum=mom * scales.momentum_unit)
     return LatticeTrajectory(
         times=rec_times, potentials=rec_pot, currents=rec_cur,
         energies=rec_energy, energy_density=rec_density,
         positions=positions, probe_nodes=probe_nodes,
-        probe_times=probe_times, probe_values=probe_vals,
+        probe_times=step_times, probe_values=probe_vals,
         final_state=final)
 
 

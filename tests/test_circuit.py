@@ -20,7 +20,7 @@ class TestStaticRelations:
         assert sh.squid_critical_current(ref_squid, 0.2 * PHI0) == pytest.approx(
             3.2360679774997897e-06, rel=1e-12)
 
-    @pytest.mark.parametrize("fraction", [0.5, -0.5, 0.7, -1.2])
+    @pytest.mark.parametrize("fraction", [0.5, -0.5, 0.7, -1.2, math.nan])
     def test_critical_current_flux_range(self, ref_squid, fraction):
         with pytest.raises(errors.FluxOutOfRange):
             sh.squid_critical_current(ref_squid, fraction * PHI0)
@@ -264,6 +264,11 @@ class TestArrayInputs:
                            match=r"flux -0.5001 Phi_0 outside the open "
                                  r"interval \(-0.5, 0.5\)"):
             relations[name](fractions)
+        fractions[3] = math.nan  # fails the range check, 0.6 comes after
+        with pytest.raises(errors.FluxOutOfRange,
+                           match=r"flux nan Phi_0 outside the open "
+                                 r"interval \(-0.5, 0.5\)"):
+            relations[name](fractions)
 
     def test_one_over_critical_current_raises(self, ref_array, ref_squid):
         ics = sh.squid_critical_current(ref_squid, 0.0)
@@ -274,6 +279,13 @@ class TestArrayInputs:
             sh.josephson_inductance(ref_squid, 0.0, currents)
         with pytest.raises(errors.OverCritical, match=message):
             sh.cell_velocity(ref_array, ref_squid, np.zeros(5), currents)
+        currents[1] = math.nan  # fails the check before -1.5 does
+        message = (r"bias current nan A exceeds effective critical "
+                   r"current 4e-06 A")
+        with pytest.raises(errors.OverCritical, match=message):
+            sh.josephson_inductance(ref_squid, 0.0, currents)
+        with pytest.raises(errors.OverCritical, match=message):
+            sh.josephson_inductance(ref_squid, 0.0, math.nan)
 
     @pytest.mark.parametrize("flux", [0.1 * PHI0,
                                       np.array([0.0, 0.1, 0.2]) * PHI0],

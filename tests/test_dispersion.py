@@ -217,8 +217,10 @@ class TestMeasuredCurve:
                                           [0.96 * OMEGA_MAX])
 
     def test_nonpositive_drive_rejected(self, ref_array, ref_squid):
-        with pytest.raises(ValueError):
-            dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [0.0])
+        for w in (0.0, -1.0e12, math.nan):
+            with pytest.raises(ValueError,
+                               match="drive frequency .* is not positive"):
+                dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
 
     @pytest.mark.parametrize("wavelengths", [0.0, -1.0, math.nan, math.inf,
                                              -math.inf])

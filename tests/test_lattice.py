@@ -561,6 +561,24 @@ class TestRecording:
             assert traj.probe_values[step_index, 0] == traj.potentials[slot, 30]
             assert traj.probe_values[step_index, 1] == traj.potentials[slot, 64]
 
+    @pytest.mark.parametrize("n_steps, record_every", [
+        (1, 0), (1, 1), (10, 0), (10, 1), (10, 3), (10, 5), (10, 20),
+        (64, 64), (65, 64), (600, 100)])
+    def test_record_times(self, ref_squid, uniform, n_steps, record_every):
+        # Every cadence-th step from the first, and the end of the run.
+        arr = make_array(16)
+        start = 1.3e-12
+        state = lattice.LatticeState(start, np.zeros(16), np.zeros(16))
+        dt = lattice.stable_timestep(arr, ref_squid, uniform)
+        traj = lattice.run(state, arr, ref_squid, uniform,
+                           lattice.SolverConfig(n_steps=n_steps, dt=dt,
+                                                record_every=record_every))
+        cadence = record_every or n_steps
+        steps = sorted(set(range(0, n_steps, cadence)) | {n_steps})
+        expected = np.array([start + k * dt for k in steps])
+        assert traj.times.tobytes() == expected.tobytes()
+        assert traj.final_state.time == start + n_steps * dt
+
     @pytest.mark.parametrize("node", [-1, 16])
     def test_probe_outside_line_rejected(self, ref_squid, uniform, node):
         arr = make_array(16)
@@ -609,7 +627,8 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
     """The leapfrog of lattice.run written plainly: the bias of the whole
     line at every half step from a scalar time, np.sin at every step and
     both Mur coefficients at every step.  Returns the fields of a
-    LatticeTrajectory by name, the final state's included."""
+    LatticeTrajectory by name, the final state's included, with the time of
+    each step as probe_times."""
     n = arr.n_cells
     scales = lattice._Scales(arr, squid)
     dt = config.dt or lattice.stable_timestep(arr, squid, pulse,
@@ -632,7 +651,7 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
 
     out = {key: [] for key in ("times", "potentials", "currents",
                                "energies", "energy_density",
-                               "probe_values")}
+                               "probe_times", "probe_values")}
 
     def record(t, pot, mom):
         ind = bias_at(t)
@@ -661,6 +680,7 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
     for m in range(steps):
         if m in record_steps:
             record(t, pot, mom)
+        out["probe_times"].append(t)
         out["probe_values"].append(pot[probe_idx])
         mom = mom + kick * laplacian(pot)
         ind = bias_at(t + 0.5 * dt)
@@ -680,9 +700,11 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
             phase_old = phase
         t = initial.time + (m + 1) * dt
     record(t, pot, mom)
+    out["probe_times"].append(t)
     out["probe_values"].append(pot[probe_idx])
     out = {key: np.array(value) for key, value in out.items()}
     out["potential"], out["momentum"] = pot, mom * scales.momentum_unit
+    out["time"] = t
     return out
 
 
@@ -740,12 +762,14 @@ class TestWindowedKernel:
                                   drive=drive, probe_nodes=probes)
 
         for field in ("times", "potentials", "currents", "energies",
-                      "energy_density", "probe_values"):
+                      "energy_density", "probe_times", "probe_values"):
             a, b = getattr(kernel, field), reference[field]
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
         for field in ("potential", "momentum"):
             a = getattr(kernel.final_state, field)
             assert a.tobytes() == reference[field].tobytes(), field
+        assert (np.float64(kernel.final_state.time).tobytes()
+                == np.float64(reference["time"]).tobytes())
 
     def test_start_before_broadening_pole_rejected(self, ref_squid):
         # s0 / (1 + b*u*t) is negative before t = -1/(b*u): no front there.
@@ -757,6 +781,18 @@ class TestWindowedKernel:
         with pytest.raises(ValueError, match="broadening pole"):
             lattice.run(state, arr, ref_squid, pulse,
                         lattice.SolverConfig(n_steps=10))
+
+    def test_start_within_half_step_of_pole_rejected(self, ref_squid):
+        # The first half step is past the pole, the first record is not.
+        pulse = self.PULSES["broadening-tanh"]
+        arr = make_array(self.N)
+        dt = lattice.stable_timestep(arr, ref_squid, pulse)
+        start = -1.0 / (pulse.broadening * pulse.velocity) - 0.25 * dt
+        state = lattice.LatticeState(start, np.zeros(self.N),
+                                     np.zeros(self.N))
+        with pytest.raises(ValueError, match="broadening pole"):
+            lattice.run(state, arr, ref_squid, pulse,
+                        lattice.SolverConfig(n_steps=10, dt=dt))
 
     @pytest.mark.parametrize("current_dependent", [False, True])
     @pytest.mark.parametrize("boundary", ["reflecting", "absorbing",
