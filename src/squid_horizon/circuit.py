@@ -416,12 +416,12 @@ def single_squid_dynamics(squid: SquidParams,
     drive_current and external_flux may each be a constant, a callable of
     time in seconds, or an array sampled at the step times.
 
-    Raises NonFinite if the state overflows.
+    Raises NonFinite for a non-finite initial state or drive and when the
+    state overflows.
     """
     jj = squid.junction
     phi0 = FLUX_QUANTUM
-    omega_p = math.sqrt(2.0 * math.pi * jj.critical_current /
-                        (jj.capacitance * phi0))
+    omega_p = effective_plasma_frequency(squid, 0.0)
     if dt > 0.05 / omega_p:
         raise ValueError("dt must satisfy dt <= 0.05/omega_p = %.3e s"
                          % (0.05 / omega_p))
@@ -457,6 +457,8 @@ def single_squid_dynamics(squid: SquidParams,
     gm = initial.circulating_phase
     vp = initial.common_rate / omega_p
     vm = initial.circulating_rate / omega_p
+    if not all(map(math.isfinite, (gp, gm, vp, vm))):
+        raise NonFinite("initial state is not finite")
 
     out = np.empty((n_steps + 1, 4))
     out[0] = gp, gm, vp, vm
@@ -505,7 +507,8 @@ def reduced_junction_dynamics(squid: SquidParams,
     v^2/2 - (dt*a)^2/8 + U, whose drift stays at round-off for bound motion.
 
     initial_rate is d(phase)/dt in rad/s.  dt must not exceed
-    0.05/omega_p^s at the initial flux.
+    0.05/omega_p^s at the initial flux.  Raises NonFinite for a non-finite
+    initial state or drive current and when the trajectory overflows.
     """
     current = _as_time_function(drive_current, dt, n_steps)
     flux = _as_time_function(external_flux, dt, n_steps)
@@ -523,12 +526,17 @@ def reduced_junction_dynamics(squid: SquidParams,
         ics = squid_critical_current(squid, flux(t))
         w2 = ics / ics_ref  # (omega_p^s / omega_ref)^2
         ibar = current(t) / ics
+        # Guard the drive where it enters, before it reaches sin/cos.
+        if not math.isfinite(ibar):
+            raise NonFinite("drive became non-finite at t = %.6e s" % t)
         a = w2 * (ibar - sin(gamma))
         u = w2 * (1.0 - cos(gamma) - ibar * gamma)
         return a, u
 
     gamma = float(initial_phase)
     v = float(initial_rate) / omega_ref
+    if not (math.isfinite(gamma) and math.isfinite(v)):
+        raise NonFinite("initial state is not finite")
 
     phases = np.empty(n_steps + 1)
     rates = np.empty(n_steps + 1)
@@ -545,7 +553,8 @@ def reduced_junction_dynamics(squid: SquidParams,
         v = v_half + 0.5 * h * a
         phases[i], rates[i] = gamma, v
         energies[i] = 0.5 * v * v - h * h * a * a / 8.0 + u
-    if not (np.isfinite(phases).all() and np.isfinite(rates).all()):
+    if not (np.isfinite(phases).all() and np.isfinite(rates).all()
+            and np.isfinite(energies).all()):
         raise NonFinite("trajectory contains non-finite samples")
 
     scale = max(abs(energies[0]), 1.0e-300)

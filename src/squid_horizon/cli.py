@@ -138,7 +138,7 @@ def _cmd_profile(args) -> int:
         line = "%s horizon at xi = %.6e m, |dc/dxi| = %.6e 1/s" \
             % (h.kind, h.position, abs(h.gradient))
         if h.kind == "black":
-            temp = geometry.hawking_temperature(profile, h)
+            temp = geometry.hawking_temperature(h)
             line += ", T_H = %.6e K" % temp
         print(line)
 

@@ -26,6 +26,7 @@ __all__ = [
     "FRONT_KA_LIMIT",
     "RESIDUAL_THRESHOLD",
     "SETTLE_PERIODS",
+    "WINDOW_WAVELENGTHS",
     "CutoffReport",
     "DispersionCurve",
     "cutoff_scale",
@@ -44,12 +45,13 @@ _POWER_TOLERANCE = 1e-3
 
 # measure_dispersion drives node 0 with amplitude DRIVE_AMPLITUDE, settles
 # for the group-delay crossing plus SETTLE_PERIODS drive periods and then
-# fits FIT_PERIODS periods, stepping at COURANT_FRACTION of the cell time.
-# A phase fit whose rms residual exceeds RESIDUAL_THRESHOLD (rad) is a
-# FitFailure.
+# fits FIT_PERIODS periods over a window of WINDOW_WAVELENGTHS wavelengths,
+# stepping at COURANT_FRACTION of the cell time.  A phase fit whose rms
+# residual exceeds RESIDUAL_THRESHOLD (rad) is a FitFailure.
 DRIVE_AMPLITUDE = 1.0e-6
 SETTLE_PERIODS = 4.0
 FIT_PERIODS = 8.0
+WINDOW_WAVELENGTHS = 10.0
 COURANT_FRACTION = 0.1
 RESIDUAL_THRESHOLD = 0.2
 
@@ -141,7 +143,7 @@ def _demodulate(samples: np.ndarray, times: np.ndarray, omega: float):
 
 def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, dt: float, cell_time: float,
-                      w: float, wavelengths_in_window: float) -> float:
+                      w: float) -> float:
     # One point of measure_dispersion: its own driven line, settled, then
     # probed and fitted.  Its arrays are freed before the next point runs.
     a = array.cell_length
@@ -149,12 +151,11 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     ka = 2.0 * math.asin(w / omega_max)
     wavelength_cells = 2.0 * math.pi / ka
     window_start = 60
-    window_cells = int(math.ceil(wavelengths_in_window * wavelength_cells))
+    window_cells = int(math.ceil(WINDOW_WAVELENGTHS * wavelength_cells))
     n = window_start + window_cells + 60
     line = replace(array, n_cells=n)
 
-    drive = lattice.SineDrive(node=0, amplitude=DRIVE_AMPLITUDE,
-                              frequency=w)
+    drive = lattice.SineDrive(amplitude=DRIVE_AMPLITUDE, frequency=w)
     v_group = (a / cell_time) * math.cos(0.5 * ka)
     period = 2.0 * math.pi / w
     settle_time = n * a / v_group + SETTLE_PERIODS * period
@@ -186,18 +187,14 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
 
 
 def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
-                       flux_dc: float, frequencies,
-                       wavelengths_in_window: float = 10.0
-                       ) -> DispersionCurve:
+                       flux_dc: float, frequencies) -> DispersionCurve:
     """Map the dispersion relation by driving uniform lines, one per point.
 
-    Each drive frequency gets its own line, sized so the phase fit spans the
-    requested number of wavelengths (positive and finite, else ValueError).
-    Raises BandLimit for drives above 95% of the band edge and FitFailure
-    when the steady state yields no usable phase profile.
+    Each drive frequency gets its own line, sized so the phase fit spans
+    WINDOW_WAVELENGTHS wavelengths.  Raises BandLimit for drives above 95% of
+    the band edge and FitFailure when the steady state yields no usable phase
+    profile.
     """
-    if not 0.0 < wavelengths_in_window < math.inf:
-        raise ValueError("wavelengths_in_window must be positive and finite")
     ind = circuit.josephson_inductance(squid, flux_dc)
     cap = array.ground_capacitance
     a = array.cell_length
@@ -216,8 +213,7 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     pulse = bias.FluxPulse(amplitude=0.0, dc_offset=flux_fraction)
     dt = lattice.stable_timestep(array, squid, pulse, COURANT_FRACTION)
 
-    measured_k = [_point_wavenumber(array, squid, pulse, dt, cell_time, w,
-                                    wavelengths_in_window)
+    measured_k = [_point_wavenumber(array, squid, pulse, dt, cell_time, w)
                   for w in frequencies]
     k = np.array(measured_k)
     order = np.argsort(k)

@@ -398,7 +398,7 @@ def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
             value = float(len(horizons))
         elif name == "hawking_temperature":
             value = geometry.hawking_temperature(
-                None, geometry.emitting_horizon(horizons))
+                geometry.emitting_horizon(horizons))
         elif name == "photon_count":
             value = geometry.photons_per_pulse(
                 cfg.array, cfg.squid, cfg.pulse, cfg.array.n_cells

@@ -68,7 +68,6 @@ class VelocityProfile:
     positions: np.ndarray
     speed: np.ndarray
     flow_speed: float
-    time: float = 0.0
     evaluator: Optional[Callable] = field(
         default=None, repr=False, compare=False)
     steepness: Optional[float] = None
@@ -144,8 +143,7 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
         positions = np.asarray(positions, dtype=float)
     evaluator = _speed_evaluator(array, squid, pulse, time)
     return VelocityProfile(positions=positions, speed=evaluator(positions),
-                           flow_speed=pulse.velocity, time=time,
-                           evaluator=evaluator,
+                           flow_speed=pulse.velocity, evaluator=evaluator,
                            steepness=pulse.steepness_at(time))
 
 
@@ -181,13 +179,13 @@ def effective_metric(profile: VelocityProfile, xi: float) -> EffectiveMetric:
                            sound_speed=profile.speed_at(xi))
 
 
-def lane_brentq(f, a, b, xtol=2.0e-12, rtol=_RTOL):
+def lane_brentq(f, a, b, xtol=2.0e-12):
     """Roots of f in the brackets [a[k], b[k]], one numpy lane per bracket.
 
     Every lane takes the steps of scipy.optimize.brentq (Brent 1973, as
-    written in scipy's brentq.c) with the same xtol and rtol and brentq's
-    iteration cap, so each root is bitwise the one brentq finds for its
-    bracket alone.
+    written in scipy's brentq.c) with the same xtol, brentq's default rtol
+    and its iteration cap, so each root is bitwise the one brentq finds for
+    its bracket alone.
     f(x, lanes) returns the function at x[k] for bracket lanes[k]: it is
     called once for both ends, then once per iteration on the lanes that
     have not converged.
@@ -227,7 +225,7 @@ def lane_brentq(f, a, b, xtol=2.0e-12, rtol=_RTOL):
             xpre[swap] = xblk[swap] = x
             fpre[swap] = fblk[swap] = fx
 
-        delta = (xtol + rtol * np.abs(xcur)) / 2
+        delta = (xtol + _RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         abs_sbis = np.abs(sbis)
         done = (fcur == 0.0) | (abs_sbis < delta)
@@ -414,16 +412,11 @@ def emitting_horizon(horizons) -> HorizonReport:
     return next((h for h in horizons if h.kind == "black"), horizons[0])
 
 
-def hawking_temperature(profile: Optional[VelocityProfile],
-                        horizon: Optional[HorizonReport] = None) -> float:
+def hawking_temperature(horizon: HorizonReport) -> float:
     """Emission temperature hbar*|dc/dxi| / (2*pi*k_B) at the horizon (K).
 
-    With no horizon given, uses the emitting horizon of the profile (see
-    emitting_horizon); raises NoHorizon when the profile has none at all.
-    The profile is read only then, so it may be None with a horizon.
+    A profile's emitter is emitting_horizon(find_horizons(profile)).
     """
-    if horizon is None:
-        horizon = emitting_horizon(find_horizons(profile))
     return _temperature(horizon.gradient)
 
 

@@ -88,11 +88,6 @@ class LatticeState:
     def n_cells(self) -> int:
         return len(self.potential)
 
-    @property
-    def voltages(self) -> np.ndarray:
-        """Capacitor voltages A_n - A_{n-1}, referenced to the open left port."""
-        return np.diff(self.potential, prepend=0.0)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -130,10 +125,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SineDrive:
-    """Soft sinusoidal source added to the potential at one node, with the
-    angular frequency in rad/s."""
+    """Soft sinusoidal source added to the potential of the driven end,
+    node 0, with the angular frequency in rad/s."""
 
-    node: int
     amplitude: float
     frequency: float
 
@@ -142,10 +136,6 @@ class SineDrive:
             raise ValueError("drive frequency must be positive and finite")
         if not math.isfinite(self.amplitude):
             raise ValueError("drive amplitude must be finite")
-        if not isinstance(self.node, numbers.Integral):
-            raise ValueError("drive node %r is not an integer" % (self.node,))
-        if self.node < 0:
-            raise ValueError("drive node %d outside the line" % self.node)
 
 
 @dataclass(frozen=True)
@@ -177,7 +167,8 @@ class LatticeTrajectory:
 
     @cached_property
     def voltages(self) -> np.ndarray:
-        """Capacitor voltages of each record, as LatticeState.voltages."""
+        """Capacitor voltages A_n - A_{n-1} of each record, referenced to the
+        open left port."""
         return np.diff(self.potentials, prepend=0.0)
 
 
@@ -192,11 +183,11 @@ def stable_timestep(array: circuit.ArrayParams, squid: circuit.SquidParams,
     """Default timestep courant_fraction * sqrt(L_min C0).
 
     The bias sweeps flux fractions between the dc offset and offset plus
-    amplitude; the smallest |flux| gives the stiffest cell, L_min.
+    amplitude, both non-negative, so the dc offset is the smallest flux and
+    gives the stiffest cell, L_min.
     """
-    frac = min(abs(pulse.dc_offset), abs(pulse.dc_offset + pulse.amplitude))
     return courant_fraction * circuit.cell_time(
-        array, squid, frac * FLUX_QUANTUM)
+        array, squid, pulse.dc_offset * FLUX_QUANTUM)
 
 
 class _Scales:
@@ -220,9 +211,9 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     """Integrate the line under the given bias and return the recording.
 
     Raises ValueError for a drive without the driven boundary (or the
-    reverse), a drive node outside the line and a probe node that is not an
-    integer inside it, CourantViolation when the configured dt exceeds the
-    stability budget, and NonFinite when the state overflows mid-run.
+    reverse) and a probe node that is not an integer inside the line,
+    CourantViolation when the configured dt exceeds the stability budget,
+    and NonFinite when the state overflows mid-run.
     """
     n = array.n_cells
     if initial.n_cells != n:
@@ -233,8 +224,6 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     if drive is not None and config.boundary != "driven":
         raise ValueError("a SineDrive needs the driven boundary, not %r"
                          % config.boundary)
-    if drive is not None and drive.node >= n:
-        raise ValueError("drive node %d outside the line" % drive.node)
     probe_nodes = tuple(probe_nodes)
     for p in probe_nodes:
         if not isinstance(p, numbers.Integral):
@@ -400,7 +389,7 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
                     right_end, beta_right = end, mur_beta(end)
                 pot[-1] = right_old0 + beta_right * (pot.item(-2) - right_old1)
             if driven:
-                pot[drive.node] += kicks[m - first]
+                pot[0] += kicks[m - first]
 
             if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
                 raise NonFinite("state overflowed at step %d" % (m + 1))

@@ -96,7 +96,8 @@ def test_02_horizon_temperature():
     crit = _Criterion(2, "horizon-temperature", 1.0)
     profile = geometry.velocity_profile(make_array(), SQUID,
                                         reference_pulse(), 0.0)
-    temperature = geometry.hawking_temperature(profile)
+    temperature = geometry.hawking_temperature(
+        geometry.emitting_horizon(geometry.find_horizons(profile)))
     crit.check(abs(temperature - 0.121) <= 0.002,
                "temperature %.4f K outside 121 +/- 2 mK" % temperature)
     crit.conclude()

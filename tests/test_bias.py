@@ -355,6 +355,19 @@ class TestBroadeningCalibration:
             calibrate_broadening(pulse, ref_array, ref_squid,
                                  target_decay=0.1, n_cells=n)
 
+    @pytest.mark.parametrize("velocity_share, delta, match", [
+        (1.0, 1.5, "target_decay must lie in"),
+        (0.0, 0.1, "needs a moving pulse"),
+    ], ids=["decay-above-one", "still-pulse"])
+    def test_bad_input_rejected(self, ref_array, ref_squid, step_pulse,
+                                velocity_share, delta, match):
+        pulse = sh.FluxPulse(amplitude=0.2,
+                             velocity=velocity_share * step_pulse.velocity,
+                             steepness=step_pulse.steepness)
+        with pytest.raises(ValueError, match=match):
+            calibrate_broadening(pulse, ref_array, ref_squid,
+                                 target_decay=delta, n_cells=1000)
+
     def test_no_horizon_when_too_slow(self, ref_array, ref_squid, step_pulse):
         pulse = sh.FluxPulse(amplitude=0.2, velocity=0.5 * step_pulse.velocity,
                              steepness=step_pulse.steepness)
@@ -375,6 +388,6 @@ class TestBroadeningCalibration:
 
         prof0 = sh.velocity_profile(ref_array, ref_squid, cal, time=0.0)
         prof1 = sh.velocity_profile(ref_array, ref_squid, cal, time=t_star)
-        t0 = sh.hawking_temperature(prof0)
-        t1 = sh.hawking_temperature(prof1)
+        t0 = sh.hawking_temperature(sh.emitting_horizon(sh.find_horizons(prof0)))
+        t1 = sh.hawking_temperature(sh.emitting_horizon(sh.find_horizons(prof1)))
         assert t1 / t0 == pytest.approx(1.0 - delta, abs=2e-3)

@@ -343,6 +343,12 @@ class TestValidityReport:
                                     max_signal_frequency=1.0e12)
         assert not report["signal_band"].passed
 
+    def test_unknown_check_name_raises(self, ref_array, ref_squid, step_pulse):
+        report = sh.validity_report(ref_array, ref_squid, step_pulse,
+                                    max_signal_frequency=5.0e10)
+        with pytest.raises(KeyError, match="nope"):
+            report["nope"]
+
 
 def _full_rhs_reference(squid, drive, flux_ext, delta):
     """Independent right-hand side for solve_ivp cross-checks.
@@ -435,6 +441,29 @@ class TestSingleSquidDynamics:
             sh.single_squid_dynamics(ref_squid, 0.0, bad_flux, sh.SquidState(),
                                      dt=0.02 / omega_p, n_steps=2000)
 
+    @pytest.mark.parametrize("field", ["common_phase", "circulating_phase",
+                                       "common_rate", "circulating_rate"])
+    def test_non_finite_initial_state_rejected(self, ref_squid, field):
+        omega_p = sh.effective_plasma_frequency(ref_squid, 0.0)
+        with pytest.raises(errors.NonFinite, match="initial state"):
+            sh.single_squid_dynamics(ref_squid, 0.0, 0.0,
+                                     sh.SquidState(**{field: math.inf}),
+                                     dt=0.02 / omega_p, n_steps=10)
+
+    def test_zero_loop_inductance_rejected(self, ref_junction):
+        sq = sh.SquidParams(junction=ref_junction, loop_inductance=0.0)
+        omega_p = sh.effective_plasma_frequency(sq, 0.0)
+        with pytest.raises(ValueError, match="positive loop inductance"):
+            sh.single_squid_dynamics(sq, 0.0, 0.0, sh.SquidState(),
+                                     dt=0.02 / omega_p, n_steps=10)
+
+    def test_short_sampled_drive_rejected(self, ref_squid):
+        omega_p = sh.effective_plasma_frequency(ref_squid, 0.0)
+        with pytest.raises(ValueError, match="needs n_steps \\+ 1 = 11"):
+            sh.single_squid_dynamics(ref_squid, np.zeros(10), 0.0,
+                                     sh.SquidState(), dt=0.02 / omega_p,
+                                     n_steps=10)
+
     def test_sampled_and_callable_drives_agree(self, ref_squid):
         jj = ref_squid.junction
         omega_p = math.sqrt(2.0 * math.pi * jj.critical_current / (jj.capacitance * PHI0))
@@ -491,6 +520,27 @@ class TestReducedDynamics:
                                             dt=0.02 / omega, n_steps=5000)
         assert traj.is_running
         assert traj.phase[-1] > 4.0 * math.pi
+
+    def test_timestep_guard(self, ref_squid):
+        omega = sh.effective_plasma_frequency(ref_squid, 0.0)
+        with pytest.raises(ValueError, match="dt must satisfy"):
+            sh.reduced_junction_dynamics(ref_squid, 0.0, 0.0, initial_phase=0.0,
+                                         initial_rate=0.0, dt=0.2 / omega,
+                                         n_steps=10)
+
+    @pytest.mark.parametrize("inputs, match", [
+        ({"initial_rate": math.inf}, "initial state"),
+        ({"initial_phase": math.inf}, "initial state"),
+        ({"drive_current": math.inf}, "drive became non-finite"),
+        ({"initial_rate": 1.0e200}, "non-finite samples"),
+    ], ids=["inf-rate", "inf-phase", "inf-drive", "huge-rate"])
+    def test_non_finite_raises(self, ref_squid, inputs, match):
+        omega = sh.effective_plasma_frequency(ref_squid, 0.0)
+        args = dict(drive_current=0.0, external_flux=0.0, initial_phase=0.1,
+                    initial_rate=0.0, dt=0.02 / omega, n_steps=10)
+        args.update(inputs)
+        with pytest.raises(errors.NonFinite, match=match):
+            sh.reduced_junction_dynamics(ref_squid, **args)
 
     def test_subcritical_drive_stays_bound(self, ref_squid):
         ics = sh.squid_critical_current(ref_squid, 0.0)

@@ -173,6 +173,15 @@ class TestProfile:
         assert (tmp_path / "profile.csv").exists()
         assert not (tmp_path / "profile.svg").exists()
 
+    def test_no_horizon_is_reported_not_fatal(self, tmp_path, capsys):
+        # 1e6 m/s is slower than both plateau speeds, 3.90e6 and 3.51e6 m/s.
+        path = write_variant(tmp_path / "slow.json", pulse__velocity=1.0e6)
+        assert main(["profile", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "no horizons found" in out
+        assert "horizon at" not in out
+
     def test_emit_controls_artifacts(self, tmp_path):
         assert main(["profile", "--out", str(tmp_path),
                      "--emit", "csv,svg"]) == 0

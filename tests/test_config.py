@@ -104,6 +104,7 @@ class TestStrictParsing:
         pytest.param('{"array": {"n_cells": 1%s}}' % ("0" * 30),
                      id="integer-beyond-int64"),
         '["not", "an", "object"]',
+        '{"pulse": 3}',
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigError):

@@ -191,11 +191,11 @@ class TestMeasuredCurve:
         assert curve.relative_errors[0] < 0.01
         assert curve.inductance == pytest.approx(ind, rel=1e-12)
 
-    def test_wider_window_no_worse(self, ref_array, ref_squid):
+    def test_wider_window_no_worse(self, ref_array, ref_squid, monkeypatch):
         w = OMEGA_MAX * math.sin(0.15)
         base = dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
-        wide = dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w],
-                                             wavelengths_in_window=20.0)
+        monkeypatch.setattr(dispersion, "WINDOW_WAVELENGTHS", 20.0)
+        wide = dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
         assert wide.relative_errors[0] < 1e-3
         assert wide.relative_errors[0] <= 2.0 * base.relative_errors[0]
 
@@ -222,20 +222,19 @@ class TestMeasuredCurve:
                                match="drive frequency .* is not positive"):
                 dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
 
-    @pytest.mark.parametrize("wavelengths", [0.0, -1.0, math.nan, math.inf,
-                                             -math.inf])
-    def test_bad_window_rejected(self, ref_array, ref_squid, wavelengths):
-        with pytest.raises(ValueError, match="wavelengths_in_window"):
-            dispersion.measure_dispersion(ref_array, ref_squid, 0.0,
-                                          [OMEGA_MAX * math.sin(1.0)],
-                                          wavelengths_in_window=wavelengths)
-
     def test_silent_drive_fails_fit(self, ref_array, ref_squid,
                                     monkeypatch):
         monkeypatch.setattr(dispersion, "DRIVE_AMPLITUDE", 0.0)
         with pytest.raises(FitFailure):
             dispersion.measure_dispersion(ref_array, ref_squid, 0.0,
                                           [OMEGA_MAX * math.sin(1.0)])
+
+    def test_residual_over_threshold_fails_fit(self, ref_array, ref_squid,
+                                               monkeypatch):
+        monkeypatch.setattr(dispersion, "RESIDUAL_THRESHOLD", 0.0)
+        with pytest.raises(FitFailure, match="phase fit residual"):
+            dispersion.measure_dispersion(ref_array, ref_squid, 0.0,
+                                          [OMEGA_MAX * math.sin(0.1)])
 
 
 class TestLeapfrogRelation:

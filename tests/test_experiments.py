@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from squid_horizon import circuit, config, experiments
-from squid_horizon.errors import ConfigError, ParseError, UnknownKey
+from squid_horizon.errors import ConfigError, NoHorizon, ParseError, UnknownKey
 
 TRAVERSAL_TIME = experiments.TRAP_LAUNCH_CELLS * 2.5e-7 / 3897778.146429868
 
@@ -98,6 +98,12 @@ class TestFig2:
         again = experiments.reproduce_fig2(default_cfg, out_dir=tmp_path)
         assert open(again.csv_path, "rb").read() == \
             open(result.csv_path, "rb").read()
+
+    def test_two_horizons_rejected(self, tmp_path):
+        # The Gaussian bump crosses c = u on both of its flanks.
+        cfg = config.apply_override(emitting(), {"pulse.shape": "gaussian"})
+        with pytest.raises(NoHorizon, match="exactly one horizon, found 2"):
+            experiments.reproduce_fig2(cfg, out_dir=tmp_path)
 
     def test_no_emission_when_disabled(self, tmp_path):
         result = experiments.reproduce_fig2(emitting(), out_dir=tmp_path)
@@ -383,4 +389,16 @@ class TestSweep:
         path.write_text('{"axes": [{"path": "pulse.dc_offset"}],'
                         ' "outputs": ["cell_speed"]}')
         with pytest.raises(ConfigError):
+            experiments.load_sweep(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ('[]', "must hold a JSON object"),
+        ('{"axes": [{"path": "pulse.dc_offset", "values": 0.1}]}',
+         "axis values must form a list"),
+        ('{"outputs": "cell_speed"}', "outputs must form a list"),
+    ], ids=["list", "axis-values", "outputs"])
+    def test_load_sweep_rejects_malformed_layout(self, tmp_path, text, match):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
             experiments.load_sweep(path)

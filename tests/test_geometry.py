@@ -86,7 +86,7 @@ def reference_budget(array, squid, pulse, line_length_cells, samples):
         blacks = [h for h in sh.find_horizons(profile) if h.kind == "black"]
         if not blacks:
             raise errors.NoHorizon("no black horizon at t = %.3e s" % t)
-        temp = sh.hawking_temperature(profile, blacks[0])
+        temp = sh.hawking_temperature(blacks[0])
         rows.append((blacks[0].position, blacks[0].gradient, temp,
                      sh.radiated_power(temp)))
     positions, gradients, temperatures, powers = np.array(rows).T
@@ -339,7 +339,8 @@ class TestHorizons:
 
     def test_sample_crossing_has_a_temperature(self):
         prof = sampled_profile([3.0, 2.0, 1.0, 0.0], False)
-        assert sh.hawking_temperature(prof) == pytest.approx(
+        horizon = sh.emitting_horizon(sh.find_horizons(prof))
+        assert sh.hawking_temperature(horizon) == pytest.approx(
             HBAR / (2.0 * math.pi * BOLTZMANN), rel=1e-15)
 
     @PROPERTY
@@ -544,13 +545,12 @@ class TestLineHorizons:
 
 class TestLaneBrentq:
     @PROPERTY
-    @given(brackets=smooth_brackets(),
-           rtol=st.sampled_from([1.0e-3, 4.0 * np.finfo(float).eps]))
-    def test_bitwise_scipy(self, brackets, rtol):
+    @given(brackets=smooth_brackets())
+    def test_bitwise_scipy(self, brackets):
         f, a, b, xtol = brackets
-        roots = sh.geometry.lane_brentq(f, a, b, xtol=xtol, rtol=rtol)
-        expected = [scipy_brentq(lane_of(f, k), a[k], b[k], xtol=xtol,
-                                 rtol=rtol) for k in range(len(a))]
+        roots = sh.geometry.lane_brentq(f, a, b, xtol=xtol)
+        expected = [scipy_brentq(lane_of(f, k), a[k], b[k], xtol=xtol)
+                    for k in range(len(a))]
         assert roots.tolist() == expected
 
     def test_converged_lanes_drop_out(self):
@@ -618,22 +618,20 @@ class TestLaneBrentq:
 class TestTemperatureAndPower:
     def test_temperature_from_gradient(self):
         report = sh.HorizonReport(position=0.0, kind="black", gradient=1.0e11)
-        profile = sh.VelocityProfile(positions=np.array([-1.0, 1.0]),
-                                     speed=np.array([1.0, 1.0]),
-                                     flow_speed=1.0, time=0.0)
         # h / (4 pi^2 k_B) * 1e11, with h and k_B exact in the 2019 SI
-        temp = sh.hawking_temperature(profile, report)
+        temp = sh.hawking_temperature(report)
         assert temp == pytest.approx(0.1215662471951891, rel=1e-12)
 
     def test_reference_design_temperature(self, ref_profile):
-        temp = sh.hawking_temperature(ref_profile)
+        temp = sh.hawking_temperature(
+            sh.emitting_horizon(sh.find_horizons(ref_profile)))
         assert temp == pytest.approx(0.12156624712116852, rel=1e-6)
 
     def test_no_horizon_raises(self, ref_array, ref_squid):
         pulse = sh.FluxPulse(amplitude=0.2, velocity=0.0, steepness=REF_STEEPNESS)
         prof = sh.velocity_profile(ref_array, ref_squid, pulse)
         with pytest.raises(errors.NoHorizon):
-            sh.hawking_temperature(prof)
+            sh.hawking_temperature(sh.emitting_horizon(sh.find_horizons(prof)))
 
     def test_radiated_power_frozen(self):
         assert sh.radiated_power(0.120) == pytest.approx(

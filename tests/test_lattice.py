@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -215,6 +216,31 @@ class TestConservationAndSymmetry:
             lattice.run(state, make_array(n), ref_squid, uniform,
                         lattice.SolverConfig(n_steps=300))
 
+    @pytest.mark.parametrize("check_every, match", [
+        (1, "overflowed at step 1"), (128, "overflowed during the run")],
+        ids=["mid-run", "at-end"])
+    def test_overflow_detected(self, ref_squid, uniform, check_every, match):
+        # Alternating +-1e308 potentials overflow the first bond difference;
+        # with fewer steps than check_every only the final check sees it.
+        n = 16
+        pot = np.where(np.arange(n) % 2, 1.0e308, -1.0e308)
+        state = lattice.LatticeState(0.0, pot, np.zeros(n))
+        cfg = lattice.SolverConfig(n_steps=10, check_every=check_every)
+        # numpy's own overflow warnings are not what this checks.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(errors.NonFinite, match=match):
+            lattice.run(state, make_array(n), ref_squid, uniform, cfg)
+
+    def test_state_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            lattice.LatticeState(0.0, np.zeros(8), np.zeros(7))
+
+    def test_initial_state_of_another_line_rejected(self, ref_squid, uniform):
+        with pytest.raises(ValueError, match="initial state has 8 cells, "
+                                             "array has 16"):
+            lattice.run(lattice.zero_state(make_array(8)), make_array(16),
+                        ref_squid, uniform, lattice.SolverConfig(n_steps=10))
+
 
 class TestConvergence:
     def test_second_order_with_moving_front(self, ref_squid):
@@ -314,6 +340,32 @@ class TestPackets:
                                     sigma=5 * CELL_LENGTH, carrier_ka=0.1,
                                     amplitude=1e-6, dt=1.01 * CELL_TIME)
 
+    @pytest.mark.parametrize("shape, match", [
+        ({"sigma": 0.0}, "sigma must be positive"),
+        ({"direction": 0}, "direction must be"),
+    ], ids=["sigma", "direction"])
+    def test_packet_rejects_bad_shape(self, ref_squid, uniform, shape, match):
+        arr = make_array(64)
+        args = dict(center=32 * CELL_LENGTH, sigma=5 * CELL_LENGTH,
+                    carrier_ka=0.1, amplitude=1e-6, dt=0.2 * CELL_TIME)
+        args.update(shape)
+        with pytest.raises(ValueError, match=match):
+            lattice.gaussian_packet(arr, ref_squid, uniform, **args)
+
+    def test_no_packet_from_one_record(self, ref_squid, uniform):
+        arr = make_array(64)
+        dt = lattice.stable_timestep(arr, ref_squid, uniform)
+        pk = lattice.gaussian_packet(arr, ref_squid, uniform,
+                                     center=32 * CELL_LENGTH,
+                                     sigma=5 * CELL_LENGTH, carrier_ka=0.1,
+                                     amplitude=1e-6, dt=dt)
+        traj = lattice.run(pk, arr, ref_squid, uniform,
+                           lattice.SolverConfig(n_steps=10, dt=dt))
+        one = dataclasses.replace(traj, times=traj.times[:1],
+                                  energy_density=traj.energy_density[:1])
+        with pytest.raises(errors.NoPacket, match="fewer than two"):
+            lattice.measure_pulse_speed(one)
+
     def test_no_packet_in_empty_run(self, ref_squid, uniform):
         arr = make_array(64)
         traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
@@ -382,39 +434,17 @@ class TestSineDrive:
                                            -math.inf])
     def test_non_positive_frequency_rejected(self, frequency):
         with pytest.raises(ValueError, match="frequency must be positive"):
-            lattice.SineDrive(node=0, amplitude=1e-6, frequency=frequency)
+            lattice.SineDrive(amplitude=1e-6, frequency=frequency)
 
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_rejected(self, amplitude):
         with pytest.raises(ValueError, match="amplitude must be finite"):
-            lattice.SineDrive(node=0, amplitude=amplitude, frequency=1.0e11)
-
-    def test_negative_node_rejected(self):
-        with pytest.raises(ValueError, match="drive node -1 outside"):
-            lattice.SineDrive(node=-1, amplitude=1e-6, frequency=1.0e11)
-
-    @pytest.mark.parametrize("node", [1.5, 1.0, math.nan, math.inf, "1"])
-    def test_non_integral_node_rejected(self, node):
-        with pytest.raises(ValueError, match="drive node .* not an integer"):
-            lattice.SineDrive(node=node, amplitude=1e-6, frequency=1.0e11)
-
-    def test_numpy_integer_node_accepted(self):
-        assert lattice.SineDrive(node=np.int64(3), amplitude=1e-6,
-                                 frequency=1.0e11).node == 3
-
-    @pytest.mark.parametrize("node", [64, 65])
-    def test_node_beyond_line_rejected(self, ref_squid, uniform, node):
-        arr = make_array(64)
-        drv = lattice.SineDrive(node=node, amplitude=1e-6, frequency=1.0e11)
-        with pytest.raises(ValueError, match="drive node %d outside" % node):
-            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                        lattice.SolverConfig(n_steps=10, boundary="driven"),
-                        drive=drv)
+            lattice.SineDrive(amplitude=amplitude, frequency=1.0e11)
 
     @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
     def test_drive_needs_driven_boundary(self, ref_squid, uniform, boundary):
         arr = make_array(64)
-        drv = lattice.SineDrive(node=0, amplitude=1e-6, frequency=1.0e12)
+        drv = lattice.SineDrive(amplitude=1e-6, frequency=1.0e12)
         with pytest.raises(ValueError, match="needs the driven boundary"):
             lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
                         lattice.SolverConfig(n_steps=10, boundary=boundary),
@@ -422,7 +452,7 @@ class TestSineDrive:
 
     def test_zero_amplitude_gives_zero_field(self, ref_squid, uniform):
         arr = make_array(128)
-        drv = lattice.SineDrive(node=0, amplitude=0.0, frequency=1.0e11)
+        drv = lattice.SineDrive(amplitude=0.0, frequency=1.0e11)
         traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
                            lattice.SolverConfig(n_steps=300, boundary="driven"),
                            drive=drv)
@@ -433,7 +463,7 @@ class TestSineDrive:
         arr = make_array(n)
         omega = 0.1 * REF_CELL_SPEED / CELL_LENGTH
         dt = lattice.stable_timestep(arr, ref_squid, uniform)
-        drv = lattice.SineDrive(node=0, amplitude=1e-6, frequency=omega)
+        drv = lattice.SineDrive(amplitude=1e-6, frequency=omega)
         steps = int(round(1.4 * n * CELL_LENGTH / REF_CELL_SPEED / dt))
         traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
                            lattice.SolverConfig(n_steps=steps, dt=dt,
@@ -696,7 +726,7 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
             pot[-1] = old[-2] + mur_beta(ind[-1]) * (pot[-2] - old[-1])
         if drive is not None:
             phase = np.sin(drive.frequency * (t + dt))
-            pot[drive.node] += drive.amplitude * (phase - phase_old)
+            pot[0] += drive.amplitude * (phase - phase_old)
             phase_old = phase
         t = initial.time + (m + 1) * dt
     record(t, pot, mom)
@@ -748,7 +778,7 @@ class TestWindowedKernel:
         rng = np.random.default_rng(41)
         state = lattice.LatticeState(start, rng.standard_normal(n) * 1e-4,
                                      rng.standard_normal(n) * 1e-27)
-        drive = (lattice.SineDrive(node=0, amplitude=1e-4,
+        drive = (lattice.SineDrive(amplitude=1e-4,
                                    frequency=0.3 / CELL_TIME)
                  if boundary == "driven" else None)
         cfg = lattice.SolverConfig(
@@ -871,4 +901,10 @@ class TestExport:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(errors.ParseError):
+            lattice.read_trajectory_binary(path)
+
+    def test_binary_truncated_header(self, tmp_path):
+        path = tmp_path / "short.sqhz"
+        path.write_bytes(b"SQHZ1\x00")
+        with pytest.raises(errors.ParseError, match="truncated header"):
             lattice.read_trajectory_binary(path)

@@ -6,11 +6,14 @@ change nothing in it.
 """
 
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import squid_horizon as sh
-from squid_horizon import lattice
+from squid_horizon import cli, config, experiments, lattice
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,6 +22,16 @@ def load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", PERFBENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -48,3 +61,22 @@ def test_pulse_speed_reads_three_fields(ref_squid):
     speed = lattice.measure_pulse_speed(bare)
     assert speed > 0.0
     assert speed == lattice.measure_pulse_speed(traj)
+
+
+@pytest.mark.parametrize("name", ["simulate-front", "dispersion-drive",
+                                  "sweep-grid"])
+def test_workload_inputs_are_accepted(tmp_path, monkeypatch, name):
+    # Every key, flag and axis path the benchmark writes must still parse;
+    # a dropped one would fail each of its runs.
+    workloads = load_workloads(monkeypatch)
+    assert name in workloads.WORKLOADS
+    workload = workloads.generate(name, 5, tmp_path, workloads.TINY)
+    args = cli._build_parser().parse_args(
+        list(workload.argv) + ["--out", str(tmp_path / "out")])
+    if args.command == "sweep":
+        spec = experiments.load_sweep(args.config)
+        for path, values in spec.axes:
+            config.apply_override(spec.base, {path: values[0]})
+        cli._apply_flags(spec.base, args)
+    else:
+        cli._apply_flags(config.load_config(args.config), args)
