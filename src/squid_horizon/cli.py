@@ -94,6 +94,16 @@ def _out_dir(args, cfg: config.RunConfig) -> Path:
     return out
 
 
+def _write(out: Path, emit, flag: str, name: str, writer, *args,
+           **kwargs) -> None:
+    """Write out/name with writer(path, *args, **kwargs) and announce it,
+    when flag is among the emitted formats."""
+    if flag in emit:
+        path = out / name
+        writer(path, *args, **kwargs)
+        print("wrote %s" % path)
+
+
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
     report = circuit.validity_report(cfg.array, cfg.squid, cfg.pulse,
@@ -143,22 +153,16 @@ def _cmd_profile(args) -> int:
         print(line)
 
     emit = cfg.output.emit
-    if "csv" in emit:
-        path = out / "profile.csv"
-        write_csv(path, "xi,c,u", "%.12e,%.12e,%.12e", profile.positions,
-                  profile.speed, [profile.flow_speed] * len(profile.speed))
-        print("wrote %s" % path)
-    if "svg" in emit:
-        path = out / "profile.svg"
-        svgplot.line_plot(
-            path,
-            [(profile.positions, profile.speed, "c(xi)"),
-             (profile.positions,
-              np.full_like(profile.positions, profile.flow_speed), "u")],
-            title="Propagation speed against the flow",
-            xlabel="xi (m)", ylabel="speed (m/s)",
-            vlines=[(h.position, h.kind) for h in horizons])
-        print("wrote %s" % path)
+    _write(out, emit, "csv", "profile.csv", write_csv, "xi,c,u",
+           "%.12e,%.12e,%.12e", profile.positions, profile.speed,
+           [profile.flow_speed] * len(profile.speed))
+    _write(out, emit, "svg", "profile.svg", svgplot.line_plot,
+           [(profile.positions, profile.speed, "c(xi)"),
+            (profile.positions,
+             np.full_like(profile.positions, profile.flow_speed), "u")],
+           title="Propagation speed against the flow",
+           xlabel="xi (m)", ylabel="speed (m/s)",
+           vlines=[(h.position, h.kind) for h in horizons])
     return 0
 
 
@@ -179,23 +183,15 @@ def _cmd_simulate(args) -> int:
     print("energy drift = %.3e" % trajectory.energy_drift)
 
     emit = cfg.output.emit
-    if "csv" in emit:
-        path = out / "trajectory.csv"
-        lattice.write_trajectory_csv(path, trajectory)
-        print("wrote %s" % path)
-    if "bin" in emit:
-        path = out / "trajectory.sqhz"
-        lattice.write_trajectory_binary(path, trajectory)
-        print("wrote %s" % path)
-    if "svg" in emit:
-        path = out / "trajectory.svg"
-        svgplot.line_plot(
-            path,
-            [(trajectory.positions, trajectory.potentials[-1], "final"),
-             (trajectory.positions, trajectory.potentials[0], "initial")],
-            title="Node potential before and after",
-            xlabel="x (m)", ylabel="A (V)")
-        print("wrote %s" % path)
+    _write(out, emit, "csv", "trajectory.csv", lattice.write_trajectory_csv,
+           trajectory)
+    _write(out, emit, "bin", "trajectory.sqhz",
+           lattice.write_trajectory_binary, trajectory)
+    _write(out, emit, "svg", "trajectory.svg", svgplot.line_plot,
+           [(trajectory.positions, trajectory.potentials[-1], "final"),
+            (trajectory.positions, trajectory.potentials[0], "initial")],
+           title="Node potential before and after",
+           xlabel="x (m)", ylabel="A (V)")
     return 0
 
 
@@ -212,38 +208,36 @@ def _cmd_dispersion(args) -> int:
                                                              worst))
 
     emit = cfg.output.emit
-    if "csv" in emit:
-        path = out / "dispersion.csv"
-        dispersion.write_dispersion_csv(path, curve)
-        print("wrote %s" % path)
-    if "svg" in emit:
-        k_dense = np.linspace(0.0, math.pi / cfg.array.cell_length, 200)
-        w_dense = dispersion.omega_analytic(k_dense, curve.inductance,
-                                            curve.capacitance,
-                                            curve.cell_length)
-        path = out / "dispersion.svg"
-        svgplot.line_plot(
-            path,
-            [(k_dense, w_dense, "analytic"),
-             (curve.wavenumbers, curve.omega_measured, "measured")],
-            title="Lattice dispersion", xlabel="k (1/m)",
-            ylabel="omega (rad/s)")
-        print("wrote %s" % path)
+    _write(out, emit, "csv", "dispersion.csv",
+           dispersion.write_dispersion_csv, curve)
+    k_dense = np.linspace(0.0, math.pi / cfg.array.cell_length, 200)
+    w_dense = dispersion.omega_analytic(k_dense, curve.inductance,
+                                        curve.capacitance, curve.cell_length)
+    _write(out, emit, "svg", "dispersion.svg", svgplot.line_plot,
+           [(k_dense, w_dense, "analytic"),
+            (curve.wavenumbers, curve.omega_measured, "measured")],
+           title="Lattice dispersion", xlabel="k (1/m)",
+           ylabel="omega (rad/s)")
     return 0
 
 
 def _cmd_budget(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    report = experiments.temperature_budget(cfg, out_dir=out)
+    report = experiments.temperature_budget(cfg)
     print("initial T_H = %.6f K" % report.initial_temperature)
     print("T ratio after 1000 cells = %.6f" % report.temperature_ratio_1000)
     print("expected photons per traversal = %.6f" % report.photon_count)
     for name, ok in sorted(report.targets_met.items()):
         print("target %-12s %s" % (name, "met" if ok else "MISSED"))
-    for path in (report.csv_path, report.svg_path):
-        if path:
-            print("wrote %s" % path)
+    budget = report.budget
+    emit = cfg.output.emit
+    _write(out, emit, "csv", "budget_trace.csv", geometry.write_horizon_trace,
+           budget)
+    _write(out, emit, "svg", "budget_trace.svg", svgplot.line_plot,
+           [(budget.times, budget.temperatures, "T_H (K)")],
+           title="Horizon temperature along the traversal",
+           xlabel="t (s)", ylabel="T_H (K)")
     return 0
 
 
@@ -252,31 +246,55 @@ def _cmd_reproduce(args) -> int:
         return _cmd_budget(args)
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
+    emit = cfg.output.emit
     if args.target == "trapping":
         for scenario in ("pulse", "static"):
-            report = experiments.wavepacket_trapping(cfg, out_dir=out,
-                                                     scenario=scenario)
+            report = experiments.wavepacket_trapping(cfg, scenario=scenario)
             for outcome in report.outcomes:
                 when = ("" if outcome.crossing_time is None
                         else " at t = %.3e s" % outcome.crossing_time)
                 print("%s: %s %s%s" % (scenario, outcome.name,
                                        outcome.verdict, when))
-            if report.csv_path:
-                print("wrote %s" % report.csv_path)
-        return 0
-    if args.target == "fig2":
-        result = experiments.reproduce_fig2(cfg, out_dir=out)
+            traces = report.traces
+            _write(out, emit, "csv", "trapping_%s.csv" % scenario, write_csv,
+                   "packet,t,xi_offset", "%s,%.12e,%.12e",
+                   [name for name, (times, _) in traces.items()
+                    for _ in times],
+                   np.concatenate([times for times, _ in traces.values()]),
+                   np.concatenate([offs for _, offs in traces.values()]))
+    elif args.target == "fig2":
+        result = experiments.reproduce_fig2(cfg)
         print("plateau c/c0 = %.6f, u/c0 = %.6f" % (result.plateau_ratio,
                                                     result.flow_ratio))
         print("horizon at xi = %.6e m (flux %.6f of a quantum)"
               % (result.horizon_position, result.horizon_flux_fraction))
+        rel, ratio = result.offsets, result.speed_ratios
+        flow = result.flow_ratio
+        _write(out, emit, "csv", "fig2_profile.csv", write_csv,
+               "xi,c_over_c0,u_over_c0", "%.12e,%.12e,%.12e", rel, ratio,
+               [flow] * len(rel))
+        _write(out, emit, "svg", "fig2_profile.svg", svgplot.line_plot,
+               [(rel, ratio, "c(xi)/c(0)"),
+                (rel, np.full_like(rel, flow), "u/c(0)")],
+               title="Speed profile across the moving front",
+               xlabel="xi (m)", ylabel="speed / c(0)",
+               vlines=[(result.horizon_position - cfg.pulse.front_position,
+                        "horizon")])
     else:
-        result = experiments.reproduce_fig3(cfg, out_dir=out)
+        result = experiments.reproduce_fig3(cfg)
         for cap, icept in zip(result.capacitances, result.intercepts):
             print("C0 = %8.3g F: Z/R_Q at zero flux = %.4f" % (cap, icept))
-    for path in (result.csv_path, result.svg_path):
-        if path:
-            print("wrote %s" % path)
+        fractions, ratios = result.flux_fractions, result.ratios
+        labels = ["%g aF" % (cap * 1e18) for cap in result.capacitances]
+        _write(out, emit, "csv", "fig3_impedance.csv", write_csv,
+               ",".join(["flux_fraction"] +
+                        ["ratio_" + l.replace(" ", "") for l in labels]),
+               ",".join(["%.12e"] * (1 + len(ratios))), fractions, *ratios)
+        _write(out, emit, "svg", "fig3_impedance.svg", svgplot.line_plot,
+               [(fractions, row, "C0 = " + label)
+                for row, label in zip(ratios, labels)],
+               title="Line impedance over the resistance quantum",
+               xlabel="flux / flux quantum", ylabel="Z / R_Q")
     return 0
 
 
@@ -310,7 +328,7 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, ConfigError) as exc:
+    except (OSError, ConfigError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (SquidHorizonError, ValueError) as exc:

@@ -1,10 +1,11 @@
 """Bundled studies on the reference device and a parameter sweep engine.
 
-The reproduction commands regenerate the canned reference artifacts (speed
-profile, impedance sweep, emission budget, packet trapping) from a
-configuration, emitting deterministic CSV and optional SVG.  The sweep
-engine evaluates closed-form outputs over a one- or two-axis parameter
-grid with per-point failure capture.
+The studies compute the canned reference results (speed profile,
+impedance sweep, emission budget, packet trapping) from a configuration
+and return them as data, with the curves each artifact is drawn from; the
+command line decides which files to write.  The sweep engine evaluates
+closed-form outputs over a one- or two-axis parameter grid with per-point
+failure capture.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bias, circuit, config, geometry, lattice, svgplot
-from ._csv import write_csv
+from . import bias, circuit, config, geometry, lattice
 from .config import RunConfig
 from .constants import FLUX_QUANTUM, RESISTANCE_QUANTUM
 from .errors import ConfigError, NoHorizon, SquidHorizonError, UnknownKey
@@ -52,33 +52,25 @@ TRAP_CARRIER_KA = 0.1
 TRAP_WINDOW_TRAVERSALS = 5.0
 
 
-def _prepare(cfg: Optional[RunConfig], out_dir):
-    cfg = cfg if cfg is not None else config.default_config()
-    out = Path(out_dir) if out_dir is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out, cfg.output.emit
-
-
 @dataclass(frozen=True)
 class Fig2Result:
-    """Comoving speed profile summary for the step pulse."""
+    """Comoving speed profile for the step pulse: c/c(0) at each offset
+    xi - front_position, and its summary."""
 
     plateau_ratio: float
     flow_ratio: float
     horizon_position: float
     horizon_flux_fraction: float
-    csv_path: Optional[str]
-    svg_path: Optional[str]
+    offsets: np.ndarray
+    speed_ratios: np.ndarray
 
 
-def reproduce_fig2(cfg: Optional[RunConfig] = None,
-                   out_dir=".") -> Fig2Result:
-    """Speed profile across the moving front with the horizon marked.
+def reproduce_fig2(cfg: RunConfig) -> Fig2Result:
+    """Speed profile across the moving front with its horizon.
 
-    Emits c(xi)/c(0) together with the constant flow line u/c(0); the
-    single horizon of the monotone front sits where the two cross.
+    Returns c(xi)/c(0) and the constant flow ratio u/c(0); the single
+    horizon of the monotone front sits where the two cross.
     """
-    cfg, out, emit = _prepare(cfg, out_dir)
     pulse, array, squid = cfg.pulse, cfg.array, cfg.squid
     c0 = circuit.cell_velocity(array, squid, pulse.dc_offset * FLUX_QUANTUM)
     span = 15.0 / pulse.steepness
@@ -93,28 +85,11 @@ def reproduce_fig2(cfg: Optional[RunConfig] = None,
     flux_fraction = float(bias.comoving_flux_fraction(pulse,
                                                       horizon.position, 0.0))
     ratio = profile.speed / c0
-    flow_ratio = pulse.velocity / c0
-    rel = xi - pulse.front_position
-
-    csv_path = svg_path = None
-    if "csv" in emit:
-        csv_path = str(out / "fig2_profile.csv")
-        write_csv(csv_path, "xi,c_over_c0,u_over_c0", "%.12e,%.12e,%.12e",
-                  rel, ratio, [flow_ratio] * len(rel))
-    if "svg" in emit:
-        svg_path = str(out / "fig2_profile.svg")
-        svgplot.line_plot(
-            svg_path,
-            [(rel, ratio, "c(xi)/c(0)"),
-             (rel, np.full_like(rel, flow_ratio), "u/c(0)")],
-            title="Speed profile across the moving front",
-            xlabel="xi (m)", ylabel="speed / c(0)",
-            vlines=[(horizon.position - pulse.front_position, "horizon")])
-
-    return Fig2Result(plateau_ratio=float(ratio[0]), flow_ratio=flow_ratio,
+    return Fig2Result(plateau_ratio=float(ratio[0]),
+                      flow_ratio=pulse.velocity / c0,
                       horizon_position=horizon.position,
                       horizon_flux_fraction=flux_fraction,
-                      csv_path=csv_path, svg_path=svg_path)
+                      offsets=xi - pulse.front_position, speed_ratios=ratio)
 
 
 @dataclass(frozen=True)
@@ -124,59 +99,35 @@ class Fig3Result:
     capacitances: tuple
     flux_fractions: np.ndarray
     ratios: np.ndarray
-    csv_path: Optional[str]
-    svg_path: Optional[str]
 
     @property
     def intercepts(self) -> tuple:
         return tuple(float(v) for v in self.ratios[:, 0])
 
 
-def reproduce_fig3(cfg: Optional[RunConfig] = None,
-                   out_dir=".") -> Fig3Result:
+def reproduce_fig3(cfg: RunConfig) -> Fig3Result:
     """Z/R_Q versus flux for four ground capacitances at fixed junctions."""
-    cfg, out, emit = _prepare(cfg, out_dir)
     fractions = np.linspace(0.0, 0.49, 99)
     ratios = np.empty((len(FIG3_CAPACITANCES), len(fractions)))
     for i, cap in enumerate(FIG3_CAPACITANCES):
         array = dataclasses.replace(cfg.array, ground_capacitance=cap)
         ratios[i] = circuit.array_impedance(
             array, cfg.squid, fractions * FLUX_QUANTUM) / RESISTANCE_QUANTUM
-
-    labels = ["%g aF" % (cap * 1e18) for cap in FIG3_CAPACITANCES]
-    csv_path = svg_path = None
-    if "csv" in emit:
-        csv_path = str(out / "fig3_impedance.csv")
-        write_csv(csv_path,
-                  ",".join(["flux_fraction"] +
-                           ["ratio_" + l.replace(" ", "") for l in labels]),
-                  ",".join(["%.12e"] * (1 + len(ratios))),
-                  fractions, *ratios)
-    if "svg" in emit:
-        svg_path = str(out / "fig3_impedance.svg")
-        svgplot.line_plot(
-            svg_path,
-            [(fractions, ratios[i], "C0 = " + labels[i])
-             for i in range(len(FIG3_CAPACITANCES))],
-            title="Line impedance over the resistance quantum",
-            xlabel="flux / flux quantum", ylabel="Z / R_Q")
-
     return Fig3Result(capacitances=FIG3_CAPACITANCES,
-                      flux_fractions=fractions, ratios=ratios,
-                      csv_path=csv_path, svg_path=svg_path)
+                      flux_fractions=fractions, ratios=ratios)
 
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Emission budget of one traversal against the design targets;
-    temperature_ratio_1000 is NaN on a line shorter than 1000 cells."""
+    """Emission budget of one traversal against the design targets, with
+    the PhotonBudget it was computed from; temperature_ratio_1000 is NaN on
+    a line shorter than 1000 cells."""
 
     initial_temperature: float
     temperature_ratio_1000: float
     photon_count: float
     traversal_time: float
-    csv_path: Optional[str]
-    svg_path: Optional[str]
+    budget: geometry.PhotonBudget
 
     @property
     def targets_met(self) -> dict:
@@ -189,33 +140,18 @@ class BudgetReport:
         }
 
 
-def temperature_budget(cfg: Optional[RunConfig] = None,
-                       out_dir=".") -> BudgetReport:
+def temperature_budget(cfg: RunConfig) -> BudgetReport:
     """Temperature history and photon count for the configured pulse."""
-    cfg, out, emit = _prepare(cfg, out_dir)
     budget = geometry.photons_per_pulse(cfg.array, cfg.squid, cfg.pulse,
                                         cfg.array.n_cells)
     t0 = float(budget.temperatures[0])
     t_1000 = 1000.0 * cfg.array.cell_length / cfg.pulse.velocity
     ratio = (float(np.interp(t_1000, budget.times, budget.temperatures)) / t0
              if cfg.array.n_cells >= 1000 else math.nan)
-
-    csv_path = svg_path = None
-    if "csv" in emit:
-        csv_path = str(out / "budget_trace.csv")
-        geometry.write_horizon_trace(csv_path, budget)
-    if "svg" in emit:
-        svg_path = str(out / "budget_trace.svg")
-        svgplot.line_plot(
-            svg_path,
-            [(budget.times, budget.temperatures, "T_H (K)")],
-            title="Horizon temperature along the traversal",
-            xlabel="t (s)", ylabel="T_H (K)")
-
     return BudgetReport(initial_temperature=t0, temperature_ratio_1000=ratio,
                         photon_count=budget.expected_count,
                         traversal_time=float(budget.times[-1]),
-                        csv_path=csv_path, svg_path=svg_path)
+                        budget=budget)
 
 
 @dataclass(frozen=True)
@@ -234,12 +170,13 @@ class PacketOutcome:
 
 @dataclass(frozen=True)
 class TrappingReport:
-    """Both packet verdicts of one trapping scenario."""
+    """Both packet verdicts of one trapping scenario; traces maps each
+    packet's name to its record times and front-frame centroid offsets."""
 
     scenario: str
     horizon_offset: Optional[float]
     outcomes: tuple
-    csv_path: Optional[str]
+    traces: dict
 
 
 def _centroid_offsets(traj: lattice.LatticeTrajectory, flow: float,
@@ -250,7 +187,7 @@ def _centroid_offsets(traj: lattice.LatticeTrajectory, flow: float,
     return centroids - flow * traj.times - reference
 
 
-def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
+def wavepacket_trapping(cfg: RunConfig,
                         scenario: str = "pulse") -> TrappingReport:
     """Launch counter-propagating packets around the horizon and classify.
 
@@ -262,7 +199,6 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
     """
     if scenario not in ("pulse", "static"):
         raise ValueError("scenario must be 'pulse' or 'static'")
-    cfg, out, emit = _prepare(cfg, out_dir)
     array, squid = cfg.array, cfg.squid
     a = array.cell_length
     center = 0.5 * array.n_cells * a
@@ -320,19 +256,10 @@ def wavepacket_trapping(cfg: Optional[RunConfig] = None, out_dir=".",
                                     final_offset=float(offsets[-1]))
         outcomes.append(outcome)
 
-    csv_path = None
-    if "csv" in emit:
-        csv_path = str(out / ("trapping_%s.csv" % scenario))
-        write_csv(csv_path, "packet,t,xi_offset", "%s,%.12e,%.12e",
-                  [name for name, (times, _) in traces.items()
-                   for _ in times],
-                  np.concatenate([times for times, _ in traces.values()]),
-                  np.concatenate([offsets for _, offsets in traces.values()]))
-
     return TrappingReport(
         scenario=scenario,
         horizon_offset=(reference - center if scenario == "pulse" else None),
-        outcomes=tuple(outcomes), csv_path=csv_path)
+        outcomes=tuple(outcomes), traces=traces)
 
 
 _SWEEP_OUTPUTS = ("hawking_temperature", "impedance_ratio", "cell_speed",
@@ -399,12 +326,10 @@ def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
         elif name == "hawking_temperature":
             value = geometry.hawking_temperature(
                 geometry.emitting_horizon(horizons))
-        elif name == "photon_count":
+        else:  # photon_count; SweepSpec has checked every name
             value = geometry.photons_per_pulse(
                 cfg.array, cfg.squid, cfg.pulse, cfg.array.n_cells
             ).expected_count
-        else:
-            raise AssertionError(name)
         outputs[name] = value
     return outputs
 

@@ -327,80 +327,84 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     # reaches an end.
     left_end = right_end = None
 
-    for first in range(0, steps, _BLOCK):
-        block = range(first, min(first + _BLOCK, steps))
-        times = step_times[first:block.stop]
-        if not static_bias:
-            # Each half step's row of L/L(0) on the union of the rows'
-            # windows; outside it every cell sits exactly on one of the two
-            # plateaus at each of the half steps.
-            half_times = times + 0.5 * dt
-            lo, hi, left, right = bias.front_window(pulse, half_times,
-                                                    positions)
-            ind[:lo], ind[hi:] = circuit.relative_inductance(
-                np.array([left, right]))
-            ind_rows = circuit.relative_inductance(bias.flux_fraction_at(
-                pulse, positions[lo:hi], half_times[:, np.newaxis]))
-        if driven:
-            phases = np.sin(drive.frequency * (times + dt))
-            kicks = (drive.amplitude
-                     * np.diff(phases, prepend=drive_phase_old)).tolist()
-            drive_phase_old = phases[-1]
-
-        for m in block:
-            np.subtract(pot_right, pot_left, out=bonds)
-            np.subtract(diffs_right, diffs_left, out=lap)
-            if m % cadence == 0:
-                record(m // cadence, step_times[m])
-            if probe_nodes:
-                probe_vals[m] = pot[probe_idx]
-
-            np.multiply(kick, lap, out=work)
-            mom += work
+    # An overflowing state is reported by the NonFinite checks below, not
+    # by numpy's floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, steps, _BLOCK):
+            block = range(first, min(first + _BLOCK, steps))
+            times = step_times[first:block.stop]
             if not static_bias:
-                ind[lo:hi] = ind_rows[m - first]
-            ind_half = ind
-
-            if stretch:
-                rel = np.abs(mom) * scales.phase_unit
-                peak = float(rel.max())
-                if peak >= 1.0:
-                    raise OverCritical("cell current reached %.3f of critical"
-                                       % peak)
-                ind_half = ind * circuit.inductance_stretch(rel)
-
-            if mur:
-                left_old0, left_old1 = pot.item(0), pot.item(1)
-            if open_right:
-                right_old0, right_old1 = pot.item(-2), pot.item(-1)
-
-            np.multiply(dtau, mom, out=work)
-            np.divide(work, ind_half, out=work)
-            pot += work
-
-            if mur:
-                end = ind_half.item(0)
-                if end != left_end:
-                    left_end, beta_left = end, mur_beta(end)
-                pot[0] = left_old1 + beta_left * (pot.item(1) - left_old0)
-            if open_right:
-                end = ind_half.item(-1)
-                if end != right_end:
-                    right_end, beta_right = end, mur_beta(end)
-                pot[-1] = right_old0 + beta_right * (pot.item(-2) - right_old1)
+                # Each half step's row of L/L(0) on the union of the rows'
+                # windows; outside it every cell sits exactly on one of the
+                # two plateaus at each of the half steps.
+                half_times = times + 0.5 * dt
+                lo, hi, left, right = bias.front_window(pulse, half_times,
+                                                        positions)
+                ind[:lo], ind[hi:] = circuit.relative_inductance(
+                    np.array([left, right]))
+                ind_rows = circuit.relative_inductance(bias.flux_fraction_at(
+                    pulse, positions[lo:hi], half_times[:, np.newaxis]))
             if driven:
-                pot[0] += kicks[m - first]
+                phases = np.sin(drive.frequency * (times + dt))
+                kicks = (drive.amplitude
+                         * np.diff(phases, prepend=drive_phase_old)).tolist()
+                drive_phase_old = phases[-1]
 
-            if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
-                raise NonFinite("state overflowed at step %d" % (m + 1))
+            for m in block:
+                np.subtract(pot_right, pot_left, out=bonds)
+                np.subtract(diffs_right, diffs_left, out=lap)
+                if m % cadence == 0:
+                    record(m // cadence, step_times[m])
+                if probe_nodes:
+                    probe_vals[m] = pot[probe_idx]
 
-    np.subtract(pot_right, pot_left, out=bonds)
-    np.subtract(diffs_right, diffs_left, out=lap)
-    record(n_rec - 1, step_times[steps])
-    if probe_nodes:
-        probe_vals[steps] = pot[probe_idx]
-    if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
-        raise NonFinite("state overflowed during the run")
+                np.multiply(kick, lap, out=work)
+                mom += work
+                if not static_bias:
+                    ind[lo:hi] = ind_rows[m - first]
+                ind_half = ind
+
+                if stretch:
+                    rel = np.abs(mom) * scales.phase_unit
+                    peak = float(rel.max())
+                    if peak >= 1.0:
+                        raise OverCritical("cell current reached %.3f of "
+                                           "critical" % peak)
+                    ind_half = ind * circuit.inductance_stretch(rel)
+
+                if mur:
+                    left_old0, left_old1 = pot.item(0), pot.item(1)
+                if open_right:
+                    right_old0, right_old1 = pot.item(-2), pot.item(-1)
+
+                np.multiply(dtau, mom, out=work)
+                np.divide(work, ind_half, out=work)
+                pot += work
+
+                if mur:
+                    end = ind_half.item(0)
+                    if end != left_end:
+                        left_end, beta_left = end, mur_beta(end)
+                    pot[0] = left_old1 + beta_left * (pot.item(1) - left_old0)
+                if open_right:
+                    end = ind_half.item(-1)
+                    if end != right_end:
+                        right_end, beta_right = end, mur_beta(end)
+                    pot[-1] = right_old0 + beta_right * (pot.item(-2)
+                                                         - right_old1)
+                if driven:
+                    pot[0] += kicks[m - first]
+
+                if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
+                    raise NonFinite("state overflowed at step %d" % (m + 1))
+
+        np.subtract(pot_right, pot_left, out=bonds)
+        np.subtract(diffs_right, diffs_left, out=lap)
+        record(n_rec - 1, step_times[steps])
+        if probe_nodes:
+            probe_vals[steps] = pot[probe_idx]
+        if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
+            raise NonFinite("state overflowed during the run")
 
     final = LatticeState(time=step_times.item(steps), potential=pot.copy(),
                          momentum=mom * scales.momentum_unit)

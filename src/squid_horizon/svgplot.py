@@ -23,8 +23,6 @@ _MARGIN_B = 52
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list:
-    if not (hi > lo):
-        return [lo]
     raw = (hi - lo) / count
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -49,11 +47,21 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
     """Write an SVG with one polyline per (x, y, label) triple.
 
     ``vlines`` holds (x, label) pairs drawn as dashed markers.  Each axis
-    spans the data extent padded by 5%.
+    spans the data extent padded by 5%.  Raises ValueError, naming the
+    series or marker, for a value that is not finite.
     """
-    xs = [float(v) for x, _, _ in series for v in x]
-    ys = [float(v) for _, y, _ in series for v in y]
-    xs += [float(x) for x, _ in vlines]
+    xs, ys = [], []
+    for x, y, label in series:
+        x, y = [float(v) for v in x], [float(v) for v in y]
+        if not all(map(math.isfinite, x + y)):
+            raise ValueError("series %r has a value that is not finite"
+                             % (label,))
+        xs += x
+        ys += y
+    for x, label in vlines:
+        if not math.isfinite(x):
+            raise ValueError("marker %r is not finite" % (label,))
+        xs.append(float(x))
     if not xs or not ys:
         raise ValueError("line_plot needs at least one point")
 

@@ -345,9 +345,9 @@ def test_10_conservation_suite(tmp_path):
     crit.conclude()
 
 
-def test_11_horizon_trapping(tmp_path):
+def test_11_horizon_trapping():
     crit = _Criterion(11, "horizon-trapping", 300.0)
-    report = experiments.wavepacket_trapping(out_dir=tmp_path)
+    report = experiments.wavepacket_trapping(config.default_config())
     outcomes = {o.name: o for o in report.outcomes}
     behind = outcomes["forward_behind"]
     ahead = outcomes["backward_ahead"]

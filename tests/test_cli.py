@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import squid_horizon
-from squid_horizon import config, experiments, lattice
+from squid_horizon import cli, config, lattice
 from squid_horizon.cli import main
 
 from test_csv import reference_csv
@@ -101,6 +101,16 @@ class TestValidate:
         code = main(["validate", "--config", str(tmp_path / "absent.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, name", [
+        ("--out", "taken"), ("--out", "taken/sub"), ("--config", ".")],
+        ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory"])
+    def test_unusable_path_is_a_config_error(self, tmp_path, capsys, option,
+                                             name):
+        (tmp_path / "taken").write_text("")
+        code = main(["validate", option, str(tmp_path / name)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_misspelled_key(self, tmp_path, capsys):
         data = config.config_to_dict(config.default_config())
@@ -319,8 +329,8 @@ class TestReproduce:
             calls[Path(path).name] = reference_csv(header, fmt, *columns)
             real_write_csv(path, header, fmt, *columns)
 
-        real_write_csv = experiments.write_csv
-        monkeypatch.setattr(experiments, "write_csv", recording)
+        real_write_csv = cli.write_csv
+        monkeypatch.setattr(cli, "write_csv", recording)
         assert main(["reproduce", target, "--out", str(tmp_path)]) == 0
         assert sorted(calls) == names
         for name in names:
@@ -393,6 +403,12 @@ class TestSweep:
         assert good[-1] == ""
         assert bad[-1].startswith("NonFinite:")
 
+    def test_sweep_file_is_a_directory(self, tmp_path, capsys):
+        code = main(["sweep", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_non_string_axis_path(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"axes": [{"path": 3, "values": [1]}],
@@ -400,6 +416,27 @@ class TestSweep:
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("emit", ["", "svg"], ids=["none", "svg"])
+@pytest.mark.parametrize("argv", [
+    ["profile"], ["simulate"], ["dispersion"], ["budget"],
+    ["reproduce", "fig2"], ["reproduce", "fig3"], ["reproduce", "trapping"]],
+    ids=lambda argv: "-".join(argv))
+def test_every_written_file_is_announced(tmp_path, capsys, argv, emit):
+    if argv == ["simulate"]:
+        small = write_variant(tmp_path / "small.json", array__n_cells=600,
+                              solver__n_steps=400, solver__record_every=100)
+        argv = argv + ["--config", str(small)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--emit", emit]) == 0
+    wrote = [line[len("wrote "):]
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(str(path) for path in out.iterdir())
+    # The trapping study has no SVG.
+    assert {Path(path).suffix for path in wrote} == \
+        ({".svg"} if emit and argv[:2] != ["reproduce", "trapping"] else set())
 
 
 class TestArithmeticLimits:

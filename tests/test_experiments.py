@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from squid_horizon import circuit, config, experiments
+from squid_horizon import circuit, cli, config, experiments
 from squid_horizon.errors import ConfigError, NoHorizon, ParseError, UnknownKey
 
 TRAVERSAL_TIME = experiments.TRAP_LAUNCH_CELLS * 2.5e-7 / 3897778.146429868
 
 
-def emitting(*flags):
-    """The shipped configuration writing the given formats."""
-    return config.apply_override(config.default_config(),
-                                 {"output.emit": list(flags)})
+def reproduced(tmp_path_factory, target, emit="csv"):
+    """The directory that `reproduce target` on the shipped configuration
+    wrote its artifacts into."""
+    out = tmp_path_factory.mktemp(target)
+    assert cli.main(["reproduce", target, "--out", str(out),
+                     "--emit", emit]) == 0
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -24,35 +27,32 @@ def default_cfg():
 
 
 @pytest.fixture(scope="module")
-def fig2_result(tmp_path_factory):
-    out = tmp_path_factory.mktemp("fig2")
-    return experiments.reproduce_fig2(emitting("csv", "svg"),
-                                      out_dir=out), out
+def fig2_result(default_cfg, tmp_path_factory):
+    return (experiments.reproduce_fig2(default_cfg),
+            reproduced(tmp_path_factory, "fig2", "csv,svg"))
 
 
 @pytest.fixture(scope="module")
 def fig3_result(default_cfg, tmp_path_factory):
-    out = tmp_path_factory.mktemp("fig3")
-    return experiments.reproduce_fig3(default_cfg, out_dir=out), out
+    return (experiments.reproduce_fig3(default_cfg),
+            reproduced(tmp_path_factory, "fig3"))
 
 
 @pytest.fixture(scope="module")
 def budget_report(default_cfg, tmp_path_factory):
-    out = tmp_path_factory.mktemp("budget")
-    return experiments.temperature_budget(default_cfg, out_dir=out), out
+    return (experiments.temperature_budget(default_cfg),
+            reproduced(tmp_path_factory, "budget"))
 
 
 @pytest.fixture(scope="module")
 def trap_pulse(default_cfg, tmp_path_factory):
-    out = tmp_path_factory.mktemp("trap")
-    return experiments.wavepacket_trapping(default_cfg, out_dir=out), out
+    return (experiments.wavepacket_trapping(default_cfg),
+            reproduced(tmp_path_factory, "trapping"))
 
 
 @pytest.fixture(scope="module")
-def trap_static(default_cfg, tmp_path_factory):
-    out = tmp_path_factory.mktemp("trap_static")
-    return experiments.wavepacket_trapping(default_cfg, out_dir=out,
-                                           scenario="static"), out
+def trap_static(default_cfg):
+    return experiments.wavepacket_trapping(default_cfg, scenario="static")
 
 
 class TestFig2:
@@ -74,8 +74,8 @@ class TestFig2:
             0.14172971084142186, rel=1e-6)
 
     def test_csv_layout(self, fig2_result):
-        result, _ = fig2_result
-        with open(result.csv_path, newline="") as fh:
+        result, out = fig2_result
+        with open(out / "fig2_profile.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["xi", "c_over_c0", "u_over_c0"]
         assert len(rows) == 1 + 1201
@@ -86,29 +86,29 @@ class TestFig2:
         assert first[2] == last[2]
 
     def test_svg_emitted(self, fig2_result):
-        result, _ = fig2_result
-        text = open(result.svg_path).read()
+        _, out = fig2_result
+        text = (out / "fig2_profile.svg").read_text()
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
         assert "horizon" in text
         assert text.count("<polyline") == 2
 
-    def test_deterministic_bytes(self, default_cfg, tmp_path, fig2_result):
-        result, _ = fig2_result
-        again = experiments.reproduce_fig2(default_cfg, out_dir=tmp_path)
-        assert open(again.csv_path, "rb").read() == \
-            open(result.csv_path, "rb").read()
+    def test_deterministic_bytes(self, tmp_path, fig2_result):
+        _, out = fig2_result
+        assert cli.main(["reproduce", "fig2", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fig2_profile.csv").read_bytes() == \
+            (out / "fig2_profile.csv").read_bytes()
 
-    def test_two_horizons_rejected(self, tmp_path):
+    def test_two_horizons_rejected(self):
         # The Gaussian bump crosses c = u on both of its flanks.
-        cfg = config.apply_override(emitting(), {"pulse.shape": "gaussian"})
+        cfg = config.apply_override(config.default_config(),
+                                    {"pulse.shape": "gaussian"})
         with pytest.raises(NoHorizon, match="exactly one horizon, found 2"):
-            experiments.reproduce_fig2(cfg, out_dir=tmp_path)
+            experiments.reproduce_fig2(cfg)
 
     def test_no_emission_when_disabled(self, tmp_path):
-        result = experiments.reproduce_fig2(emitting(), out_dir=tmp_path)
-        assert result.csv_path is None
-        assert result.svg_path is None
+        assert cli.main(["reproduce", "fig2", "--out", str(tmp_path),
+                         "--emit", ""]) == 0
         assert list(tmp_path.iterdir()) == []
 
 
@@ -139,8 +139,8 @@ class TestFig3:
         assert len(result.flux_fractions) == 99
 
     def test_csv_layout(self, fig3_result):
-        result, _ = fig3_result
-        with open(result.csv_path, newline="") as fh:
+        _, out = fig3_result
+        with open(out / "fig3_impedance.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "flux_fraction"
         assert len(rows[0]) == 5
@@ -169,11 +169,11 @@ class TestBudget:
         assert report.targets_met == {"temperature": True, "decay": True,
                                       "count": True}
 
-    def test_no_ratio_on_a_line_shorter_than_1000_cells(self, tmp_path):
+    def test_no_ratio_on_a_line_shorter_than_1000_cells(self):
         cfg = config.apply_override(config.default_config(),
                                     {"array.n_cells": 400,
                                      "output.emit": []})
-        report = experiments.temperature_budget(cfg, out_dir=tmp_path)
+        report = experiments.temperature_budget(cfg)
         assert math.isnan(report.temperature_ratio_1000)
         assert report.targets_met["decay"] is False
 
@@ -184,8 +184,8 @@ class TestBudget:
         assert report.traversal_time == pytest.approx(expected, rel=1e-12)
 
     def test_trace_csv(self, budget_report):
-        report, _ = budget_report
-        with open(report.csv_path) as fh:
+        _, out = budget_report
+        with open(out / "budget_trace.csv") as fh:
             header = fh.readline().strip()
         assert header == "t,x_h,grad_c,T_H_K,power_W"
 
@@ -215,7 +215,7 @@ class TestTrapping:
             -1.01876624224012e-06, rel=1e-4)
 
     def test_static_control_crosses_both_ways(self, trap_static):
-        report, _ = trap_static
+        report = trap_static
         assert report.horizon_offset is None
         by_name = {o.name: o for o in report.outcomes}
         assert by_name["forward_behind"].crossed
@@ -227,23 +227,22 @@ class TestTrapping:
             by_name["backward_ahead"].crossing_time, rel=1e-12)
 
     def test_trace_csv(self, trap_pulse):
-        report, _ = trap_pulse
-        with open(report.csv_path, newline="") as fh:
+        _, out = trap_pulse
+        with open(out / "trapping_pulse.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["packet", "t", "xi_offset"]
         names = {row[0] for row in rows[1:]}
         assert names == {"forward_behind", "backward_ahead"}
 
-    def test_unknown_scenario_rejected(self, default_cfg, tmp_path):
+    def test_unknown_scenario_rejected(self, default_cfg):
         with pytest.raises(ValueError):
-            experiments.wavepacket_trapping(default_cfg, out_dir=tmp_path,
-                                            scenario="sideways")
+            experiments.wavepacket_trapping(default_cfg, scenario="sideways")
 
-    def test_pulse_scenario_needs_motion(self, tmp_path):
+    def test_pulse_scenario_needs_motion(self):
         cfg = config.apply_override(config.default_config(),
                                     {"pulse.velocity": 0.0})
         with pytest.raises(ValueError):
-            experiments.wavepacket_trapping(cfg, out_dir=tmp_path)
+            experiments.wavepacket_trapping(cfg)
 
 
 @pytest.fixture(scope="module")

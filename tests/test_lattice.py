@@ -226,9 +226,7 @@ class TestConservationAndSymmetry:
         pot = np.where(np.arange(n) % 2, 1.0e308, -1.0e308)
         state = lattice.LatticeState(0.0, pot, np.zeros(n))
         cfg = lattice.SolverConfig(n_steps=10, check_every=check_every)
-        # numpy's own overflow warnings are not what this checks.
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(errors.NonFinite, match=match):
+        with pytest.raises(errors.NonFinite, match=match):
             lattice.run(state, make_array(n), ref_squid, uniform, cfg)
 
     def test_state_length_mismatch_rejected(self):

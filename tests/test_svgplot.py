@@ -40,3 +40,27 @@ def test_empty_input_rejected(tmp_path):
     with pytest.raises(ValueError):
         svgplot.line_plot(tmp_path / "no.svg", [], title="", xlabel="",
                           ylabel="")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_series_rejected(tmp_path, bad, axis):
+    # A NaN used to write "nan" coordinates into the polyline, and an
+    # infinity raised OverflowError from the tick placement.
+    x, y = np.arange(5.0), np.ones(5)
+    (x if axis == "x" else y)[2] = bad
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match="series 'probe'"):
+        svgplot.line_plot(path, [(np.arange(5.0), np.zeros(5), "ok"),
+                                 (x, y, "probe")],
+                          title="t", xlabel="x", ylabel="y")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_marker_rejected(tmp_path, bad):
+    with pytest.raises(ValueError, match="marker 'horizon'"):
+        svgplot.line_plot(tmp_path / "bad.svg",
+                          [(np.arange(5.0), np.ones(5), "ok")],
+                          title="t", xlabel="x", ylabel="y",
+                          vlines=[(bad, "horizon")])
