@@ -31,7 +31,6 @@ from .dispersion import (
     cutoff_scale,
     front_resolved,
     front_spectral_fraction,
-    group_velocity,
     measure_dispersion,
     omega_analytic,
     write_dispersion_csv,
@@ -54,6 +53,7 @@ from .geometry import (
 from .lattice import (
     LatticeState,
     LatticeTrajectory,
+    March,
     SineDrive,
     SolverConfig,
     gaussian_packet,

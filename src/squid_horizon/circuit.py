@@ -137,11 +137,6 @@ class ReducedTrajectory:
     energy: np.ndarray
     energy_drift: float
 
-    @property
-    def is_running(self) -> bool:
-        """True when the phase has advanced beyond bound oscillation."""
-        return bool(abs(self.phase[-1] - self.phase[0]) > 4.0 * math.pi)
-
 
 def _namespace(value):
     # math keeps a float a float at a tenth of a ufunc's cost; it agrees
@@ -316,11 +311,6 @@ class ValidityCheck:
     def passed(self) -> bool:
         return self.value <= self.threshold
 
-    @property
-    def margin(self) -> float:
-        """Positive margin means the check passes with room to spare."""
-        return self.threshold - self.value
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -331,12 +321,6 @@ class ValidityReport:
     @property
     def overall_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> ValidityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def validity_report(array: ArrayParams, squid: SquidParams, pulse: FluxPulse,

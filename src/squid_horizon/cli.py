@@ -87,11 +87,9 @@ def _load_config(args) -> config.RunConfig:
 
 
 def _out_dir(args, cfg: config.RunConfig) -> Path:
-    target = args.out or cfg.output.directory or \
-        os.environ.get("SQUID_HORIZON_OUT") or "."
-    out = Path(target)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the first file written there creates it."""
+    return Path(args.out or cfg.output.directory or
+                os.environ.get("SQUID_HORIZON_OUT") or ".")
 
 
 def _write(out: Path, emit, flag: str, name: str, writer, *args,
@@ -100,6 +98,7 @@ def _write(out: Path, emit, flag: str, name: str, writer, *args,
     when flag is among the emitted formats."""
     if flag in emit:
         path = out / name
+        out.mkdir(parents=True, exist_ok=True)
         writer(path, *args, **kwargs)
         print("wrote %s" % path)
 
@@ -123,6 +122,7 @@ def _cmd_validate(args) -> int:
                    for c in report.checks],
     }
     path = out / "validity.json"
+    out.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
     print("wrote %s" % path)
@@ -306,6 +306,7 @@ def _cmd_sweep(args) -> int:
     result = experiments.run_sweep(spec)
     out = _out_dir(args, spec.base)
     path = out / "sweep.csv"
+    out.mkdir(parents=True, exist_ok=True)
     experiments.write_sweep_csv(path, result)
     failures = sum(1 for p in result.points if p.error is not None)
     print("evaluated %d points (%d failed)" % (len(result.points), failures))

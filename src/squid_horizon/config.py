@@ -34,7 +34,6 @@ __all__ = [
     "loads_config",
     "parse_json",
     "resolve_path",
-    "write_config",
 ]
 
 _EMIT_FLAGS = ("csv", "svg", "bin")
@@ -237,10 +236,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
 def dumps_config(cfg: RunConfig) -> str:
     """Deterministic JSON text for the configuration."""
     return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-
-
-def write_config(path, cfg: RunConfig) -> None:
-    Path(path).write_text(dumps_config(cfg))
 
 
 def resolve_path(path: str) -> tuple:

@@ -32,7 +32,6 @@ __all__ = [
     "cutoff_scale",
     "front_spectral_fraction",
     "front_resolved",
-    "group_velocity",
     "measure_dispersion",
     "omega_analytic",
     "write_dispersion_csv",
@@ -85,35 +84,17 @@ class CutoffReport:
     scale: float
     cell_length: float
 
-    @property
-    def resolves_lattice(self) -> bool:
-        return self.scale > self.cell_length
 
-
-def _check_band(k, cell_length):
+def omega_analytic(k, inductance: float, capacitance: float,
+                   cell_length: float):
+    """Lattice frequency (2/sqrt(L C0)) |sin(k a / 2)| in rad/s; raises
+    OutOfBand for |k| beyond the zone edge pi/a."""
     k = np.asarray(k, dtype=float)
     edge = math.pi / cell_length
     if np.any(np.abs(k) > edge * (1.0 + 1e-12)):
         raise OutOfBand("|k| exceeds the zone edge pi/a = %.4e 1/m" % edge)
-    return k
-
-
-def omega_analytic(k, inductance: float, capacitance: float,
-                   cell_length: float):
-    """Lattice frequency (2/sqrt(L C0)) |sin(k a / 2)| in rad/s."""
-    k = _check_band(k, cell_length)
     scale = 2.0 / math.sqrt(inductance * capacitance)
     out = scale * np.abs(np.sin(0.5 * k * cell_length))
-    return float(out) if out.ndim == 0 else out
-
-
-def group_velocity(k, inductance: float, capacitance: float,
-                   cell_length: float):
-    """Slope of the dispersion branch, c cos(k a / 2), signed with k."""
-    k = _check_band(k, cell_length)
-    speed = cell_length / math.sqrt(inductance * capacitance)
-    sign = np.where(k < 0.0, -1.0, 1.0)
-    out = sign * speed * np.cos(0.5 * k * cell_length)
     return float(out) if out.ndim == 0 else out
 
 
@@ -145,7 +126,8 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, dt: float, cell_time: float,
                       w: float) -> float:
     # One point of measure_dispersion: its own driven line, settled, then
-    # probed and fitted.  Its arrays are freed before the next point runs.
+    # sampled over the fit window at every step and fitted.  Its arrays are
+    # freed before the next point runs.
     a = array.cell_length
     omega_max = 2.0 / cell_time
     ka = 2.0 * math.asin(w / omega_max)
@@ -166,17 +148,20 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                          lattice.SolverConfig(n_steps=settle_steps, dt=dt,
                                               boundary="driven"),
                          drive=drive)
-    window = range(window_start, window_start + window_cells)
-    traj = lattice.run(warmup.final_state, line, squid, pulse,
-                       lattice.SolverConfig(n_steps=fit_steps, dt=dt,
-                                            boundary="driven"),
-                       drive=drive, probe_nodes=window)
+    window = slice(window_start, window_start + window_cells)
+    march = lattice.March(warmup.final_state, line, squid, pulse,
+                          lattice.SolverConfig(n_steps=fit_steps, dt=dt,
+                                               boundary="driven"),
+                          drive=drive)
+    samples = np.empty((fit_steps + 1, window_cells))
+    for m in march:
+        samples[m] = march.potential[window]
 
-    phasors = _demodulate(traj.probe_values, traj.probe_times, w)
+    phasors = _demodulate(samples, march.step_times, w)
     if np.max(np.abs(phasors)) < 1e-9 * max(abs(DRIVE_AMPLITUDE), 1e-30):
         raise FitFailure("no steady wave at %.3e rad/s" % w)
     phase = np.unwrap(np.angle(phasors))
-    x = traj.positions[window]
+    x = march.positions[window]
     slope, intercept = np.polyfit(x, phase, 1)
     residual = phase - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(residual ** 2)))

@@ -25,7 +25,7 @@ import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
 __all__ = [
     "LatticeState",
     "LatticeTrajectory",
+    "March",
     "SineDrive",
     "SolverConfig",
     "gaussian_packet",
@@ -58,7 +59,7 @@ __all__ = [
 _BOUNDARIES = ("reflecting", "absorbing", "driven")
 _BINARY_MAGIC = b"SQHZ1"
 _LOCALIZATION_THRESHOLD = 0.25  # largest participation ratio of a packet
-# run evaluates the moving bias and the drive for this many steps at once.
+# March evaluates the moving bias and the drive for this many steps at once.
 _BLOCK = 64
 
 
@@ -142,9 +143,8 @@ class SineDrive:
 class LatticeTrajectory:
     """Recorded run output.
 
-    Snapshot arrays have one row per recorded instant; probe waveforms are
-    sampled every step.  ``currents`` follow the I_n = -C0 dA_n/dt sign
-    convention, centred in time to second order.
+    Snapshot arrays have one row per recorded instant.  ``currents`` follow
+    the I_n = -C0 dA_n/dt sign convention, centred in time to second order.
     """
 
     times: np.ndarray
@@ -153,9 +153,6 @@ class LatticeTrajectory:
     energies: np.ndarray
     energy_density: np.ndarray
     positions: np.ndarray
-    probe_nodes: tuple
-    probe_times: np.ndarray
-    probe_values: np.ndarray
     final_state: LatticeState
 
     @property
@@ -204,216 +201,217 @@ class _Scales:
         self.phase_unit = 2.0 * math.pi * self.momentum_unit / FLUX_QUANTUM
 
 
-def run(initial: LatticeState, array: circuit.ArrayParams,
-        squid: circuit.SquidParams, pulse: bias.FluxPulse,
-        config: SolverConfig, drive: Optional[SineDrive] = None,
-        probe_nodes: Sequence[int] = ()) -> LatticeTrajectory:
-    """Integrate the line under the given bias and return the recording.
+class March:
+    """The leapfrog of one run, handed to its consumer step by step.
+
+    Iterating yields m = 0, 1, ..., n_steps, each time from the initial
+    state.  At each yield ``potential`` and the scaled ``momentum`` (half a
+    step behind) are the live state at ``step_times[m]``, to be read only;
+    ``final_state`` is set before the last yield.  numpy's overflow and
+    invalid warnings stay off until the iteration ends or is left.
 
     Raises ValueError for a drive without the driven boundary (or the
-    reverse) and a probe node that is not an integer inside the line,
-    CourantViolation when the configured dt exceeds the stability budget,
-    and NonFinite when the state overflows mid-run.
+    reverse) or a start before the front's broadening pole, and
+    CourantViolation when the configured dt exceeds the stability budget;
+    the iteration raises NonFinite for a state that is not finite and
+    OverCritical for a cell current at critical under the
+    current-dependent inductance.
     """
-    n = array.n_cells
-    if initial.n_cells != n:
-        raise ValueError("initial state has %d cells, array has %d"
-                         % (initial.n_cells, n))
-    if config.boundary == "driven" and drive is None:
-        raise ValueError("driven boundary needs a SineDrive")
-    if drive is not None and config.boundary != "driven":
-        raise ValueError("a SineDrive needs the driven boundary, not %r"
-                         % config.boundary)
-    probe_nodes = tuple(probe_nodes)
-    for p in probe_nodes:
-        if not isinstance(p, numbers.Integral):
-            raise ValueError("probe node %r is not an integer" % (p,))
-        if not 0 <= p < n:
-            raise ValueError("probe node %d outside the line" % p)
 
-    scales = _Scales(array, squid)
-    a = array.cell_length
-    budget = stable_timestep(array, squid, pulse, config.courant_fraction)
-    dt = budget if config.dt is None else config.dt
-    if dt > budget * (1.0 + 1e-12):
-        raise CourantViolation("dt = %.3e s exceeds %.3g * sqrt(L_min C0) "
-                               "= %.3e s" % (dt, config.courant_fraction, budget))
-    dtau = dt / scales.t_ref
-    chi = scales.chi
+    def __init__(self, initial: LatticeState, array: circuit.ArrayParams,
+                 squid: circuit.SquidParams, pulse: bias.FluxPulse,
+                 config: SolverConfig, drive: Optional[SineDrive] = None):
+        n = array.n_cells
+        if initial.n_cells != n:
+            raise ValueError("initial state has %d cells, array has %d"
+                             % (initial.n_cells, n))
+        if config.boundary == "driven" and drive is None:
+            raise ValueError("driven boundary needs a SineDrive")
+        if drive is not None and config.boundary != "driven":
+            raise ValueError("a SineDrive needs the driven boundary, not %r"
+                             % config.boundary)
 
-    positions = (np.arange(n) + 0.5) * a
+        self._scales = scales = _Scales(array, squid)
+        budget = stable_timestep(array, squid, pulse, config.courant_fraction)
+        dt = budget if config.dt is None else config.dt
+        if dt > budget * (1.0 + 1e-12):
+            raise CourantViolation("dt = %.3e s exceeds %.3g * sqrt(L_min C0) "
+                                   "= %.3e s"
+                                   % (dt, config.courant_fraction, budget))
+        self._dtau = dt / scales.t_ref
+        self.positions = (np.arange(n) + 0.5) * array.cell_length
+        self.step_times = initial.time + np.arange(config.n_steps + 1) * dt
+        # The first step comes half a step before the blocks' pole check.
+        if not pulse.steepness_at(self.step_times[0]) > 0.0:
+            raise ValueError("run starts at t = %g s, before the front's "
+                             "broadening pole" % initial.time)
+        self._run = (initial, pulse, config, drive, dt)
+
+    def __iter__(self):
+        initial, pulse, config, drive, dt = self._run
+        scales, positions, step_times = (self._scales, self.positions,
+                                         self.step_times)
+        n, steps = len(positions), config.n_steps
+        dtau, chi = self._dtau, scales.chi
+
+        # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
+        # one inductance serves every half step.
+        static_bias = pulse.velocity == 0.0
+        if static_bias:
+            ind = circuit.relative_inductance(
+                bias.flux_fraction_at(pulse, positions, 0.0))
+        else:
+            ind = np.empty(n)  # filled by each block of steps
+
+        self.potential = pot = initial.potential.copy()
+        self.momentum = mom = initial.momentum / scales.momentum_unit
+        if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
+            raise NonFinite("initial state is not finite")
+
+        # The stepping writes into these buffers.  Free-end closure: the bond
+        # differences sit between two zeros, so the Laplacian is symmetric
+        # (this is what makes the product energy conserve), and its end cells
+        # are d[0] - 0.0 and 0.0 - d[-1], signs of zero included.
+        diffs = np.zeros(n + 1)
+        bonds = diffs[1:-1]  # np.diff(pot)
+        pot_right, pot_left = pot[1:], pot[:-1]
+        diffs_right, diffs_left = diffs[1:], diffs[:-1]
+        lap, work = np.empty(n), np.empty(n)
+        kick = dtau * chi
+
+        mur = config.boundary == "absorbing"
+        driven = config.boundary == "driven"
+        open_right = mur or driven
+        stretch = config.current_dependent_inductance
+        check_every = config.check_every
+        if driven:
+            drive_phase_old = np.sin(drive.frequency * step_times[0])
+
+        def mur_beta(end_ind):
+            # First-order Mur coefficient for an end cell of inductance L/L(0).
+            kappa = dtau * math.sqrt(chi / end_ind)
+            return (kappa - 1.0) / (kappa + 1.0)
+
+        # The end inductances the Mur coefficients were computed for; they
+        # change only under the current-dependent inductance or when the front
+        # reaches an end.
+        left_end = right_end = None
+
+        # An overflowing state is reported by the NonFinite checks below, not
+        # by numpy's floating-point warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first in range(0, steps, _BLOCK):
+                block = range(first, min(first + _BLOCK, steps))
+                times = step_times[first:block.stop]
+                if not static_bias:
+                    # Each half step's row of L/L(0) on the union of the rows'
+                    # windows; outside it every cell sits exactly on one of the
+                    # two plateaus at each of the half steps.
+                    half_times = times + 0.5 * dt
+                    lo, hi, left, right = bias.front_window(pulse, half_times,
+                                                            positions)
+                    ind[:lo], ind[hi:] = circuit.relative_inductance(
+                        np.array([left, right]))
+                    ind_rows = circuit.relative_inductance(
+                        bias.flux_fraction_at(pulse, positions[lo:hi],
+                                              half_times[:, np.newaxis]))
+                if driven:
+                    phases = np.sin(drive.frequency * (times + dt))
+                    kicks = (drive.amplitude
+                             * np.diff(phases, prepend=drive_phase_old)).tolist()
+                    drive_phase_old = phases[-1]
+
+                for m in block:
+                    yield m
+                    np.subtract(pot_right, pot_left, out=bonds)
+                    np.subtract(diffs_right, diffs_left, out=lap)
+                    np.multiply(kick, lap, out=work)
+                    mom += work
+                    if not static_bias:
+                        ind[lo:hi] = ind_rows[m - first]
+                    ind_half = ind
+
+                    if stretch:
+                        rel = np.abs(mom) * scales.phase_unit
+                        peak = float(rel.max())
+                        if peak >= 1.0:
+                            raise OverCritical("cell current reached %.3f of "
+                                               "critical" % peak)
+                        ind_half = ind * circuit.inductance_stretch(rel)
+
+                    if mur:
+                        left_old0, left_old1 = pot.item(0), pot.item(1)
+                    if open_right:
+                        right_old0, right_old1 = pot.item(-2), pot.item(-1)
+
+                    np.multiply(dtau, mom, out=work)
+                    np.divide(work, ind_half, out=work)
+                    pot += work
+
+                    if mur:
+                        end = ind_half.item(0)
+                        if end != left_end:
+                            left_end, beta_left = end, mur_beta(end)
+                        pot[0] = left_old1 + beta_left * (pot.item(1)
+                                                          - left_old0)
+                    if open_right:
+                        end = ind_half.item(-1)
+                        if end != right_end:
+                            right_end, beta_right = end, mur_beta(end)
+                        pot[-1] = right_old0 + beta_right * (pot.item(-2)
+                                                             - right_old1)
+                    if driven:
+                        pot[0] += kicks[m - first]
+
+                    if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
+                        raise NonFinite("state overflowed at step %d" % (m + 1))
+
+            if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
+                raise NonFinite("state overflowed during the run")
+            self.final_state = LatticeState(
+                time=step_times.item(steps), potential=pot.copy(),
+                momentum=mom * scales.momentum_unit)
+            yield steps
+
+
+def run(initial: LatticeState, array: circuit.ArrayParams,
+        squid: circuit.SquidParams, pulse: bias.FluxPulse,
+        config: SolverConfig, drive: Optional[SineDrive] = None
+        ) -> LatticeTrajectory:
+    """Integrate the line under the given bias and return the recording:
+    the state at every record_every-th step from the first, and at the last.
+    Raises as March does."""
+    march = March(initial, array, squid, pulse, config, drive)
+    scales, positions = march._scales, march.positions
+    cap, chi = scales.cap, scales.chi
+    kick = march._dtau * chi
     steps = config.n_steps
-    step_times = initial.time + np.arange(steps + 1) * dt  # the run's clock
-    # The first record comes half a step before the blocks' pole check.
-    if not pulse.steepness_at(step_times[0]) > 0.0:
-        raise ValueError("run starts at t = %g s, before the front's "
-                         "broadening pole" % initial.time)
+    recorded = {*range(0, steps, config.record_every or steps), steps}
+    n_rec = len(recorded)
+    rec_times, rec_energy = np.empty(n_rec), np.empty(n_rec)
+    rec_pot, rec_cur, rec_density = np.empty((3, n_rec, array.n_cells))
 
-    # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
-    # one inductance serves every half step.
-    static_bias = pulse.velocity == 0.0
-    if static_bias:
-        ind = circuit.relative_inductance(
-            bias.flux_fraction_at(pulse, positions, 0.0))
-    else:
-        ind = np.empty(n)  # filled by each block of steps
-
-    pot = initial.potential.astype(float).copy()
-    mom = initial.momentum.astype(float) / scales.momentum_unit
-    if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
-        raise NonFinite("initial state is not finite")
-
-    # Records fall on the steps m % cadence == 0, in slot m // cadence, and
-    # after the last step, in the last slot.
-    cadence = config.record_every if config.record_every > 0 else steps
-    n_rec = (steps - 1) // cadence + 2
-
-    rec_times = np.empty(n_rec)
-    rec_pot = np.empty((n_rec, n))
-    rec_cur = np.empty((n_rec, n))
-    rec_energy = np.empty(n_rec)
-    rec_density = np.empty((n_rec, n))
-
-    probe_idx = np.array(probe_nodes, dtype=int)
-    probe_vals = np.empty((steps + 1, len(probe_nodes)))
-
-    cap = scales.cap
-    e_kin_unit = cap / chi
-
-    # The stepping writes into these buffers.  Free-end closure: the bond
-    # differences sit between two zeros, so the Laplacian is symmetric
-    # (this is what makes the product energy conserve), and its end cells
-    # are d[0] - 0.0 and 0.0 - d[-1], signs of zero included.
-    diffs = np.zeros(n + 1)
-    bonds = diffs[1:-1]  # np.diff(pot), left by the latest Laplacian
-    pot_right, pot_left = pot[1:], pot[:-1]
-    diffs_right, diffs_left = diffs[1:], diffs[:-1]
-    lap = np.empty(n)
-    work = np.empty(n)
-    kick = dtau * chi
-
-    def record(slot, t):
+    for slot, m in enumerate(filter(recorded.__contains__, march)):
         # Product-form energy: q^- q^+ / (2L) is exactly conserved for a
         # static bias, so the recorded drift measures only roundoff.
-        ind_now = circuit.relative_inductance(
+        pot, mom, t = march.potential, march.momentum, march.step_times[m]
+        ind = circuit.relative_inductance(
             bias.flux_fraction_at(pulse, positions, t))
-        mom_next = mom + kick * lap
-        kin = e_kin_unit * mom * mom_next / (2.0 * ind_now)
+        bonds = np.diff(pot)
+        mom_next = mom + kick * np.diff(bonds, prepend=0.0, append=0.0)
+        kin = (cap / chi) * mom * mom_next / (2.0 * ind)
         bond = 0.5 * cap * bonds * bonds
-        density = kin.copy()
-        density[:-1] += 0.5 * bond
-        density[1:] += 0.5 * bond
         rec_times[slot] = t
         rec_pot[slot] = pot
-        rec_cur[slot] = -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind_now
+        rec_cur[slot] = -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind
         rec_energy[slot] = kin.sum() + bond.sum()
-        rec_density[slot] = density
-
-    mur = config.boundary == "absorbing"
-    driven = config.boundary == "driven"
-    open_right = mur or driven
-    stretch = config.current_dependent_inductance
-    check_every = config.check_every
-    if driven:
-        drive_phase_old = np.sin(drive.frequency * step_times[0])
-
-    def mur_beta(end_ind):
-        # First-order Mur coefficient for an end cell of inductance L/L(0).
-        kappa = dtau * math.sqrt(chi / end_ind)
-        return (kappa - 1.0) / (kappa + 1.0)
-
-    # The end inductances the Mur coefficients were computed for; they
-    # change only under the current-dependent inductance or when the front
-    # reaches an end.
-    left_end = right_end = None
-
-    # An overflowing state is reported by the NonFinite checks below, not
-    # by numpy's floating-point warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, steps, _BLOCK):
-            block = range(first, min(first + _BLOCK, steps))
-            times = step_times[first:block.stop]
-            if not static_bias:
-                # Each half step's row of L/L(0) on the union of the rows'
-                # windows; outside it every cell sits exactly on one of the
-                # two plateaus at each of the half steps.
-                half_times = times + 0.5 * dt
-                lo, hi, left, right = bias.front_window(pulse, half_times,
-                                                        positions)
-                ind[:lo], ind[hi:] = circuit.relative_inductance(
-                    np.array([left, right]))
-                ind_rows = circuit.relative_inductance(bias.flux_fraction_at(
-                    pulse, positions[lo:hi], half_times[:, np.newaxis]))
-            if driven:
-                phases = np.sin(drive.frequency * (times + dt))
-                kicks = (drive.amplitude
-                         * np.diff(phases, prepend=drive_phase_old)).tolist()
-                drive_phase_old = phases[-1]
-
-            for m in block:
-                np.subtract(pot_right, pot_left, out=bonds)
-                np.subtract(diffs_right, diffs_left, out=lap)
-                if m % cadence == 0:
-                    record(m // cadence, step_times[m])
-                if probe_nodes:
-                    probe_vals[m] = pot[probe_idx]
-
-                np.multiply(kick, lap, out=work)
-                mom += work
-                if not static_bias:
-                    ind[lo:hi] = ind_rows[m - first]
-                ind_half = ind
-
-                if stretch:
-                    rel = np.abs(mom) * scales.phase_unit
-                    peak = float(rel.max())
-                    if peak >= 1.0:
-                        raise OverCritical("cell current reached %.3f of "
-                                           "critical" % peak)
-                    ind_half = ind * circuit.inductance_stretch(rel)
-
-                if mur:
-                    left_old0, left_old1 = pot.item(0), pot.item(1)
-                if open_right:
-                    right_old0, right_old1 = pot.item(-2), pot.item(-1)
-
-                np.multiply(dtau, mom, out=work)
-                np.divide(work, ind_half, out=work)
-                pot += work
-
-                if mur:
-                    end = ind_half.item(0)
-                    if end != left_end:
-                        left_end, beta_left = end, mur_beta(end)
-                    pot[0] = left_old1 + beta_left * (pot.item(1) - left_old0)
-                if open_right:
-                    end = ind_half.item(-1)
-                    if end != right_end:
-                        right_end, beta_right = end, mur_beta(end)
-                    pot[-1] = right_old0 + beta_right * (pot.item(-2)
-                                                         - right_old1)
-                if driven:
-                    pot[0] += kicks[m - first]
-
-                if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
-                    raise NonFinite("state overflowed at step %d" % (m + 1))
-
-        np.subtract(pot_right, pot_left, out=bonds)
-        np.subtract(diffs_right, diffs_left, out=lap)
-        record(n_rec - 1, step_times[steps])
-        if probe_nodes:
-            probe_vals[steps] = pot[probe_idx]
-        if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
-            raise NonFinite("state overflowed during the run")
-
-    final = LatticeState(time=step_times.item(steps), potential=pot.copy(),
-                         momentum=mom * scales.momentum_unit)
+        rec_density[slot] = kin
+        rec_density[slot, :-1] += 0.5 * bond
+        rec_density[slot, 1:] += 0.5 * bond
     return LatticeTrajectory(
         times=rec_times, potentials=rec_pot, currents=rec_cur,
         energies=rec_energy, energy_density=rec_density,
-        positions=positions, probe_nodes=probe_nodes,
-        probe_times=step_times, probe_values=probe_vals,
-        final_state=final)
+        positions=positions, final_state=march.final_state)
 
 
 def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,

@@ -47,8 +47,11 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
     """Write an SVG with one polyline per (x, y, label) triple.
 
     ``vlines`` holds (x, label) pairs drawn as dashed markers.  Each axis
-    spans the data extent padded by 5%.  Raises ValueError, naming the
-    series or marker, for a value that is not finite.
+    spans the data extent padded by 5%; an axis flat to 1e-12 of its
+    magnitude is widened by 1.0 either side, or by 1e-12 of its magnitude
+    where that is larger.  Raises ValueError, naming the series or marker,
+    for a value that is not finite, and naming the axis for an extent
+    that overflows.
     """
     xs, ys = [], []
     for x, y, label in series:
@@ -65,15 +68,22 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
     if not xs or not ys:
         raise ValueError("line_plot needs at least one point")
 
-    def padded(values):
+    def padded(values, axis):
         lo, hi = min(values), max(values)
-        if hi == lo:
-            lo, hi = lo - 1.0, hi + 1.0
+        # Far from zero 1.0 rounds away, and a tick step below an ulp of
+        # the ticks never advances.
+        width = 1e-12 * max(abs(lo), abs(hi))
+        if hi - lo <= width:
+            width = max(1.0, width)
+            lo, hi = lo - width, hi + width
         pad = 0.05 * (hi - lo)
-        return lo - pad, hi + pad
+        lo, hi = lo - pad, hi + pad
+        if not math.isfinite(hi - lo):
+            raise ValueError("%s axis extent overflows" % axis)
+        return lo, hi
 
-    x0, x1 = padded(xs)
-    y0, y1 = padded(ys)
+    x0, x1 = padded(xs, "x")
+    y0, y1 = padded(ys, "y")
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

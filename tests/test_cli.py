@@ -6,6 +6,7 @@ physics behind each subcommand is covered by the module tests.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -250,6 +251,32 @@ class TestSimulate:
             potentials.ravel(), currents.ravel(), volts.ravel())
         assert (tmp_path / "trajectory.csv").read_bytes() == expected
 
+    def test_current_dependent_inductance(self, tmp_path):
+        # The CLI's stretch run gives the library's bytes with the stretch
+        # on, and other bytes than the run with it off.
+        path = write_variant(tmp_path / "stretch.json", array__n_cells=300,
+                             solver__n_steps=300, solver__record_every=100,
+                             solver__current_dependent_inductance=True)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path), "--emit", "csv"]) == 0
+        written = (tmp_path / "trajectory.csv").read_bytes()
+        cfg = config.load_config(path)
+        array, squid, pulse = cfg.array, cfg.squid, cfg.pulse
+        a = array.cell_length
+        dt = lattice.stable_timestep(array, squid, pulse,
+                                     cfg.solver.courant_fraction)
+        state = lattice.gaussian_packet(
+            array, squid, pulse, 0.25 * array.n_cells * a,
+            cli._SIM_SIGMA_CELLS * a, cli._SIM_CARRIER_KA,
+            cli._SIM_AMPLITUDE, dt)
+        for stretch in (True, False):
+            solver = dataclasses.replace(
+                cfg.solver, dt=dt, current_dependent_inductance=stretch)
+            library = tmp_path / ("library-%s.csv" % stretch)
+            lattice.write_trajectory_csv(
+                library, lattice.run(state, array, squid, pulse, solver))
+            assert (library.read_bytes() == written) == stretch
+
 
 class TestDispersion:
     def test_measures_standard_points(self, tmp_path, capsys):
@@ -316,6 +343,14 @@ class TestReproduce:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "horizon" in err
+
+    def test_failed_command_leaves_no_directory(self, tmp_path):
+        # The output directory is made by the first file written into it.
+        path = write_variant(tmp_path / "fast.json", pulse__velocity=9.0e6)
+        code = main(["reproduce", "trapping", "--config", str(path),
+                     "--out", str(tmp_path / "made" / "here")])
+        assert code == 1
+        assert not (tmp_path / "made").exists()
 
     @pytest.mark.parametrize("target, names",
                              [("fig3", ["fig3_impedance.csv"]),
@@ -433,7 +468,10 @@ def test_every_written_file_is_announced(tmp_path, capsys, argv, emit):
     wrote = [line[len("wrote "):]
              for line in capsys.readouterr().out.splitlines()
              if line.startswith("wrote ")]
-    assert sorted(wrote) == sorted(str(path) for path in out.iterdir())
+    # A command that writes nothing leaves no directory behind.
+    assert out.exists() == bool(wrote)
+    assert sorted(wrote) == sorted(str(path) for path in
+                                   (out.iterdir() if wrote else ()))
     # The trapping study has no SVG.
     assert {Path(path).suffix for path in wrote} == \
         ({".svg"} if emit and argv[:2] != ["reproduce", "trapping"] else set())

@@ -135,7 +135,7 @@ class TestRoundTrip:
         cfg = config.apply_override(config.default_config(),
                                     {"array.ground_capacitance": 1.0e-16})
         path = tmp_path / "cfg.json"
-        config.write_config(path, cfg)
+        path.write_text(config.dumps_config(cfg))
         assert config.load_config(path) == cfg
 
     @settings(derandomize=True, database=None, deadline=None)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -569,7 +571,7 @@ class TestPhaseLaw:
 
 
 class TestRecording:
-    def test_cadence_and_probes(self, ref_squid, uniform):
+    def test_cadence(self, ref_squid, uniform):
         n = 128
         arr = make_array(n)
         dt = lattice.stable_timestep(arr, ref_squid, uniform)
@@ -577,17 +579,21 @@ class TestRecording:
                                      center=40 * CELL_LENGTH,
                                      sigma=8 * CELL_LENGTH,
                                      carrier_ka=0.2, amplitude=1e-6, dt=dt)
-        traj = lattice.run(pk, arr, ref_squid, uniform,
-                           lattice.SolverConfig(n_steps=100, dt=dt,
-                                                record_every=25),
-                           probe_nodes=(30, 64))
+        cfg = lattice.SolverConfig(n_steps=100, dt=dt, record_every=25)
+        traj = lattice.run(pk, arr, ref_squid, uniform, cfg)
         np.testing.assert_allclose(np.diff(traj.times), 25 * dt, rtol=1e-9)
         assert len(traj.times) == 5
-        assert traj.probe_values.shape == (101, 2)
-        # probe samples agree with the snapshots at the shared instants
-        for slot, step_index in enumerate([0, 25, 50, 75, 100]):
-            assert traj.probe_values[step_index, 0] == traj.potentials[slot, 30]
-            assert traj.probe_values[step_index, 1] == traj.potentials[slot, 64]
+        # Each record is the iterable's state at its step.
+        march = lattice.March(pk, arr, ref_squid, uniform, cfg)
+        seen = []
+        for m in march:
+            if m % 25 == 0:
+                slot = len(seen)
+                seen.append(m)
+                assert traj.times[slot] == march.step_times[m]
+                assert (traj.potentials[slot].tobytes()
+                        == march.potential.tobytes())
+        assert seen == [0, 25, 50, 75, 100]
 
     @pytest.mark.parametrize("n_steps, record_every", [
         (1, 0), (1, 1), (10, 0), (10, 1), (10, 3), (10, 5), (10, 20),
@@ -606,30 +612,6 @@ class TestRecording:
         expected = np.array([start + k * dt for k in steps])
         assert traj.times.tobytes() == expected.tobytes()
         assert traj.final_state.time == start + n_steps * dt
-
-    @pytest.mark.parametrize("node", [-1, 16])
-    def test_probe_outside_line_rejected(self, ref_squid, uniform, node):
-        arr = make_array(16)
-        with pytest.raises(ValueError, match="probe node %d outside" % node):
-            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                        lattice.SolverConfig(n_steps=1),
-                        probe_nodes=(3, node))
-
-    @pytest.mark.parametrize("nodes", [(1.5, 2.9), (3, math.nan), (3.0,)])
-    def test_non_integral_probe_rejected(self, ref_squid, uniform, nodes):
-        # int() would have recorded nodes 1 and 2 for (1.5, 2.9).
-        arr = make_array(16)
-        with pytest.raises(ValueError, match="probe node .* not an integer"):
-            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                        lattice.SolverConfig(n_steps=1), probe_nodes=nodes)
-
-    def test_numpy_integer_probes_accepted(self, ref_squid, uniform):
-        arr = make_array(16)
-        traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                           lattice.SolverConfig(n_steps=1),
-                           probe_nodes=np.array([3, 7]))
-        assert traj.probe_nodes == (3, 7)
-        assert traj.probe_values.shape == (2, 2)
 
     def test_positions_are_cell_centres(self, ref_squid, uniform):
         arr = make_array(16)
@@ -650,13 +632,61 @@ class TestRecording:
                                    traj.energies, rtol=1e-12)
 
 
-def reference_run(initial, arr, squid, pulse, config, drive=None,
-                  probe_nodes=()):
+class TestMarch:
+    """The iterable behind run keeps numpy's floating-point warnings off
+    while it is open, and only then."""
+
+    @pytest.mark.parametrize("case", ["completes", "overflows",
+                                      "over-critical"])
+    def test_error_state_restored_after_a_run(self, ref_squid, uniform,
+                                              case):
+        n = 16
+        arr = make_array(n)
+        pot = np.zeros(n)
+        stretch = case == "over-critical"
+        if case == "overflows":
+            pot = np.where(np.arange(n) % 2, 1.0e308, -1.0e308)
+        elif stretch:
+            pot[8] = 1.0  # one volt across two cells drives them past I_c
+        cfg = lattice.SolverConfig(n_steps=10,
+                                   current_dependent_inductance=stretch)
+        raises = {"overflows": pytest.raises(errors.NonFinite),
+                  "over-critical": pytest.raises(errors.OverCritical)}
+        before = np.geterr()
+        with warnings.catch_warnings(), raises.get(case, nullcontext()):
+            warnings.simplefilter("error")
+            lattice.run(lattice.LatticeState(0.0, pot, np.zeros(n)),
+                        arr, ref_squid, uniform, cfg)
+        assert np.geterr() == before
+
+    def test_early_exit_restores_error_state(self, ref_squid, uniform):
+        n = 64
+        arr = make_array(n)
+        rng = np.random.default_rng(43)
+        state = lattice.LatticeState(0.0, rng.standard_normal(n) * 1e-6,
+                                     rng.standard_normal(n) * 1e-27)
+        cfg = lattice.SolverConfig(n_steps=200)
+        before = np.geterr()
+        march = lattice.March(state, arr, ref_squid, uniform, cfg)
+        for m in march:
+            assert np.geterr()["over"] == "ignore"
+            if m == 70:
+                break
+        assert np.geterr() == before
+        # A new iteration starts again from the initial state.
+        assert list(march) == list(range(201))
+        assert np.geterr() == before
+        whole = lattice.run(state, arr, ref_squid, uniform, cfg)
+        assert (march.final_state.potential.tobytes()
+                == whole.final_state.potential.tobytes())
+
+
+def reference_run(initial, arr, squid, pulse, config, drive=None):
     """The leapfrog of lattice.run written plainly: the bias of the whole
     line at every half step from a scalar time, np.sin at every step and
     both Mur coefficients at every step.  Returns the fields of a
-    LatticeTrajectory by name, the final state's included, with the time of
-    each step as probe_times."""
+    LatticeTrajectory by name, the final state's included, with the time
+    and the potential of every step as step_times and step_potentials."""
     n = arr.n_cells
     scales = lattice._Scales(arr, squid)
     dt = config.dt or lattice.stable_timestep(arr, squid, pulse,
@@ -664,7 +694,6 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
     dtau, chi, cap = dt / scales.t_ref, scales.chi, scales.cap
     kick = dtau * chi
     positions = (np.arange(n) + 0.5) * arr.cell_length
-    probe_idx = np.array(probe_nodes, dtype=int)
 
     def bias_at(t):
         return circuit.relative_inductance(
@@ -679,7 +708,7 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
 
     out = {key: [] for key in ("times", "potentials", "currents",
                                "energies", "energy_density",
-                               "probe_times", "probe_values")}
+                               "step_times", "step_potentials")}
 
     def record(t, pot, mom):
         ind = bias_at(t)
@@ -708,8 +737,8 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
     for m in range(steps):
         if m in record_steps:
             record(t, pot, mom)
-        out["probe_times"].append(t)
-        out["probe_values"].append(pot[probe_idx])
+        out["step_times"].append(t)
+        out["step_potentials"].append(pot.copy())
         mom = mom + kick * laplacian(pot)
         ind = bias_at(t + 0.5 * dt)
         if config.current_dependent_inductance:
@@ -728,8 +757,8 @@ def reference_run(initial, arr, squid, pulse, config, drive=None,
             phase_old = phase
         t = initial.time + (m + 1) * dt
     record(t, pot, mom)
-    out["probe_times"].append(t)
-    out["probe_values"].append(pot[probe_idx])
+    out["step_times"].append(t)
+    out["step_potentials"].append(pot.copy())
     out = {key: np.array(value) for key, value in out.items()}
     out["potential"], out["momentum"] = pot, mom * scales.momentum_unit
     out["time"] = t
@@ -782,22 +811,28 @@ class TestWindowedKernel:
         cfg = lattice.SolverConfig(
             n_steps=TestWindowedKernel.STEPS, boundary=boundary,
             record_every=100, current_dependent_inductance=current_dependent)
-        probes = (10, 200, n - 1)
         assert cfg.n_steps % lattice._BLOCK != 0
-        kernel = lattice.run(state, arr, ref_squid, pulse, cfg, drive=drive,
-                             probe_nodes=probes)
+        kernel = lattice.run(state, arr, ref_squid, pulse, cfg, drive=drive)
+        march = lattice.March(state, arr, ref_squid, pulse, cfg, drive=drive)
+        every_step = {"step_potentials": np.array([march.potential.copy()
+                                                   for _ in march]),
+                      "step_times": march.step_times}
         reference = reference_run(state, arr, ref_squid, pulse, cfg,
-                                  drive=drive, probe_nodes=probes)
+                                  drive=drive)
 
         for field in ("times", "potentials", "currents", "energies",
-                      "energy_density", "probe_times", "probe_values"):
+                      "energy_density"):
             a, b = getattr(kernel, field), reference[field]
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
-        for field in ("potential", "momentum"):
-            a = getattr(kernel.final_state, field)
-            assert a.tobytes() == reference[field].tobytes(), field
-        assert (np.float64(kernel.final_state.time).tobytes()
-                == np.float64(reference["time"]).tobytes())
+        for field, a in every_step.items():
+            b = reference[field]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        for final in (kernel.final_state, march.final_state):
+            for field in ("potential", "momentum"):
+                a = getattr(final, field)
+                assert a.tobytes() == reference[field].tobytes(), field
+            assert (np.float64(final.time).tobytes()
+                    == np.float64(reference["time"]).tobytes())
 
     def test_start_before_broadening_pole_rejected(self, ref_squid):
         # s0 / (1 + b*u*t) is negative before t = -1/(b*u): no front there.

@@ -64,3 +64,30 @@ def test_non_finite_marker_rejected(tmp_path, bad):
                           [(np.arange(5.0), np.ones(5), "ok")],
                           title="t", xlabel="x", ylabel="y",
                           vlines=[(bad, "horizon")])
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("ends, error", [
+    ((1e17, 1e17), None), ((1e17, 1e17 + 16.0), None),
+    ((-1.7e308, -1.7e308), None),
+    ((-1e308, 1e308), "axis extent overflows"),
+    ((-1.79e308, 0.0), "axis extent overflows")],
+    ids=["flat-at-1e17", "one-ulp-at-1e17", "flat-near-the-largest-float",
+         "spans-1e308", "padding-overflows"])
+def test_edges_of_float_range(tmp_path, axis, ends, error):
+    # A flat series at 1e17 used to widen by 1.0, which rounds away, and
+    # fail with a math domain error; one ulp of extent there gave a tick
+    # step that never advanced; an extent past the largest float raised
+    # OverflowError.
+    x, y = ((np.array(ends), np.arange(2.0)) if axis == "x"
+            else (np.arange(2.0), np.array(ends)))
+    path = tmp_path / "edge.svg"
+    if error is None:
+        svgplot.line_plot(path, [(x, y, "edge")], title="t", xlabel="x",
+                          ylabel="y")
+        assert "<polyline" in path.read_text()
+    else:
+        with pytest.raises(ValueError, match="%s %s" % (axis, error)):
+            svgplot.line_plot(path, [(x, y, "edge")], title="t",
+                              xlabel="x", ylabel="y")
+        assert not path.exists()
