@@ -8,7 +8,7 @@ model-validity audit, and two small time integrators for a single cell:
 the full two-degree-of-freedom SQUID equations and the reduced single-phase
 model they collapse to at small loop inductance.  The critical current,
 inductance, cell time, cell speed and impedance take a float or an array of
-flux (and current); each array element equals the float result bit for bit.
+flux (the inductance also of current), each element bitwise the float result.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -238,23 +238,23 @@ def relative_inductance(fraction):
     return 1.0 / _namespace(fraction).cos(math.pi * fraction)
 
 
-def cell_time(array: ArrayParams, squid: SquidParams, flux, current=0.0):
+def cell_time(array: ArrayParams, squid: SquidParams, flux):
     """Time sqrt(L*C0) a long wave takes to cross one cell (s).
 
     The line's one time scale: the speed is a/cell_time, the lattice band
     edge 2/cell_time and the leapfrog's Courant budget a fraction of it.
     """
-    ind = josephson_inductance(squid, flux, current)
+    ind = josephson_inductance(squid, flux)
     return _namespace(ind).sqrt(ind * array.ground_capacitance)
 
 
-def cell_velocity(array: ArrayParams, squid: SquidParams, flux, current=0.0):
+def cell_velocity(array: ArrayParams, squid: SquidParams, flux):
     """Low-frequency propagation speed a/sqrt(L*C0) of the loaded line (m/s).
 
     Raises NonFinite when L*C0 underflows to zero or the speed overflows.
     """
     return _finite_quotient(array.cell_length,
-                            cell_time(array, squid, flux, current),
+                            cell_time(array, squid, flux),
                             "cell speed a/sqrt(L*C0)")
 
 
@@ -363,24 +363,15 @@ def validity_report(array: ArrayParams, squid: SquidParams, pulse: FluxPulse,
     return ValidityReport(checks)
 
 
-DriveLike = float | Sequence[float] | np.ndarray | Callable[[float], float]
+DriveLike = float | Callable[[float], float]
 
 
-def _as_time_function(value: DriveLike, dt: float, n_steps: int) -> Callable[[float], float]:
-    """Normalise a drive given as scalar, sample array or callable of t (s)."""
+def _as_time_function(value: DriveLike) -> Callable[[float], float]:
+    """Normalise a drive given as a constant or a callable of t (s)."""
     if callable(value):
         return value
-    if np.ndim(value) == 0:
-        const = float(value)
-        return lambda t: const
-    samples = np.asarray(value, dtype=float)
-    if samples.size < n_steps + 1:
-        raise ValueError(
-            "sampled drive needs n_steps + 1 = %d points, got %d"
-            % (n_steps + 1, samples.size)
-        )
-    grid = np.arange(samples.size) * dt
-    return lambda t: float(np.interp(t, grid, samples))
+    const = float(value)
+    return lambda t: const
 
 
 def single_squid_dynamics(squid: SquidParams,
@@ -397,8 +388,8 @@ def single_squid_dynamics(squid: SquidParams,
     only when the junction has a normal resistance.  Classic fourth-order
     Runge-Kutta in plasma-frequency time; dt must not exceed 0.05/omega_p.
 
-    drive_current and external_flux may each be a constant, a callable of
-    time in seconds, or an array sampled at the step times.
+    drive_current and external_flux may each be a constant or a callable of
+    time in seconds.
 
     Raises NonFinite for a non-finite initial state or drive and when the
     state overflows.
@@ -418,8 +409,8 @@ def single_squid_dynamics(squid: SquidParams,
         omega_c = 2.0 * math.pi * jj.critical_current * jj.normal_resistance / phi0
         delta = omega_p / omega_c
 
-    current = _as_time_function(drive_current, dt, n_steps)
-    flux = _as_time_function(external_flux, dt, n_steps)
+    current = _as_time_function(drive_current)
+    flux = _as_time_function(external_flux)
     two_ic = 2.0 * jj.critical_current
 
     h = dt * omega_p
@@ -490,12 +481,14 @@ def reduced_junction_dynamics(squid: SquidParams,
     energy uses the half-step-consistent estimator
     v^2/2 - (dt*a)^2/8 + U, whose drift stays at round-off for bound motion.
 
-    initial_rate is d(phase)/dt in rad/s.  dt must not exceed
-    0.05/omega_p^s at the initial flux.  Raises NonFinite for a non-finite
-    initial state or drive current and when the trajectory overflows.
+    drive_current and external_flux may each be a constant or a callable
+    of time in seconds.  initial_rate is d(phase)/dt in rad/s.  dt must not
+    exceed 0.05/omega_p^s at the initial flux.  Raises NonFinite for a
+    non-finite initial state or drive current and when the trajectory
+    overflows.
     """
-    current = _as_time_function(drive_current, dt, n_steps)
-    flux = _as_time_function(external_flux, dt, n_steps)
+    current = _as_time_function(drive_current)
+    flux = _as_time_function(external_flux)
 
     omega_ref = effective_plasma_frequency(squid, flux(0.0))
     if dt > 0.05 / omega_ref:

@@ -204,9 +204,8 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     order = np.argsort(k)
     k = k[order]
     w_drive = np.array(frequencies)[order]
-    w_ana = (omega_analytic(k, ind, cap, a) if len(k)
-             else np.empty(0))
-    return DispersionCurve(wavenumbers=k, omega_analytic=np.atleast_1d(w_ana),
+    return DispersionCurve(wavenumbers=k,
+                           omega_analytic=omega_analytic(k, ind, cap, a),
                            omega_measured=w_drive, inductance=ind,
                            capacitance=cap, cell_length=a)
 

@@ -142,8 +142,7 @@ class BudgetReport:
 
 def temperature_budget(cfg: RunConfig) -> BudgetReport:
     """Temperature history and photon count for the configured pulse."""
-    budget = geometry.photons_per_pulse(cfg.array, cfg.squid, cfg.pulse,
-                                        cfg.array.n_cells)
+    budget = geometry.photons_per_pulse(cfg.array, cfg.squid, cfg.pulse)
     t0 = float(budget.temperatures[0])
     t_1000 = 1000.0 * cfg.array.cell_length / cfg.pulse.velocity
     ratio = (float(np.interp(t_1000, budget.times, budget.temperatures)) / t0
@@ -328,8 +327,7 @@ def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
                 geometry.emitting_horizon(horizons))
         else:  # photon_count; SweepSpec has checked every name
             value = geometry.photons_per_pulse(
-                cfg.array, cfg.squid, cfg.pulse, cfg.array.n_cells
-            ).expected_count
+                cfg.array, cfg.squid, cfg.pulse).expected_count
         outputs[name] = value
     return outputs
 

@@ -56,28 +56,20 @@ class VelocityProfile:
     """Sampled propagation speed in the comoving frame at one instant.
 
     positions are comoving coordinates xi = x - u*t (m), speed is c(xi)
-    (m/s) and flow_speed is the front speed u.  evaluator, when present,
-    computes c at a float or an array of arbitrary xi and is used for
-    sub-cell refinement.  The smallest gap between the positions scales
-    the refinement tolerance and the gradient step.  steepness, when
-    known, is the front's inverse width s (1/m): the gradient step then
-    stays below 0.05/s, so the difference resolves a front narrower than
-    the grid pitch.
+    (m/s) and flow_speed is the front speed u.  speed_at(xi) computes c at
+    a float or an array of arbitrary xi, on which each horizon is refined
+    below the grid pitch.  The smallest gap between the positions scales the
+    refinement tolerance and the gradient step.  steepness, when known, is
+    the front's inverse width s (1/m): the gradient step then stays below
+    0.05/s, so the difference resolves a front narrower than the grid
+    pitch.
     """
 
     positions: np.ndarray
     speed: np.ndarray
     flow_speed: float
-    evaluator: Optional[Callable] = field(
-        default=None, repr=False, compare=False)
+    speed_at: Callable = field(repr=False, compare=False)
     steepness: Optional[float] = None
-
-    def speed_at(self, xi):
-        """c at comoving position xi, a float or an array."""
-        if self.evaluator is not None:
-            return self.evaluator(xi)
-        out = np.interp(xi, self.positions, self.speed)
-        return float(out) if np.ndim(out) == 0 else out
 
 
 def _grid_step(positions) -> float:
@@ -133,17 +125,17 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
     """Comoving propagation-speed profile c(xi) at the given time.
 
     The default grid covers n_cells cell centres centred on the front.  The
-    samples and the attached evaluator take c from the same arithmetic, so
-    horizon refinement is not limited by the grid pitch and sees the curve
-    the grid samples bit for bit.
+    samples and speed_at take c from the same arithmetic, so horizon
+    refinement is not limited by the grid pitch and sees the curve the
+    grid samples bit for bit.
     """
     if positions is None:
         positions = _comoving_grid(array, pulse)
     else:
         positions = np.asarray(positions, dtype=float)
-    evaluator = _speed_evaluator(array, squid, pulse, time)
-    return VelocityProfile(positions=positions, speed=evaluator(positions),
-                           flow_speed=pulse.velocity, evaluator=evaluator,
+    speed_at = _speed_evaluator(array, squid, pulse, time)
+    return VelocityProfile(positions=positions, speed=speed_at(positions),
+                           flow_speed=pulse.velocity, speed_at=speed_at,
                            steepness=pulse.steepness_at(time))
 
 
@@ -281,10 +273,9 @@ def _lane_values(f, x, lanes):
 
 def _brackets(f, first_row=0):
     # Sign changes in each row of f = c - u, numbered from first_row, as
-    # (row, lo, hi, f_lo, f_hi): lo and hi are consecutive nonzero samples
-    # of one row whose signs differ, so exact zeros lie strictly between
-    # them.  A NaN sample counts as nonzero and brackets both its
-    # neighbours.
+    # (row, lo, hi): lo and hi are consecutive nonzero samples of one row
+    # whose signs differ, so exact zeros lie strictly between them.  A NaN
+    # sample counts as nonzero and brackets both its neighbours.
     n = f.shape[1]
     flat = f.ravel()
     nonzero = np.flatnonzero(flat != 0.0)
@@ -294,27 +285,23 @@ def _brackets(f, first_row=0):
     row = lo // n
     same = row == hi // n  # a pair across the end of a row is none
     lo, hi, row = lo[same], hi[same], row[same]
-    return row + first_row, lo - row * n, hi - row * n, flat[lo], flat[hi]
+    return row + first_row, lo - row * n, hi - row * n
 
 
-def _horizons(xs, brackets, speed, u, spacing, steps, refine):
+def _horizons(xs, brackets, speed, u, spacing, steps):
     # Positions and gradients dc/dxi of the bracketed crossings of c = u.
     # speed(x, rows) is c at x[k] on sample row rows[k].  A run of exact
     # zeros between the bracket's ends is one horizon at the run's centre;
-    # other crossings are refined with lane_brentq when refine is set and
-    # interpolated linearly otherwise.  steps holds each row's gradient
-    # step.
-    rows, lo, hi, f_lo, f_hi = brackets
+    # lane_brentq refines each crossing within one cell.  steps holds each
+    # row's gradient step.
+    rows, lo, hi = brackets
     if not len(rows):
         return np.empty(0), np.empty(0)
-    roots = xs[lo] + (xs[hi] - xs[lo]) * f_lo / (f_lo - f_hi)
-    run = hi > lo + 1
-    roots[run] = 0.5 * (xs[lo[run] + 1] + xs[hi[run] - 1])
-    if refine:
-        cell = np.flatnonzero(~run)
-        roots[cell] = lane_brentq(
-            lambda x, lanes: speed(x, rows[cell[lanes]]) - u,
-            xs[lo[cell]], xs[hi[cell]], xtol=1.0e-6 * spacing)
+    roots = 0.5 * (xs[lo + 1] + xs[hi - 1])
+    cell = np.flatnonzero(hi == lo + 1)
+    roots[cell] = lane_brentq(
+        lambda x, lanes: speed(x, rows[cell[lanes]]) - u,
+        xs[lo[cell]], xs[hi[cell]], xtol=1.0e-6 * spacing)
     # Centred difference with one Richardson step: O(h^4).  One call takes
     # the four probes of every root.
     h = steps[rows]
@@ -338,8 +325,8 @@ def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     """Locate all crossings of c(xi) = u in the sampled profile.
 
     Brackets sign changes between consecutive nonzero samples of c - u and
-    refines each root: with the profile evaluator when available (see
-    lane_brentq), by linear interpolation otherwise.  A sample where c
+    refines each root on the profile's speed_at (see lane_brentq).  A
+    sample where c
     equals u exactly is a root; a run of such samples between opposite
     signs is one horizon at the run's centre, and a touch with the same
     sign on both sides is none.  The crossing is classified by its
@@ -354,7 +341,7 @@ def find_horizons(profile: VelocityProfile) -> tuple[HorizonReport, ...]:
     step = _gradient_step(spacing, profile.steepness)
     roots, gradients = _horizons(
         xs, _brackets(f[np.newaxis]), lambda x, rows: profile.speed_at(x), u,
-        spacing, np.array([step]), profile.evaluator is not None)
+        spacing, np.array([step]))
     return _reports(roots, gradients)
 
 
@@ -400,7 +387,7 @@ def _window_horizons(array, squid, pulse, times):
     brackets = tuple(np.concatenate(parts) for parts in zip(*blocks))
     roots, gradients = _horizons(
         window, brackets, speed, pulse.velocity, spacing,
-        _gradient_step(spacing, pulse.steepness_at(times)), True)
+        _gradient_step(spacing, pulse.steepness_at(times)))
     return brackets[0], roots, gradients
 
 
@@ -433,27 +420,25 @@ def radiated_power(temperature):
 
 
 def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
-                      pulse: bias.FluxPulse, line_length_cells: int,
-                      samples: int = 65) -> PhotonBudget:
+                      pulse: bias.FluxPulse, samples: int = 65
+                      ) -> PhotonBudget:
     """Expected photon number emitted while the front crosses the line.
 
     Integrates the emission rate power/(k_B T_H) over the traversal time
-    line_length_cells * cell_length / u, with the temperature history taken
+    n_cells * cell_length / u, with the temperature history taken
     from the (possibly broadening) comoving profile at samples evenly
     spaced times.  Each sample's horizons are line_horizons' at its time;
     all samples are scanned from one window and refined together.
 
-    Raises ValueError for a still pulse, a line_length_cells that is not
-    positive and finite, or samples that is not an integer of at least 2,
-    and NoHorizon at the first sample without a black horizon.
+    Raises ValueError for a still pulse or samples that is not an integer
+    of at least 2, and NoHorizon at the first sample without a black
+    horizon.
     """
     if pulse.velocity <= 0.0:
         raise ValueError("photon budget needs a moving pulse")
-    if not 0.0 < line_length_cells < np.inf:
-        raise ValueError("line_length_cells must be positive and finite")
     if not isinstance(samples, numbers.Integral) or samples < 2:
         raise ValueError("photon budget needs an integer of at least 2 samples")
-    total_time = line_length_cells * array.cell_length / pulse.velocity
+    total_time = array.n_cells * array.cell_length / pulse.velocity
     times = np.linspace(0.0, total_time, samples)
     rows, roots, gradients = _window_horizons(array, squid, pulse, times)
     # The first black horizon of each sample.

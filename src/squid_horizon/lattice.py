@@ -211,11 +211,11 @@ class March:
     invalid warnings stay off until the iteration ends or is left.
 
     Raises ValueError for a drive without the driven boundary (or the
-    reverse) or a start before the front's broadening pole, and
-    CourantViolation when the configured dt exceeds the stability budget;
-    the iteration raises NonFinite for a state that is not finite and
-    OverCritical for a cell current at critical under the
-    current-dependent inductance.
+    reverse) or a start before the front's broadening pole, NonFinite for
+    a start time that is not finite, and CourantViolation when the
+    configured dt exceeds the stability budget; the iteration raises
+    NonFinite for a state that is not finite and OverCritical for a cell
+    current at critical under the current-dependent inductance.
     """
 
     def __init__(self, initial: LatticeState, array: circuit.ArrayParams,
@@ -239,6 +239,8 @@ class March:
                                    "= %.3e s"
                                    % (dt, config.courant_fraction, budget))
         self._dtau = dt / scales.t_ref
+        if not math.isfinite(initial.time):
+            raise NonFinite("initial time is not finite")
         self.positions = (np.arange(n) + 0.5) * array.cell_length
         self.step_times = initial.time + np.arange(config.n_steps + 1) * dt
         # The first step comes half a step before the blocks' pole check.

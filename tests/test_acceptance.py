@@ -110,8 +110,7 @@ def test_03_photon_budget():
     rate = bias.calibrate_broadening(pulse, array, SQUID,
                                      target_decay=0.1, n_cells=1000)
     widened = dataclasses.replace(pulse, broadening=rate)
-    budget = geometry.photons_per_pulse(array, SQUID, widened,
-                                        line_length_cells=N_CELLS)
+    budget = geometry.photons_per_pulse(array, SQUID, widened)
     crit.check(0.7 <= budget.expected_count <= 1.3,
                "count %.3f outside [0.7, 1.3]" % budget.expected_count)
     crit.conclude()

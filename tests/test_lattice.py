@@ -857,6 +857,16 @@ class TestWindowedKernel:
             lattice.run(state, arr, ref_squid, pulse,
                         lattice.SolverConfig(n_steps=10, dt=dt))
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["still-tanh", "broadening-tanh"])
+    def test_non_finite_start_rejected(self, ref_squid, name, start):
+        # Neither a start before the pole nor a numpy warning: a typed error.
+        state = lattice.LatticeState(start, np.zeros(self.N),
+                                     np.zeros(self.N))
+        with pytest.raises(errors.NonFinite, match="initial time"):
+            lattice.March(state, make_array(self.N), ref_squid,
+                          self.PULSES[name], lattice.SolverConfig(n_steps=10))
+
     @pytest.mark.parametrize("current_dependent", [False, True])
     @pytest.mark.parametrize("boundary", ["reflecting", "absorbing",
                                           "driven"])
