@@ -450,6 +450,22 @@ class TestSingleSquidDynamics:
             sh.single_squid_dynamics(ref_squid, drive, 0.0, sh.SquidState(),
                                      dt=0.02 / omega_p, n_steps=10)
 
+    @pytest.mark.parametrize("which", ["drive_current", "external_flux"])
+    def test_constant_and_callable_drives_agree(self, ref_squid, which):
+        # A constant drive is the callable that returns it, bitwise.
+        omega_p = sh.effective_plasma_frequency(ref_squid, 0.0)
+        value = {"drive_current": 0.5e-6, "external_flux": 0.2 * PHI0}[which]
+        drives = {"drive_current": 0.0, "external_flux": 0.0}
+        runs = []
+        for drive in (value, lambda t: value):
+            drives[which] = drive
+            runs.append(sh.single_squid_dynamics(
+                ref_squid, drives["drive_current"], drives["external_flux"],
+                sh.SquidState(), dt=0.02 / omega_p, n_steps=400))
+        for field in ("common_phase", "circulating_phase", "common_rate",
+                      "circulating_rate"):
+            np.testing.assert_array_equal(getattr(runs[0], field),
+                                          getattr(runs[1], field))
 
 
 class TestReducedDynamics:
@@ -485,6 +501,24 @@ class TestReducedDynamics:
                                             dt=0.02 / omega, n_steps=20000)
         spread = np.ptp(traj.energy) / abs(traj.energy[0])
         assert spread < 1.0e-4
+
+    @pytest.mark.parametrize("which", ["drive_current", "external_flux"])
+    def test_constant_and_callable_drives_agree(self, ref_squid, which):
+        # A constant drive is the callable that returns it, bitwise.
+        omega = sh.effective_plasma_frequency(ref_squid, 0.0)
+        value = {"drive_current": 0.5e-6, "external_flux": 0.2 * PHI0}[which]
+        drives = {"drive_current": 0.0, "external_flux": 0.0}
+        runs = []
+        for drive in (value, lambda t: value):
+            drives[which] = drive
+            runs.append(sh.reduced_junction_dynamics(
+                ref_squid, drives["drive_current"], drives["external_flux"],
+                initial_phase=1.0e-3, initial_rate=0.0, dt=0.02 / omega,
+                n_steps=400))
+        for field in ("phase", "rate", "energy"):
+            np.testing.assert_array_equal(getattr(runs[0], field),
+                                          getattr(runs[1], field))
+        assert runs[0].energy_drift == runs[1].energy_drift
 
     def test_overcritical_drive_runs(self, ref_squid):
         ics = sh.squid_critical_current(ref_squid, 0.0)

@@ -315,6 +315,27 @@ class TestHorizons:
         assert len(found) == 1
         assert found[0].position == 3.0
 
+    @pytest.mark.parametrize("curve,root,kind", [
+        (lambda x: x * x - 2.0, math.sqrt(2.0), "black"),
+        (np.cos, 0.5 * math.pi, "white"),
+        (lambda x: np.exp(x) - 3.0, math.log(3.0), "black"),
+    ], ids=["square", "cos", "exp"])
+    def test_root_is_the_evaluators_root(self, curve, root, kind):
+        # Samples at 0..3 bracket one crossing; its position is refined on
+        # speed_at, not on the line through the two samples.
+        u = 2.0
+        xs = np.arange(4.0)
+        prof = sh.VelocityProfile(positions=xs, speed=u + curve(xs),
+                                  flow_speed=u,
+                                  speed_at=lambda xi: u + curve(xi))
+        (found,) = sh.find_horizons(prof)
+        assert found.kind == kind
+        assert found.position == pytest.approx(root, abs=1.0e-6)
+        f = curve(xs)
+        lo = int(np.flatnonzero(f[:-1] * f[1:] < 0.0)[0])
+        linear = xs[lo] + f[lo] / (f[lo] - f[lo + 1])
+        assert abs(linear - root) > 1.0e-3
+
     def test_nan_sample_is_not_read_as_no_horizon(self):
         # A NaN brackets both neighbouring cells, so refinement fails
         # loudly instead of the scan reporting an empty profile.
@@ -697,6 +718,22 @@ class TestPhotonBudget:
         np.testing.assert_allclose(budget.temperatures, expected, rtol=1e-6)
         assert budget.temperatures[-1] / budget.temperatures[0] == pytest.approx(
             15.0 / 23.0, rel=1e-6)
+
+    @pytest.mark.parametrize("n_cells", [1200, 2400, 4800])
+    def test_traversal_is_the_array(self, ref_array, ref_squid,
+                                    broadening_pulse, n_cells):
+        # The budget spans one pass along the array's own n_cells, so the
+        # temperature at its end has decayed by 1 / (1 + b * n_cells * a).
+        array = dataclasses.replace(ref_array, n_cells=n_cells)
+        budget = sh.photons_per_pulse(array, ref_squid, broadening_pulse,
+                                      samples=5)
+        length = n_cells * array.cell_length
+        assert budget.times[0] == 0.0
+        assert budget.times[-1] == pytest.approx(
+            length / broadening_pulse.velocity, rel=1e-15)
+        assert budget.temperatures[-1] / budget.temperatures[0] == (
+            pytest.approx(1.0 / (1.0 + broadening_pulse.broadening * length),
+                          rel=1e-6))
 
     def test_static_pulse_rejected(self, ref_array, ref_squid):
         pulse = sh.FluxPulse(amplitude=0.2, velocity=0.0)
