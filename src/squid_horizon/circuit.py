@@ -8,7 +8,7 @@ model-validity audit, and two small time integrators for a single cell:
 the full two-degree-of-freedom SQUID equations and the reduced single-phase
 model they collapse to at small loop inductance.  The critical current,
 inductance, cell time, cell speed and impedance take a float or an array of
-flux (the inductance also of current), each element bitwise the float result.
+flux, each element bitwise the float result.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .bias import FluxPulse
 from .constants import ELECTRON_CHARGE, FLUX_QUANTUM, RESISTANCE_QUANTUM
-from .errors import FluxOutOfRange, NonFinite, OverCritical
+from .errors import FluxOutOfRange, NonFinite
 
 __all__ = [
     "JunctionParams",
@@ -196,36 +196,21 @@ def effective_plasma_frequency(squid: SquidParams, flux: float) -> float:
     return math.sqrt(2.0 * math.pi * ics / (cj2 * FLUX_QUANTUM))
 
 
-def inductance_stretch(ratio):
+def inductance_stretch(ratio: np.ndarray) -> np.ndarray:
     """Factor asin(r)/r by which a current at r = I/I_c^s stretches the
-    Josephson inductance, with the series 1 + r^2/6 below |r| = 1e-6 to
-    avoid 0/0.  numpy's arcsine serves floats too, so the two agree."""
+    Josephson inductance, for an array of r with |r| <= 1, with the series
+    1 + r^2/6 below |r| = 1e-6 to avoid 0/0."""
     stretch = 1.0 + ratio * ratio / 6.0
-    if not isinstance(stretch, np.ndarray):  # a float or a 0-d array
-        return (stretch if abs(ratio) < 1.0e-6
-                else float(np.arcsin(ratio)) / ratio)
     big = abs(ratio) >= 1.0e-6
     stretch[big] = np.arcsin(ratio[big]) / ratio[big]
     return stretch
 
 
-def josephson_inductance(squid: SquidParams, flux, current=0.0):
-    """Current- and flux-dependent Josephson inductance of one cell (H).
-
-    L = Phi_0 * asin(I/I_c^s) / (2*pi*I), continued to Phi_0/(2*pi*I_c^s)
-    at zero current.  Raises OverCritical for |I| beyond the effective
-    critical current; |I| equal to it is allowed and gives (pi/2) times the
-    zero-current value.
-    """
-    ics = squid_critical_current(squid, flux)
-    base = FLUX_QUANTUM / (2.0 * math.pi * ics)
-    if not isinstance(current, np.ndarray) and current == 0.0:
-        return base
-    ratio = current / ics
-    _require(abs(ratio) <= 1.0, OverCritical,
-             "bias current %.4g A exceeds effective critical current %.4g A",
-             current, ics)
-    return base * inductance_stretch(ratio)
+def josephson_inductance(squid: SquidParams, flux):
+    """Flux-dependent Josephson inductance Phi_0/(2*pi*I_c^s) of one cell
+    (H) at zero current; a current I stretches it by inductance_stretch of
+    I/I_c^s."""
+    return FLUX_QUANTUM / (2.0 * math.pi * squid_critical_current(squid, flux))
 
 
 def relative_inductance(fraction):

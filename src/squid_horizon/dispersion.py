@@ -9,6 +9,7 @@ spatial phase, which is how the relation would be mapped out on hardware.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -53,6 +54,10 @@ FIT_PERIODS = 8.0
 WINDOW_WAVELENGTHS = 10.0
 COURANT_FRACTION = 0.1
 RESIDUAL_THRESHOLD = 0.2
+# The fit copies this many steps' windows before adding them to its
+# projection in one product; a multiply-add per step costs three to four
+# copies.
+_FIT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -111,23 +116,14 @@ def cutoff_scale(array: circuit.ArrayParams, squid: circuit.SquidParams,
     return CutoffReport(scale=speed / omega, cell_length=array.cell_length)
 
 
-def _demodulate(samples: np.ndarray, times: np.ndarray, omega: float):
-    # Least-squares projection on cos/sin of the drive; exact for a pure
-    # tone regardless of whether the window covers whole periods.
-    c = np.cos(omega * times)
-    s = np.sin(omega * times)
-    gram = np.array([[c @ c, c @ s], [c @ s, s @ s]])
-    rhs = np.vstack([samples.T @ c, samples.T @ s])
-    coef = np.linalg.solve(gram, rhs)
-    return coef[0] + 1j * coef[1]
-
-
 def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, dt: float, cell_time: float,
                       w: float) -> float:
-    # One point of measure_dispersion: its own driven line, settled, then
-    # sampled over the fit window at every step and fitted.  Its arrays are
-    # freed before the next point runs.
+    # One point of measure_dispersion: its own driven line, stepped through
+    # the settle and then the fit steps in one run.  Each fit step's window
+    # is projected on cos/sin of the drive by least squares, exact for a pure
+    # tone whether or not the fit covers whole periods; the projection is
+    # summed over blocks of _FIT_BLOCK steps.
     a = array.cell_length
     omega_max = 2.0 / cell_time
     ka = 2.0 * math.asin(w / omega_max)
@@ -144,20 +140,23 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     settle_steps = int(math.ceil(settle_time / dt))
     fit_steps = int(math.ceil(FIT_PERIODS * period / dt))
 
-    warmup = lattice.run(lattice.zero_state(line), line, squid, pulse,
-                         lattice.SolverConfig(n_steps=settle_steps, dt=dt,
-                                              boundary="driven"),
-                         drive=drive)
-    window = slice(window_start, window_start + window_cells)
-    march = lattice.March(warmup.final_state, line, squid, pulse,
-                          lattice.SolverConfig(n_steps=fit_steps, dt=dt,
-                                               boundary="driven"),
+    march = lattice.March(lattice.zero_state(line), line, squid, pulse,
+                          lattice.SolverConfig(n_steps=settle_steps + fit_steps,
+                                               dt=dt, boundary="driven"),
                           drive=drive)
-    samples = np.empty((fit_steps + 1, window_cells))
-    for m in march:
-        samples[m] = march.potential[window]
+    window = slice(window_start, window_start + window_cells)
+    drive_phase = w * march.step_times[settle_steps:]
+    basis = np.array([np.cos(drive_phase), np.sin(drive_phase)])
+    projection = np.zeros((2, window_cells))
+    block = np.empty((_FIT_BLOCK, window_cells))
+    for k, _ in enumerate(itertools.islice(march, settle_steps, None)):
+        row = k % _FIT_BLOCK
+        block[row] = march.potential[window]
+        if row == _FIT_BLOCK - 1 or k == fit_steps:
+            projection += basis[:, k - row:k + 1] @ block[:row + 1]
 
-    phasors = _demodulate(samples, march.step_times, w)
+    coef = np.linalg.solve(basis @ basis.T, projection)
+    phasors = coef[0] + 1j * coef[1]
     if np.max(np.abs(phasors)) < 1e-9 * max(abs(DRIVE_AMPLITUDE), 1e-30):
         raise FitFailure("no steady wave at %.3e rad/s" % w)
     phase = np.unwrap(np.angle(phasors))

@@ -59,17 +59,16 @@ class VelocityProfile:
     (m/s) and flow_speed is the front speed u.  speed_at(xi) computes c at
     a float or an array of arbitrary xi, on which each horizon is refined
     below the grid pitch.  The smallest gap between the positions scales the
-    refinement tolerance and the gradient step.  steepness, when known, is
-    the front's inverse width s (1/m): the gradient step then stays below
-    0.05/s, so the difference resolves a front narrower than the grid
-    pitch.
+    refinement tolerance and the gradient step.  steepness is the front's
+    inverse width s (1/m): the gradient step stays below 0.05/s, so the
+    difference resolves a front narrower than the grid pitch.
     """
 
     positions: np.ndarray
     speed: np.ndarray
     flow_speed: float
     speed_at: Callable = field(repr=False, compare=False)
-    steepness: Optional[float] = None
+    steepness: float
 
 
 def _grid_step(positions) -> float:
@@ -315,9 +314,7 @@ def _horizons(xs, brackets, speed, u, spacing, steps):
 
 def _gradient_step(spacing: float, steepness):
     # A quarter of the grid pitch, and at most 0.05 of the front's scaled
-    # unit 1/s, where the front's shape is known.
-    if steepness is None:
-        return 0.25 * spacing
+    # unit 1/s.
     return np.minimum(0.25 * spacing, 0.05 / steepness)
 
 

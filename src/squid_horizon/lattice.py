@@ -436,8 +436,7 @@ def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
 
-    flux = (float(np.atleast_1d(bias.flux_fraction_at(pulse, center, 0.0))[0])
-            * FLUX_QUANTUM)
+    flux = bias.flux_fraction_at(pulse, center, 0.0) * FLUX_QUANTUM
     ind = circuit.josephson_inductance(squid, flux)
     cell_time = circuit.cell_time(array, squid, flux)
     # The zone-edge mode needs sin(w dt/2) = dt/cell_time <= 1 to stay real.

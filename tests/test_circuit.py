@@ -59,32 +59,6 @@ class TestStaticRelations:
                    sh.squid_critical_current(ref_squid, flux))
         assert product == pytest.approx(PHI0 / (2.0 * math.pi), rel=1e-14)
 
-    def test_inductance_at_critical_bias(self, ref_squid):
-        ics = sh.squid_critical_current(ref_squid, 0.0)
-        l0 = sh.josephson_inductance(ref_squid, 0.0)
-        assert sh.josephson_inductance(ref_squid, 0.0, current=ics) == pytest.approx(
-            0.5 * math.pi * l0, rel=1e-12)
-
-    def test_inductance_series_branch_continuous(self, ref_squid):
-        ics = sh.squid_critical_current(ref_squid, 0.0)
-        below = sh.josephson_inductance(ref_squid, 0.0, current=0.999999e-6 * ics / 1e-6 * 1e-6 * 0.999e-6)
-        # straddle the 1e-6 relative-current switch point directly
-        lo = sh.josephson_inductance(ref_squid, 0.0, current=0.99e-6 * ics)
-        hi = sh.josephson_inductance(ref_squid, 0.0, current=1.01e-6 * ics)
-        assert lo == pytest.approx(hi, rel=1e-12)
-        assert below > 0.0
-
-    def test_inductance_monotone_in_current(self, ref_squid):
-        ics = sh.squid_critical_current(ref_squid, 0.0)
-        currents = np.linspace(0.0, ics, 101)
-        values = [sh.josephson_inductance(ref_squid, 0.0, current=i) for i in currents]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_over_critical_raises(self, ref_squid):
-        ics = sh.squid_critical_current(ref_squid, 0.0)
-        with pytest.raises(errors.OverCritical):
-            sh.josephson_inductance(ref_squid, 0.0, current=1.0001 * ics)
-
     def test_cell_velocity_reference(self, ref_array, ref_squid):
         c = sh.cell_velocity(ref_array, ref_squid, 0.0)
         assert c == pytest.approx(3.897778146429868e6, rel=1e-12)
@@ -173,9 +147,42 @@ class TestParameterValidation:
                                 "n_cells": np.int64(10)})
         assert arr.n_cells == 10
 
+class TestInductanceStretch:
+    """The current law L(I) = L(0) asin(r)/r at r = I/I_c^s, which the
+    leapfrog kernel applies through inductance_stretch."""
+
+    def test_half_pi_at_critical_current(self):
+        np.testing.assert_allclose(
+            circuit.inductance_stretch(np.array([1.0, -1.0])),
+            0.5 * math.pi, rtol=1e-12)
+
+    def test_series_branch_continuous(self):
+        # Straddle the 1e-6 switch to the series 1 + r^2/6.
+        lo, hi = circuit.inductance_stretch(np.array([0.99e-6, 1.01e-6]))
+        assert lo == pytest.approx(hi, rel=1e-12)
+        assert circuit.inductance_stretch(np.array([0.0]))[0] == 1.0
+
+    def test_monotone_in_current(self):
+        stretch = circuit.inductance_stretch(np.linspace(0.0, 1.0, 101))
+        assert np.all(np.diff(stretch) >= 0.0)
+
+    def test_array_matches_elementwise_calls(self):
+        # Relative currents on both sides of the 1e-6 series switch, up to
+        # the critical current itself.
+        rng = np.random.default_rng(5)
+        ratios = np.concatenate([rng.uniform(-1.0, 1.0, 48),
+                                 [0.0, 1.0, -1.0, 1e-7, -5e-7, 2e-6,
+                                  0.999999, 0.5, 1e-3, -1e-3, 0.0, 0.1,
+                                  0.9, -0.9, 1e-12, 0.3]])
+        single = [circuit.inductance_stretch(np.array([r]))[0]
+                  for r in ratios]
+        np.testing.assert_array_equal(circuit.inductance_stretch(ratios),
+                                      single)
+
+
 class TestArrayInputs:
-    """The static relations take a float or an array of flux (and current);
-    element i of an array call equals the scalar call on element i."""
+    """The static relations take a float or an array of flux; element i of
+    an array call equals the scalar call on element i."""
 
     FRACTIONS = np.concatenate([np.linspace(-0.499, 0.499, 157),
                                 [0.0, -0.0, 1e-9, 0.4999999, 0.2, 0.141733]])
@@ -233,21 +240,6 @@ class TestArrayInputs:
             assert (sh.cell_velocity(ref_array, ref_squid, float(f)) ==
                     ref_array.cell_length / float(t))
 
-    def test_current_array_matches_scalar_calls(self, ref_squid):
-        # Relative currents on both sides of the 1e-6 series switch, up to
-        # the critical current itself.
-        rng = np.random.default_rng(5)
-        fractions = rng.uniform(-0.45, 0.45, 64)
-        relative = np.concatenate([rng.uniform(-1.0, 1.0, 48),
-                                   [0.0, 1.0, -1.0, 1e-7, -5e-7, 2e-6,
-                                    0.999999, 0.5, 1e-3, -1e-3, 0.0, 0.1,
-                                    0.9, -0.9, 1e-12, 0.3]])
-        currents = relative * sh.squid_critical_current(ref_squid,
-                                                        fractions * PHI0)
-        self.assert_elementwise(
-            lambda f, i: sh.josephson_inductance(ref_squid, f * PHI0, i),
-            fractions, currents)
-
     @pytest.mark.parametrize("name", ["squid_critical_current",
                                       "josephson_inductance", "cell_velocity",
                                       "array_impedance"])
@@ -262,21 +254,6 @@ class TestArrayInputs:
                            match=r"flux nan Phi_0 outside the open "
                                  r"interval \(-0.5, 0.5\)"):
             relations[name](fractions)
-
-    def test_one_over_critical_current_raises(self, ref_squid):
-        ics = sh.squid_critical_current(ref_squid, 0.0)
-        currents = np.array([0.0, 0.5, -1.0, -1.5, 2.0]) * ics
-        message = (r"bias current -6e-06 A exceeds effective critical "
-                   r"current 4e-06 A")
-        with pytest.raises(errors.OverCritical, match=message):
-            sh.josephson_inductance(ref_squid, 0.0, currents)
-        currents[1] = math.nan  # fails the check before -1.5 does
-        message = (r"bias current nan A exceeds effective critical "
-                   r"current 4e-06 A")
-        with pytest.raises(errors.OverCritical, match=message):
-            sh.josephson_inductance(ref_squid, 0.0, currents)
-        with pytest.raises(errors.OverCritical, match=message):
-            sh.josephson_inductance(ref_squid, 0.0, math.nan)
 
     @pytest.mark.parametrize("flux", [0.1 * PHI0,
                                       np.array([0.0, 0.1, 0.2]) * PHI0],

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,49 @@ from conftest import REF_CELL_LENGTH, REF_CELL_SPEED, REF_PULSE_SPEED
 
 # 2 / sqrt(L0 C0) for the reference cell at zero flux.
 OMEGA_MAX = 31182225171438.945
+
+
+def reference_wavenumber(array, squid, flux, w):
+    """One point of measure_dispersion by the whole-block algorithm: a
+    settle run, then a fit run that keeps every step's window, projected on
+    cos/sin of the drive afterwards.  Returns k and the fit's step count."""
+    pulse = sh.FluxPulse(amplitude=0.0, dc_offset=flux / FLUX_QUANTUM)
+    dt = lattice.stable_timestep(array, squid, pulse,
+                                 dispersion.COURANT_FRACTION)
+    cell_time = circuit.cell_time(array, squid, flux)
+    a = array.cell_length
+    ka = 2.0 * math.asin(w * cell_time / 2.0)
+    window_cells = int(math.ceil(dispersion.WINDOW_WAVELENGTHS
+                                 * 2.0 * math.pi / ka))
+    line = replace(array, n_cells=60 + window_cells + 60)
+    drive = lattice.SineDrive(amplitude=dispersion.DRIVE_AMPLITUDE,
+                              frequency=w)
+    period = 2.0 * math.pi / w
+    settle_time = (line.n_cells * a / ((a / cell_time) * math.cos(0.5 * ka))
+                   + dispersion.SETTLE_PERIODS * period)
+    settle_steps = int(math.ceil(settle_time / dt))
+    fit_steps = int(math.ceil(dispersion.FIT_PERIODS * period / dt))
+
+    warmup = lattice.run(lattice.zero_state(line), line, squid, pulse,
+                         lattice.SolverConfig(n_steps=settle_steps, dt=dt,
+                                              boundary="driven"),
+                         drive=drive)
+    window = slice(60, 60 + window_cells)
+    march = lattice.March(warmup.final_state, line, squid, pulse,
+                          lattice.SolverConfig(n_steps=fit_steps, dt=dt,
+                                               boundary="driven"),
+                          drive=drive)
+    samples = np.empty((fit_steps + 1, window_cells))
+    for m in march:
+        samples[m] = march.potential[window]
+
+    c = np.cos(w * march.step_times)
+    s = np.sin(w * march.step_times)
+    gram = np.array([[c @ c, c @ s], [c @ s, s @ s]])
+    coef = np.linalg.solve(gram, np.vstack([samples.T @ c, samples.T @ s]))
+    phase = np.unwrap(np.angle(coef[0] + 1j * coef[1]))
+    slope = np.polyfit(march.positions[window], phase, 1)[0]
+    return abs(slope), fit_steps
 
 
 @pytest.fixture
@@ -231,6 +276,41 @@ class TestLeapfrogRelation:
         deviation = np.abs(curve.wavenumbers / k_leap - 1.0)
         assert len(curve) == len(_DISPERSION_KA)
         assert np.max(deviation) <= 2e-5, deviation
+
+
+class TestStreamedFit:
+    """Each point runs one March and sums the cos/sin projection of its fit
+    window over blocks of steps instead of keeping every step's window."""
+
+    @pytest.mark.parametrize("block", ["default", "one", "divisor"])
+    @pytest.mark.parametrize("ka", [0.3, 1.5, 2.0])
+    def test_matches_whole_block_reference(self, ref_array, ref_squid,
+                                           monkeypatch, ka, block):
+        # The CLI's points never end the fit on a block boundary; a block
+        # size dividing the fit's fit_steps + 1 windows does.
+        w = OMEGA_MAX * math.sin(0.5 * ka)
+        expected, fit_steps = reference_wavenumber(ref_array, ref_squid, 0.0,
+                                                   w)
+        if block == "one":
+            monkeypatch.setattr(dispersion, "_FIT_BLOCK", 1)
+        elif block == "divisor":
+            size = max(d for d in range(2, 65) if (fit_steps + 1) % d == 0)
+            assert size < fit_steps + 1
+            monkeypatch.setattr(dispersion, "_FIT_BLOCK", size)
+        curve = dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
+        assert curve.wavenumbers[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_fit_holds_no_step_by_window_block(self, ref_array, ref_squid):
+        # At ka = 0.1 the fit's 5030 steps of a 629-cell window would take
+        # 24 MiB; a 64-row block of it takes 0.3 MiB.
+        w = OMEGA_MAX * math.sin(0.05)
+        tracemalloc.start()
+        try:
+            dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
 
 
 class TestCsvExport:

@@ -37,13 +37,15 @@ def reference_line():
 
 def sampled_profile(speed, flow_speed=2.0, positions=None):
     """Profile over the given samples, whose speed_at interpolates the same
-    samples linearly."""
+    samples linearly; its steepness leaves the gradient step at a quarter
+    of the smallest gap."""
     speed = np.asarray(speed, dtype=float)
     xs = (np.arange(len(speed), dtype=float) if positions is None
           else np.asarray(positions, dtype=float))
     return sh.VelocityProfile(positions=xs, speed=speed,
                               flow_speed=flow_speed,
-                              speed_at=lambda xi: np.interp(xi, xs, speed))
+                              speed_at=lambda xi: np.interp(xi, xs, speed),
+                              steepness=0.1 / np.min(np.diff(xs)))
 
 
 def reference_scan(xs, speed, u):
@@ -327,7 +329,8 @@ class TestHorizons:
         xs = np.arange(4.0)
         prof = sh.VelocityProfile(positions=xs, speed=u + curve(xs),
                                   flow_speed=u,
-                                  speed_at=lambda xi: u + curve(xi))
+                                  speed_at=lambda xi: u + curve(xi),
+                                  steepness=0.1)
         (found,) = sh.find_horizons(prof)
         assert found.kind == kind
         assert found.position == pytest.approx(root, abs=1.0e-6)
@@ -342,7 +345,8 @@ class TestHorizons:
         prof = sh.VelocityProfile(positions=np.arange(4.0),
                                   speed=np.array([3.0, np.nan, 3.0, 3.0]),
                                   flow_speed=2.0,
-                                  speed_at=lambda xi: math.nan)
+                                  speed_at=lambda xi: math.nan,
+                                  steepness=0.1)
         with pytest.raises(ValueError, match="NaN"):
             sh.find_horizons(prof)
 
