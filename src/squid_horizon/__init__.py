@@ -26,7 +26,6 @@ from .circuit import (
     validity_report,
 )
 from .dispersion import (
-    CutoffReport,
     DispersionCurve,
     cutoff_scale,
     front_resolved,
@@ -54,7 +53,6 @@ from .lattice import (
     LatticeState,
     LatticeTrajectory,
     March,
-    SineDrive,
     SolverConfig,
     gaussian_packet,
     measure_pulse_speed,

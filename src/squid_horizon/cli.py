@@ -211,8 +211,8 @@ def _cmd_dispersion(args) -> int:
     _write(out, emit, "csv", "dispersion.csv",
            dispersion.write_dispersion_csv, curve)
     k_dense = np.linspace(0.0, math.pi / cfg.array.cell_length, 200)
-    w_dense = dispersion.omega_analytic(k_dense, curve.inductance,
-                                        curve.capacitance, curve.cell_length)
+    w_dense = dispersion.omega_analytic(k_dense, curve.cell_time,
+                                        curve.cell_length)
     _write(out, emit, "svg", "dispersion.svg", svgplot.line_plot,
            [(k_dense, w_dense, "analytic"),
             (curve.wavenumbers, curve.omega_measured, "measured")],

@@ -3,8 +3,9 @@
 The discrete line carries waves with omega = (2/sqrt(L C0)) |sin(k a / 2)|,
 linear at long wavelength with speed a/sqrt(L C0) and saturating at the zone
 edge.  The measurement path drives a uniform line with a soft sinusoidal
-source, demodulates the steady state at the drive frequency and fits the
-spatial phase, which is how the relation would be mapped out on hardware.
+source at node 0, demodulates the steady state at the drive frequency and
+fits the spatial phase, which is how the relation would be mapped out on
+hardware.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "RESIDUAL_THRESHOLD",
     "SETTLE_PERIODS",
     "WINDOW_WAVELENGTHS",
-    "CutoffReport",
     "DispersionCurve",
     "cutoff_scale",
     "front_spectral_fraction",
@@ -43,20 +43,22 @@ __all__ = [
 FRONT_KA_LIMIT = 0.5
 _POWER_TOLERANCE = 1e-3
 
-# measure_dispersion drives node 0 with amplitude DRIVE_AMPLITUDE, settles
-# for the group-delay crossing plus SETTLE_PERIODS drive periods and then
-# fits FIT_PERIODS periods over a window of WINDOW_WAVELENGTHS wavelengths,
-# stepping at COURANT_FRACTION of the cell time.  A phase fit whose rms
-# residual exceeds RESIDUAL_THRESHOLD (rad) is a FitFailure.
+# measure_dispersion drives node 0 with amplitude DRIVE_AMPLITUDE, adding
+# DRIVE_AMPLITUDE * (sin w(t + dt) - sin w t) to its potential after each
+# step of a "driven" March from t.  It settles for the group-delay crossing
+# plus SETTLE_PERIODS drive periods and then fits FIT_PERIODS periods over a
+# window of WINDOW_WAVELENGTHS wavelengths, stepping at COURANT_FRACTION of
+# the cell time.  A phase fit whose rms residual exceeds RESIDUAL_THRESHOLD
+# (rad) is a FitFailure.
 DRIVE_AMPLITUDE = 1.0e-6
 SETTLE_PERIODS = 4.0
 FIT_PERIODS = 8.0
 WINDOW_WAVELENGTHS = 10.0
 COURANT_FRACTION = 0.1
 RESIDUAL_THRESHOLD = 0.2
-# The fit copies this many steps' windows before adding them to its
-# projection in one product; a multiply-add per step costs three to four
-# copies.
+# The source's sines come from one np.sin per this many steps, and the fit
+# copies this many steps' windows before adding them to its projection in
+# one product; a multiply-add per step costs three to four copies.
 _FIT_BLOCK = 64
 
 
@@ -70,8 +72,7 @@ class DispersionCurve:
     wavenumbers: np.ndarray
     omega_analytic: np.ndarray
     omega_measured: np.ndarray
-    inductance: float
-    capacitance: float
+    cell_time: float
     cell_length: float
 
     def __len__(self) -> int:
@@ -82,48 +83,49 @@ class DispersionCurve:
         return np.abs(self.omega_measured - self.omega_analytic) / self.omega_analytic
 
 
-@dataclass(frozen=True)
-class CutoffReport:
-    """Shortest geometric scale c/omega_p versus the lattice pitch."""
-
-    scale: float
-    cell_length: float
-
-
-def omega_analytic(k, inductance: float, capacitance: float,
-                   cell_length: float):
-    """Lattice frequency (2/sqrt(L C0)) |sin(k a / 2)| in rad/s; raises
-    OutOfBand for |k| beyond the zone edge pi/a."""
+def omega_analytic(k, cell_time: float, cell_length: float):
+    """Lattice frequency (2/cell_time) |sin(k a / 2)| in rad/s, with
+    cell_time = sqrt(L C0) as circuit.cell_time gives it; raises OutOfBand
+    for |k| beyond the zone edge pi/a."""
     k = np.asarray(k, dtype=float)
     edge = math.pi / cell_length
     if np.any(np.abs(k) > edge * (1.0 + 1e-12)):
         raise OutOfBand("|k| exceeds the zone edge pi/a = %.4e 1/m" % edge)
-    scale = 2.0 / math.sqrt(inductance * capacitance)
-    out = scale * np.abs(np.sin(0.5 * k * cell_length))
+    out = (2.0 / cell_time) * np.abs(np.sin(0.5 * k * cell_length))
     return float(out) if out.ndim == 0 else out
 
 
 def cutoff_scale(array: circuit.ArrayParams, squid: circuit.SquidParams,
-                 flux: float) -> CutoffReport:
-    """Analogue short-distance scale c/omega_p at the given flux bias.
+                 flux: float) -> float:
+    """Analogue short-distance scale c/omega_p (m) at the given flux bias.
 
     Both the propagation speed and the plasma frequency scale with the same
-    root-cosine flux factor, so the reported scale is flux-independent; it
-    exceeding the cell length is what lets the smooth description apply.
+    root-cosine flux factor, so the scale is flux-independent; it exceeding
+    the cell length is what lets the smooth description apply.
     """
     speed = circuit.cell_velocity(array, squid, flux)
-    omega = circuit.effective_plasma_frequency(squid, flux)
-    return CutoffReport(scale=speed / omega, cell_length=array.cell_length)
+    return speed / circuit.effective_plasma_frequency(squid, flux)
+
+
+def _source_kicks(w: float, times: np.ndarray, dt: float):
+    # The source's increment DRIVE_AMPLITUDE * (sin w(t + dt) - sin w t) over
+    # the step from each of times, from one np.sin per _FIT_BLOCK steps.
+    old = np.sin(w * times[0])
+    for first in range(0, len(times), _FIT_BLOCK):
+        phases = np.sin(w * (times[first:first + _FIT_BLOCK] + dt))
+        yield from (DRIVE_AMPLITUDE * np.diff(phases, prepend=old)).tolist()
+        old = phases[-1]
 
 
 def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, dt: float, cell_time: float,
                       w: float) -> float:
     # One point of measure_dispersion: its own driven line, stepped through
-    # the settle and then the fit steps in one run.  Each fit step's window
-    # is projected on cos/sin of the drive by least squares, exact for a pure
-    # tone whether or not the fit covers whole periods; the projection is
-    # summed over blocks of _FIT_BLOCK steps.
+    # the settle and then the fit steps in one run, with the source's kick
+    # for each step added to node 0 at the yield after it.  Each fit step's
+    # window is projected on cos/sin of the drive by least squares, exact for
+    # a pure tone whether or not the fit covers whole periods; the projection
+    # is summed over blocks of _FIT_BLOCK steps.
     a = array.cell_length
     omega_max = 2.0 / cell_time
     ka = 2.0 * math.asin(w / omega_max)
@@ -133,7 +135,6 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     n = window_start + window_cells + 60
     line = replace(array, n_cells=n)
 
-    drive = lattice.SineDrive(amplitude=DRIVE_AMPLITUDE, frequency=w)
     v_group = (a / cell_time) * math.cos(0.5 * ka)
     period = 2.0 * math.pi / w
     settle_time = n * a / v_group + SETTLE_PERIODS * period
@@ -142,16 +143,23 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
 
     march = lattice.March(lattice.zero_state(line), line, squid, pulse,
                           lattice.SolverConfig(n_steps=settle_steps + fit_steps,
-                                               dt=dt, boundary="driven"),
-                          drive=drive)
+                                               dt=dt, boundary="driven"))
+    kicks = _source_kicks(w, march.step_times[:-1], dt)
+    steps = iter(march)
+    next(steps)  # the initial state: each later yield follows one step
+    potential = march.potential
+    for _, kick in zip(itertools.islice(steps, settle_steps - 1), kicks):
+        potential[0] += kick
+
     window = slice(window_start, window_start + window_cells)
     drive_phase = w * march.step_times[settle_steps:]
     basis = np.array([np.cos(drive_phase), np.sin(drive_phase)])
     projection = np.zeros((2, window_cells))
     block = np.empty((_FIT_BLOCK, window_cells))
-    for k, _ in enumerate(itertools.islice(march, settle_steps, None)):
+    for k, (_, kick) in enumerate(zip(steps, kicks)):
+        potential[0] += kick
         row = k % _FIT_BLOCK
-        block[row] = march.potential[window]
+        block[row] = potential[window]
         if row == _FIT_BLOCK - 1 or k == fit_steps:
             projection += basis[:, k - row:k + 1] @ block[:row + 1]
 
@@ -179,9 +187,6 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     the band edge and FitFailure when the steady state yields no usable phase
     profile.
     """
-    ind = circuit.josephson_inductance(squid, flux_dc)
-    cap = array.ground_capacitance
-    a = array.cell_length
     cell_time = circuit.cell_time(array, squid, flux_dc)
     omega_max = 2.0 / cell_time
     frequencies = [float(w) for w in frequencies]
@@ -203,10 +208,11 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     order = np.argsort(k)
     k = k[order]
     w_drive = np.array(frequencies)[order]
+    a = array.cell_length
     return DispersionCurve(wavenumbers=k,
-                           omega_analytic=omega_analytic(k, ind, cap, a),
-                           omega_measured=w_drive, inductance=ind,
-                           capacitance=cap, cell_length=a)
+                           omega_analytic=omega_analytic(k, cell_time, a),
+                           omega_measured=w_drive, cell_time=cell_time,
+                           cell_length=a)
 
 
 def front_spectral_fraction(pulse: bias.FluxPulse,

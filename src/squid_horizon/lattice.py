@@ -44,7 +44,6 @@ __all__ = [
     "LatticeState",
     "LatticeTrajectory",
     "March",
-    "SineDrive",
     "SolverConfig",
     "gaussian_packet",
     "measure_pulse_speed",
@@ -59,7 +58,7 @@ __all__ = [
 _BOUNDARIES = ("reflecting", "absorbing", "driven")
 _BINARY_MAGIC = b"SQHZ1"
 _LOCALIZATION_THRESHOLD = 0.25  # largest participation ratio of a packet
-# March evaluates the moving bias and the drive for this many steps at once.
+# March evaluates the moving bias for this many steps at once.
 _BLOCK = 64
 
 
@@ -122,21 +121,6 @@ class SolverConfig:
             raise ValueError("check_every must be a positive integer")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-
-
-@dataclass(frozen=True)
-class SineDrive:
-    """Soft sinusoidal source added to the potential of the driven end,
-    node 0, with the angular frequency in rad/s."""
-
-    amplitude: float
-    frequency: float
-
-    def __post_init__(self):
-        if not 0.0 < self.frequency < math.inf:
-            raise ValueError("drive frequency must be positive and finite")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("drive amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -206,30 +190,27 @@ class March:
 
     Iterating yields m = 0, 1, ..., n_steps, each time from the initial
     state.  At each yield ``potential`` and the scaled ``momentum`` (half a
-    step behind) are the live state at ``step_times[m]``, to be read only;
-    ``final_state`` is set before the last yield.  numpy's overflow and
-    invalid warnings stay off until the iteration ends or is left.
+    step behind) are the live state at ``step_times[m]``.  ``momentum`` is
+    to be read only; a consumer may add to ``potential`` before the next
+    step, as a source at the driven end does (under the "driven" boundary
+    node 0 is a free end and the far end absorbs).  ``final_state`` is
+    taken after the last yield, so it holds such a write.  numpy's overflow
+    and invalid warnings stay off until the iteration ends or is left.
 
-    Raises ValueError for a drive without the driven boundary (or the
-    reverse) or a start before the front's broadening pole, NonFinite for
-    a start time that is not finite, and CourantViolation when the
-    configured dt exceeds the stability budget; the iteration raises
-    NonFinite for a state that is not finite and OverCritical for a cell
-    current at critical under the current-dependent inductance.
+    Raises ValueError for a start before the front's broadening pole,
+    NonFinite for a start time that is not finite, and CourantViolation
+    when the configured dt exceeds the stability budget; the iteration
+    raises NonFinite for a state that is not finite and OverCritical for a
+    cell current at critical under the current-dependent inductance.
     """
 
     def __init__(self, initial: LatticeState, array: circuit.ArrayParams,
                  squid: circuit.SquidParams, pulse: bias.FluxPulse,
-                 config: SolverConfig, drive: Optional[SineDrive] = None):
+                 config: SolverConfig):
         n = array.n_cells
         if initial.n_cells != n:
             raise ValueError("initial state has %d cells, array has %d"
                              % (initial.n_cells, n))
-        if config.boundary == "driven" and drive is None:
-            raise ValueError("driven boundary needs a SineDrive")
-        if drive is not None and config.boundary != "driven":
-            raise ValueError("a SineDrive needs the driven boundary, not %r"
-                             % config.boundary)
 
         self._scales = scales = _Scales(array, squid)
         budget = stable_timestep(array, squid, pulse, config.courant_fraction)
@@ -247,10 +228,10 @@ class March:
         if not pulse.steepness_at(self.step_times[0]) > 0.0:
             raise ValueError("run starts at t = %g s, before the front's "
                              "broadening pole" % initial.time)
-        self._run = (initial, pulse, config, drive, dt)
+        self._run = (initial, pulse, config, dt)
 
     def __iter__(self):
-        initial, pulse, config, drive, dt = self._run
+        initial, pulse, config, dt = self._run
         scales, positions, step_times = (self._scales, self.positions,
                                          self.step_times)
         n, steps = len(positions), config.n_steps
@@ -282,12 +263,9 @@ class March:
         kick = dtau * chi
 
         mur = config.boundary == "absorbing"
-        driven = config.boundary == "driven"
-        open_right = mur or driven
+        open_right = config.boundary != "reflecting"
         stretch = config.current_dependent_inductance
         check_every = config.check_every
-        if driven:
-            drive_phase_old = np.sin(drive.frequency * step_times[0])
 
         def mur_beta(end_ind):
             # First-order Mur coefficient for an end cell of inductance L/L(0).
@@ -304,12 +282,11 @@ class March:
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, steps, _BLOCK):
                 block = range(first, min(first + _BLOCK, steps))
-                times = step_times[first:block.stop]
                 if not static_bias:
                     # Each half step's row of L/L(0) on the union of the rows'
                     # windows; outside it every cell sits exactly on one of the
                     # two plateaus at each of the half steps.
-                    half_times = times + 0.5 * dt
+                    half_times = step_times[first:block.stop] + 0.5 * dt
                     lo, hi, left, right = bias.front_window(pulse, half_times,
                                                             positions)
                     ind[:lo], ind[hi:] = circuit.relative_inductance(
@@ -317,11 +294,6 @@ class March:
                     ind_rows = circuit.relative_inductance(
                         bias.flux_fraction_at(pulse, positions[lo:hi],
                                               half_times[:, np.newaxis]))
-                if driven:
-                    phases = np.sin(drive.frequency * (times + dt))
-                    kicks = (drive.amplitude
-                             * np.diff(phases, prepend=drive_phase_old)).tolist()
-                    drive_phase_old = phases[-1]
 
                 for m in block:
                     yield m
@@ -362,28 +334,25 @@ class March:
                             right_end, beta_right = end, mur_beta(end)
                         pot[-1] = right_old0 + beta_right * (pot.item(-2)
                                                              - right_old1)
-                    if driven:
-                        pot[0] += kicks[m - first]
 
                     if (m + 1) % check_every == 0 and not np.isfinite(pot).all():
                         raise NonFinite("state overflowed at step %d" % (m + 1))
 
             if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
                 raise NonFinite("state overflowed during the run")
+            yield steps
             self.final_state = LatticeState(
                 time=step_times.item(steps), potential=pot.copy(),
                 momentum=mom * scales.momentum_unit)
-            yield steps
 
 
 def run(initial: LatticeState, array: circuit.ArrayParams,
         squid: circuit.SquidParams, pulse: bias.FluxPulse,
-        config: SolverConfig, drive: Optional[SineDrive] = None
-        ) -> LatticeTrajectory:
+        config: SolverConfig) -> LatticeTrajectory:
     """Integrate the line under the given bias and return the recording:
     the state at every record_every-th step from the first, and at the last.
     Raises as March does."""
-    march = March(initial, array, squid, pulse, config, drive)
+    march = March(initial, array, squid, pulse, config)
     scales, positions = march._scales, march.positions
     cap, chi = scales.cap, scales.chi
     kick = march._dtau * chi

@@ -14,7 +14,8 @@ from squid_horizon.cli import _DISPERSION_KA
 from squid_horizon.constants import FLUX_QUANTUM
 from squid_horizon.errors import BandLimit, FitFailure, OutOfBand
 
-from conftest import REF_CELL_LENGTH, REF_CELL_SPEED, REF_PULSE_SPEED
+from conftest import (REF_CELL_LENGTH, REF_CELL_SPEED, REF_PULSE_SPEED,
+                      with_source)
 
 # 2 / sqrt(L0 C0) for the reference cell at zero flux.
 OMEGA_MAX = 31182225171438.945
@@ -22,8 +23,9 @@ OMEGA_MAX = 31182225171438.945
 
 def reference_wavenumber(array, squid, flux, w):
     """One point of measure_dispersion by the whole-block algorithm: a
-    settle run, then a fit run that keeps every step's window, projected on
-    cos/sin of the drive afterwards.  Returns k and the fit's step count."""
+    settle run, then a fit run from its final state that keeps every step's
+    window, projected on cos/sin of the drive afterwards.  Returns k and
+    the fit's step count."""
     pulse = sh.FluxPulse(amplitude=0.0, dc_offset=flux / FLUX_QUANTUM)
     dt = lattice.stable_timestep(array, squid, pulse,
                                  dispersion.COURANT_FRACTION)
@@ -33,25 +35,23 @@ def reference_wavenumber(array, squid, flux, w):
     window_cells = int(math.ceil(dispersion.WINDOW_WAVELENGTHS
                                  * 2.0 * math.pi / ka))
     line = replace(array, n_cells=60 + window_cells + 60)
-    drive = lattice.SineDrive(amplitude=dispersion.DRIVE_AMPLITUDE,
-                              frequency=w)
     period = 2.0 * math.pi / w
     settle_time = (line.n_cells * a / ((a / cell_time) * math.cos(0.5 * ka))
                    + dispersion.SETTLE_PERIODS * period)
     settle_steps = int(math.ceil(settle_time / dt))
     fit_steps = int(math.ceil(dispersion.FIT_PERIODS * period / dt))
 
-    warmup = lattice.run(lattice.zero_state(line), line, squid, pulse,
-                         lattice.SolverConfig(n_steps=settle_steps, dt=dt,
-                                              boundary="driven"),
-                         drive=drive)
+    settle = lattice.March(lattice.zero_state(line), line, squid, pulse,
+                           lattice.SolverConfig(n_steps=settle_steps, dt=dt,
+                                                boundary="driven"))
+    for _ in with_source(settle, dispersion.DRIVE_AMPLITUDE, w):
+        pass
     window = slice(60, 60 + window_cells)
-    march = lattice.March(warmup.final_state, line, squid, pulse,
+    march = lattice.March(settle.final_state, line, squid, pulse,
                           lattice.SolverConfig(n_steps=fit_steps, dt=dt,
-                                               boundary="driven"),
-                          drive=drive)
+                                               boundary="driven"))
     samples = np.empty((fit_steps + 1, window_cells))
-    for m in march:
+    for m in with_source(march, dispersion.DRIVE_AMPLITUDE, w):
         samples[m] = march.potential[window]
 
     c = np.cos(w * march.step_times)
@@ -65,8 +65,7 @@ def reference_wavenumber(array, squid, flux, w):
 
 @pytest.fixture
 def cell(ref_squid, ref_array):
-    ind = circuit.josephson_inductance(ref_squid, 0.0)
-    return ind, ref_array.ground_capacitance, ref_array.cell_length
+    return circuit.cell_time(ref_array, ref_squid, 0.0), ref_array.cell_length
 
 
 class TestAnalyticRelation:
@@ -115,10 +114,10 @@ class TestAnalyticRelation:
 class TestCutoffScale:
     def test_reference_value(self, ref_array, ref_squid):
         # c(0) / omega_p(0) = 3897778.146 / (2 pi * 1e12)
-        report = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
-        assert report.scale == pytest.approx(6.203506590798789e-07, rel=1e-12)
-        assert report.cell_length == REF_CELL_LENGTH
-        assert report.scale > report.cell_length
+        scale = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
+        assert isinstance(scale, float)
+        assert scale == pytest.approx(6.203506590798789e-07, rel=1e-12)
+        assert scale > REF_CELL_LENGTH
 
     @pytest.mark.parametrize("fraction", [0.1, 0.2, 0.35, 0.45])
     def test_flux_independent(self, ref_array, ref_squid, fraction):
@@ -126,7 +125,7 @@ class TestCutoffScale:
         flux = fraction * FLUX_QUANTUM
         biased = dispersion.cutoff_scale(ref_array, ref_squid, flux)
         base = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
-        assert biased.scale == pytest.approx(base.scale, rel=1e-12)
+        assert biased == pytest.approx(base, rel=1e-12)
 
     def test_margin_grows_as_pitch_shrinks(self, ref_array, ref_squid):
         # Halving the pitch at fixed capacitance per length halves C0 too;
@@ -137,8 +136,7 @@ class TestCutoffScale:
             environment_impedance=ref_array.environment_impedance)
         coarse = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
         fine = dispersion.cutoff_scale(finer, ref_squid, 0.0)
-        grow = (fine.scale / fine.cell_length) / (coarse.scale /
-                                                  coarse.cell_length)
+        grow = (fine / finer.cell_length) / (coarse / ref_array.cell_length)
         assert grow == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
@@ -197,14 +195,14 @@ class TestMeasuredCurve:
 
     def test_flux_biased_line(self, ref_array, ref_squid):
         flux = 0.2 * FLUX_QUANTUM
-        ind = circuit.josephson_inductance(ref_squid, flux)
-        w_max = 2.0 / math.sqrt(ind * ref_array.ground_capacitance)
+        cell_time = circuit.cell_time(ref_array, ref_squid, flux)
+        w_max = 2.0 / cell_time
         curve = dispersion.measure_dispersion(
             ref_array, ref_squid, flux, [w_max * math.sin(0.1)])
         assert curve.wavenumbers[0] * REF_CELL_LENGTH == pytest.approx(
             0.2, rel=0.01)
         assert curve.relative_errors[0] < 0.01
-        assert curve.inductance == pytest.approx(ind, rel=1e-12)
+        assert curve.cell_time == cell_time
 
     def test_wider_window_no_worse(self, ref_array, ref_squid, monkeypatch):
         w = OMEGA_MAX * math.sin(0.15)
@@ -276,6 +274,22 @@ class TestLeapfrogRelation:
         deviation = np.abs(curve.wavenumbers / k_leap - 1.0)
         assert len(curve) == len(_DISPERSION_KA)
         assert np.max(deviation) <= 2e-5, deviation
+
+
+class TestSource:
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    def test_kicks_match_one_sine_per_step(self, steps):
+        # Blocks of _FIT_BLOCK sines, differenced across block ends, give
+        # the bits of one np.sin per step.
+        w, dt = 0.3 * OMEGA_MAX, 1.7e-15
+        times = 2.0e-13 + np.arange(steps) * dt
+        kicks = list(dispersion._source_kicks(w, times, dt))
+        old, expected = np.sin(w * times[0]), []
+        for t in times:
+            new = np.sin(w * (t + dt))
+            expected.append(dispersion.DRIVE_AMPLITUDE * (new - old))
+            old = new
+        assert np.array(kicks).tobytes() == np.array(expected).tobytes()
 
 
 class TestStreamedFit:

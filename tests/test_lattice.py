@@ -10,7 +10,7 @@ import squid_horizon as sh
 from squid_horizon import bias, circuit, errors, lattice
 from squid_horizon.constants import FLUX_QUANTUM
 
-from conftest import REF_CELL_SPEED
+from conftest import REF_CELL_SPEED, with_source
 
 CELL_LENGTH = 2.5e-7
 CELL_TIME = 6.413910453805204e-14
@@ -430,60 +430,38 @@ class TestAbsorbingBoundary:
 
 
 class TestSineDrive:
-    @pytest.mark.parametrize("frequency", [0.0, -1.0e11, math.nan, math.inf,
-                                           -math.inf])
-    def test_non_positive_frequency_rejected(self, frequency):
-        with pytest.raises(ValueError, match="frequency must be positive"):
-            lattice.SineDrive(amplitude=1e-6, frequency=frequency)
-
-    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
-    def test_non_finite_amplitude_rejected(self, amplitude):
-        with pytest.raises(ValueError, match="amplitude must be finite"):
-            lattice.SineDrive(amplitude=amplitude, frequency=1.0e11)
-
-    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
-    def test_drive_needs_driven_boundary(self, ref_squid, uniform, boundary):
-        arr = make_array(64)
-        drv = lattice.SineDrive(amplitude=1e-6, frequency=1.0e12)
-        with pytest.raises(ValueError, match="needs the driven boundary"):
-            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                        lattice.SolverConfig(n_steps=10, boundary=boundary),
-                        drive=drv)
+    """A sine source that the consumer of a March adds to node 0, the free
+    end of the "driven" boundary, at the yield after each step."""
 
     def test_zero_amplitude_gives_zero_field(self, ref_squid, uniform):
         arr = make_array(128)
-        drv = lattice.SineDrive(amplitude=0.0, frequency=1.0e11)
-        traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                           lattice.SolverConfig(n_steps=300, boundary="driven"),
-                           drive=drv)
-        assert np.all(traj.final_state.potential == 0.0)
+        march = lattice.March(lattice.zero_state(arr), arr, ref_squid, uniform,
+                              lattice.SolverConfig(n_steps=300,
+                                                   boundary="driven"))
+        for _ in with_source(march, 0.0, 1.0e11):
+            pass
+        assert np.all(march.final_state.potential == 0.0)
 
     def test_steady_wavelength_matches_dispersion(self, ref_squid, uniform):
         n = 800
         arr = make_array(n)
         omega = 0.1 * REF_CELL_SPEED / CELL_LENGTH
         dt = lattice.stable_timestep(arr, ref_squid, uniform)
-        drv = lattice.SineDrive(amplitude=1e-6, frequency=omega)
         steps = int(round(1.4 * n * CELL_LENGTH / REF_CELL_SPEED / dt))
-        traj = lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                           lattice.SolverConfig(n_steps=steps, dt=dt,
-                                                boundary="driven"),
-                           drive=drv)
+        march = lattice.March(lattice.zero_state(arr), arr, ref_squid, uniform,
+                              lattice.SolverConfig(n_steps=steps, dt=dt,
+                                                   boundary="driven"))
+        for _ in with_source(march, 1e-6, omega):
+            pass
         window = slice(150, 550)
-        signal = traj.final_state.potential[window]
-        x = traj.positions[window]
+        signal = march.final_state.potential[window]
+        x = march.positions[window]
         sign = np.sign(signal)
         crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         measured = 2.0 * np.mean(np.diff(x[crossings]))
         k_exact = (2.0 / CELL_LENGTH) * math.asin(
             (CELL_TIME / dt) * math.sin(0.5 * omega * dt))
         assert measured == pytest.approx(2.0 * math.pi / k_exact, rel=0.01)
-
-    def test_missing_drive_rejected(self, ref_squid, uniform):
-        arr = make_array(64)
-        with pytest.raises(ValueError):
-            lattice.run(lattice.zero_state(arr), arr, ref_squid, uniform,
-                        lattice.SolverConfig(n_steps=10, boundary="driven"))
 
 
 class TestNonlinearOption:
@@ -634,7 +612,45 @@ class TestRecording:
 
 class TestMarch:
     """The iterable behind run keeps numpy's floating-point warnings off
-    while it is open, and only then."""
+    while it is open, and only then; a consumer's write to the potential
+    at a yield is stepped on and kept in the final state."""
+
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing",
+                                          "driven"])
+    def test_write_at_last_yield_is_in_final_state(self, ref_squid, uniform,
+                                                   boundary):
+        arr = make_array(64)
+        march = lattice.March(lattice.zero_state(arr), arr, ref_squid, uniform,
+                              lattice.SolverConfig(n_steps=10,
+                                                   boundary=boundary))
+        for m in march:
+            if m == 10:
+                march.potential[0] += 1e-6
+        assert march.final_state.potential[0] == 1e-6
+        assert np.all(march.final_state.potential[1:] == 0.0)
+
+    def test_write_between_steps_is_stepped(self, ref_squid, uniform):
+        # A write at yield m is the state step m starts from: the same run
+        # split there, the write made at the first part's last yield, agrees.
+        arr = make_array(64)
+        rng = np.random.default_rng(44)
+        state = lattice.LatticeState(0.0, rng.standard_normal(64) * 1e-6,
+                                     rng.standard_normal(64) * 1e-27)
+        dt = lattice.stable_timestep(arr, ref_squid, uniform)
+
+        def march(initial, steps, write_at):
+            run = lattice.March(initial, arr, ref_squid, uniform,
+                                lattice.SolverConfig(n_steps=steps, dt=dt,
+                                                     boundary="driven"))
+            for m in run:
+                if m == write_at:
+                    run.potential[0] += 1e-6
+            return run.final_state
+
+        whole = march(state, 40, 15)
+        split = march(march(state, 15, 15), 25, None)
+        np.testing.assert_allclose(whole.potential, split.potential,
+                                   rtol=1e-12, atol=1e-20)
 
     @pytest.mark.parametrize("case", ["completes", "overflows",
                                       "over-critical"])
@@ -681,11 +697,11 @@ class TestMarch:
                 == whole.final_state.potential.tobytes())
 
 
-def reference_run(initial, arr, squid, pulse, config, drive=None):
+def reference_run(initial, arr, squid, pulse, config):
     """The leapfrog of lattice.run written plainly: the bias of the whole
-    line at every half step from a scalar time, np.sin at every step and
-    both Mur coefficients at every step.  Returns the fields of a
-    LatticeTrajectory by name, the final state's included, with the time
+    line at every half step from a scalar time and both Mur coefficients at
+    every step.  Returns the fields of a LatticeTrajectory by name, the
+    final state's included, with the time
     and the potential of every step as step_times and step_potentials."""
     n = arr.n_cells
     scales = lattice._Scales(arr, squid)
@@ -732,8 +748,6 @@ def reference_run(initial, arr, squid, pulse, config, drive=None):
     pot = initial.potential.copy()
     mom = initial.momentum / scales.momentum_unit
     t = initial.time
-    if drive is not None:
-        phase_old = np.sin(drive.frequency * t)
     for m in range(steps):
         if m in record_steps:
             record(t, pot, mom)
@@ -751,10 +765,6 @@ def reference_run(initial, arr, squid, pulse, config, drive=None):
             pot[0] = old[1] + mur_beta(ind[0]) * (pot[1] - old[0])
         if config.boundary != "reflecting":
             pot[-1] = old[-2] + mur_beta(ind[-1]) * (pot[-2] - old[-1])
-        if drive is not None:
-            phase = np.sin(drive.frequency * (t + dt))
-            pot[0] += drive.amplitude * (phase - phase_old)
-            phase_old = phase
         t = initial.time + (m + 1) * dt
     record(t, pot, mom)
     out["step_times"].append(t)
@@ -767,8 +777,8 @@ def reference_run(initial, arr, squid, pulse, config, drive=None):
 
 class TestWindowedKernel:
     """run evaluates the front only inside bias.front_window, keeps the
-    plateau values elsewhere and takes the bias and the drive of a block
-    of steps at once; none of it may change a bit against reference_run."""
+    plateau values elsewhere and takes the bias of a block of steps at
+    once; none of it may change a bit against reference_run."""
 
     N = 480
     STEPS = 600  # not a multiple of lattice._BLOCK
@@ -805,20 +815,16 @@ class TestWindowedKernel:
         rng = np.random.default_rng(41)
         state = lattice.LatticeState(start, rng.standard_normal(n) * 1e-4,
                                      rng.standard_normal(n) * 1e-27)
-        drive = (lattice.SineDrive(amplitude=1e-4,
-                                   frequency=0.3 / CELL_TIME)
-                 if boundary == "driven" else None)
         cfg = lattice.SolverConfig(
             n_steps=TestWindowedKernel.STEPS, boundary=boundary,
             record_every=100, current_dependent_inductance=current_dependent)
         assert cfg.n_steps % lattice._BLOCK != 0
-        kernel = lattice.run(state, arr, ref_squid, pulse, cfg, drive=drive)
-        march = lattice.March(state, arr, ref_squid, pulse, cfg, drive=drive)
+        kernel = lattice.run(state, arr, ref_squid, pulse, cfg)
+        march = lattice.March(state, arr, ref_squid, pulse, cfg)
         every_step = {"step_potentials": np.array([march.potential.copy()
                                                    for _ in march]),
                       "step_times": march.step_times}
-        reference = reference_run(state, arr, ref_squid, pulse, cfg,
-                                  drive=drive)
+        reference = reference_run(state, arr, ref_squid, pulse, cfg)
 
         for field in ("times", "potentials", "currents", "energies",
                       "energy_density"):

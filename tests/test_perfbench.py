@@ -80,3 +80,28 @@ def test_workload_inputs_are_accepted(tmp_path, monkeypatch, name):
         cli._apply_flags(spec.base, args)
     else:
         cli._apply_flags(config.load_config(args.config), args)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("simulate-front", {"lattice.run.calls": 1,
+                        "lattice.run.cell_steps": 1600 * 1000}),
+    ("dispersion-drive", {"dispersion.points": 7}),
+])
+def test_traced_workload_counts(tmp_path, monkeypatch, capsys, name,
+                                expected):
+    # A capture that meets a changed signature is skipped and its metrics
+    # read 0, so a new argument layout of lattice.run or
+    # measure_dispersion would otherwise zero these counts silently.
+    tracer_module = load_tracer()
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.generate(name, 5, tmp_path, workloads.TINY)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(list(workload.argv)
+                        + ["--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer_module.layer_metrics(tracer.take())
+    assert {key: metrics[key] for key in expected} == expected
