@@ -196,13 +196,19 @@ def effective_plasma_frequency(squid: SquidParams, flux: float) -> float:
     return math.sqrt(2.0 * math.pi * ics / (cj2 * FLUX_QUANTUM))
 
 
-def inductance_stretch(ratio: np.ndarray) -> np.ndarray:
+def inductance_stretch(ratio: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Factor asin(r)/r by which a current at r = I/I_c^s stretches the
     Josephson inductance, for an array of r with |r| <= 1, with the series
-    1 + r^2/6 below |r| = 1e-6 to avoid 0/0."""
-    stretch = 1.0 + ratio * ratio / 6.0
-    big = abs(ratio) >= 1.0e-6
-    stretch[big] = np.arcsin(ratio[big]) / ratio[big]
+    1 + r^2/6 below |r| = 1e-6 to avoid 0/0.  Written into out, a float
+    array of r's shape other than r itself, when one is given."""
+    stretch = np.abs(ratio, out=out)
+    big = stretch >= 1.0e-6
+    np.multiply(ratio, ratio, out=stretch)
+    stretch /= 6.0
+    stretch += 1.0
+    np.arcsin(ratio, out=stretch, where=big)
+    np.divide(stretch, ratio, out=stretch, where=big)
     return stretch
 
 

@@ -237,14 +237,15 @@ class March:
         n, steps = len(positions), config.n_steps
         dtau, chi = self._dtau, scales.chi
 
-        # A still front never broadens (the law s0/(1 + b*u*t) has u = 0), so
-        # one inductance serves every half step.
+        # The update steps each cell by rate = dtau/(L/L(0)).  A still front
+        # never broadens (the law s0/(1 + b*u*t) has u = 0), so one rate serves
+        # every half step.
         static_bias = pulse.velocity == 0.0
         if static_bias:
-            ind = circuit.relative_inductance(
+            rate = dtau / circuit.relative_inductance(
                 bias.flux_fraction_at(pulse, positions, 0.0))
         else:
-            ind = np.empty(n)  # filled by each block of steps
+            rate = np.empty(n)  # filled by each block of steps
 
         self.potential = pot = initial.potential.copy()
         self.momentum = mom = initial.momentum / scales.momentum_unit
@@ -265,15 +266,19 @@ class March:
         mur = config.boundary == "absorbing"
         open_right = config.boundary != "reflecting"
         stretch = config.current_dependent_inductance
+        if stretch:
+            # I/I_c^s of each cell, then its stretch and the stretched rate.
+            rel, stretched = np.empty(n), np.empty(n)
         check_every = config.check_every
 
-        def mur_beta(end_ind):
-            # First-order Mur coefficient for an end cell of inductance L/L(0).
-            kappa = dtau * math.sqrt(chi / end_ind)
+        def mur_beta(end_rate):
+            # First-order Mur coefficient for an end cell stepped at end_rate:
+            # kappa = dtau * sqrt(chi / (L/L(0))).
+            kappa = math.sqrt(kick * end_rate)
             return (kappa - 1.0) / (kappa + 1.0)
 
-        # The end inductances the Mur coefficients were computed for; they
-        # change only under the current-dependent inductance or when the front
+        # The end rates the Mur coefficients were computed for; they change
+        # only under the current-dependent inductance or when the front
         # reaches an end.
         left_end = right_end = None
 
@@ -283,17 +288,18 @@ class March:
             for first in range(0, steps, _BLOCK):
                 block = range(first, min(first + _BLOCK, steps))
                 if not static_bias:
-                    # Each half step's row of L/L(0) on the union of the rows'
+                    # Each half step's row of rates on the union of the rows'
                     # windows; outside it every cell sits exactly on one of the
                     # two plateaus at each of the half steps.
                     half_times = step_times[first:block.stop] + 0.5 * dt
                     lo, hi, left, right = bias.front_window(pulse, half_times,
                                                             positions)
-                    ind[:lo], ind[hi:] = circuit.relative_inductance(
+                    rate[:lo], rate[hi:] = dtau / circuit.relative_inductance(
                         np.array([left, right]))
-                    ind_rows = circuit.relative_inductance(
+                    rate_rows = circuit.relative_inductance(
                         bias.flux_fraction_at(pulse, positions[lo:hi],
                                               half_times[:, np.newaxis]))
+                    np.divide(dtau, rate_rows, out=rate_rows)
 
                 for m in block:
                     yield m
@@ -302,34 +308,35 @@ class March:
                     np.multiply(kick, lap, out=work)
                     mom += work
                     if not static_bias:
-                        ind[lo:hi] = ind_rows[m - first]
-                    ind_half = ind
+                        rate[lo:hi] = rate_rows[m - first]
+                    rate_half = rate
 
                     if stretch:
-                        rel = np.abs(mom) * scales.phase_unit
+                        np.abs(mom, out=rel)
+                        rel *= scales.phase_unit
                         peak = float(rel.max())
                         if peak >= 1.0:
                             raise OverCritical("cell current reached %.3f of "
                                                "critical" % peak)
-                        ind_half = ind * circuit.inductance_stretch(rel)
+                        circuit.inductance_stretch(rel, out=stretched)
+                        rate_half = np.divide(rate, stretched, out=stretched)
 
                     if mur:
                         left_old0, left_old1 = pot.item(0), pot.item(1)
                     if open_right:
                         right_old0, right_old1 = pot.item(-2), pot.item(-1)
 
-                    np.multiply(dtau, mom, out=work)
-                    np.divide(work, ind_half, out=work)
+                    np.multiply(mom, rate_half, out=work)
                     pot += work
 
                     if mur:
-                        end = ind_half.item(0)
+                        end = rate_half.item(0)
                         if end != left_end:
                             left_end, beta_left = end, mur_beta(end)
                         pot[0] = left_old1 + beta_left * (pot.item(1)
                                                           - left_old0)
                     if open_right:
-                        end = ind_half.item(-1)
+                        end = rate_half.item(-1)
                         if end != right_end:
                             right_end, beta_right = end, mur_beta(end)
                         pot[-1] = right_old0 + beta_right * (pot.item(-2)

@@ -465,22 +465,36 @@ class TestSineDrive:
 
 
 class TestNonlinearOption:
-    def test_small_amplitude_matches_linear(self, ref_squid, uniform):
+    @pytest.mark.parametrize("name", ["still-tanh", "broadening-tanh"])
+    def test_small_amplitude_matches_linear(self, ref_squid, name):
+        # Below |I|/I_c = 2e-8 the stretch 1 + r^2/6 rounds to 1.0, so the
+        # stretch run, through its reused buffers, steps bit for bit as the
+        # plain run does.
         n = 256
         arr = make_array(n)
-        dt = lattice.stable_timestep(arr, ref_squid, uniform)
-        pk = lattice.gaussian_packet(arr, ref_squid, uniform,
+        pulse = TestWindowedKernel.PULSES[name]
+        dt = lattice.stable_timestep(arr, ref_squid, pulse)
+        pk = lattice.gaussian_packet(arr, ref_squid, pulse,
                                      center=100 * CELL_LENGTH,
                                      sigma=15 * CELL_LENGTH,
-                                     carrier_ka=0.15, amplitude=1e-9, dt=dt)
-        cfg_lin = lattice.SolverConfig(n_steps=400, dt=dt)
-        cfg_non = lattice.SolverConfig(n_steps=400, dt=dt,
-                                       current_dependent_inductance=True)
-        lin = lattice.run(pk, arr, ref_squid, uniform, cfg_lin)
-        non = lattice.run(pk, arr, ref_squid, uniform, cfg_non)
-        diff = np.max(np.abs(lin.final_state.potential -
-                             non.final_state.potential))
-        assert diff < 1e-9 * np.max(np.abs(lin.final_state.potential))
+                                     carrier_ka=0.15, amplitude=1e-10, dt=dt)
+        runs = []
+        for stretch in (False, True):
+            march = lattice.March(pk, arr, ref_squid, pulse,
+                                  lattice.SolverConfig(
+                                      n_steps=400, dt=dt, boundary="absorbing",
+                                      current_dependent_inductance=stretch))
+            peak, rows = 0.0, []
+            for _ in march:
+                rows.append(march.potential.copy())
+                peak = max(peak, float(np.abs(march.momentum).max()))
+            assert 0.0 < peak * march._scales.phase_unit < 2e-8
+            runs.append((np.array(rows), march.final_state))
+        (plain, plain_final), (stretched, stretched_final) = runs
+        assert stretched.tobytes() == plain.tobytes()
+        for field in ("potential", "momentum"):
+            assert (getattr(stretched_final, field).tobytes()
+                    == getattr(plain_final, field).tobytes()), field
 
     def test_large_amplitude_slows_packet(self, ref_squid, uniform):
         # currents near critical stretch the inductance, so the nonlinear
@@ -698,11 +712,11 @@ class TestMarch:
 
 
 def reference_run(initial, arr, squid, pulse, config):
-    """The leapfrog of lattice.run written plainly: the bias of the whole
-    line at every half step from a scalar time and both Mur coefficients at
-    every step.  Returns the fields of a LatticeTrajectory by name, the
-    final state's included, with the time
-    and the potential of every step as step_times and step_potentials."""
+    """The leapfrog of lattice.run written plainly: the rate dtau/(L/L(0))
+    of the whole line at every half step from a scalar time and both Mur
+    coefficients at every step.  Returns the fields of a LatticeTrajectory
+    by name, the final state's included, with the time and the potential
+    of every step as step_times and step_potentials."""
     n = arr.n_cells
     scales = lattice._Scales(arr, squid)
     dt = config.dt or lattice.stable_timestep(arr, squid, pulse,
@@ -718,8 +732,8 @@ def reference_run(initial, arr, squid, pulse, config):
     def laplacian(pot):
         return np.diff(np.concatenate(([0.0], np.diff(pot), [0.0])))
 
-    def mur_beta(end_ind):
-        kappa = dtau * np.sqrt(chi / end_ind)
+    def mur_beta(end_rate):
+        kappa = np.sqrt(kick * end_rate)
         return (kappa - 1.0) / (kappa + 1.0)
 
     out = {key: [] for key in ("times", "potentials", "currents",
@@ -754,17 +768,17 @@ def reference_run(initial, arr, squid, pulse, config):
         out["step_times"].append(t)
         out["step_potentials"].append(pot.copy())
         mom = mom + kick * laplacian(pot)
-        ind = bias_at(t + 0.5 * dt)
+        rate = dtau / bias_at(t + 0.5 * dt)
         if config.current_dependent_inductance:
             # I/I_c^s from the momentum: TestPhaseLaw checks the law.
-            ind = ind * circuit.inductance_stretch(np.abs(mom)
-                                                   * scales.phase_unit)
+            rate = rate / circuit.inductance_stretch(np.abs(mom)
+                                                     * scales.phase_unit)
         old = pot.copy()
-        pot = pot + dtau * mom / ind
+        pot = pot + mom * rate
         if config.boundary == "absorbing":
-            pot[0] = old[1] + mur_beta(ind[0]) * (pot[1] - old[0])
+            pot[0] = old[1] + mur_beta(rate[0]) * (pot[1] - old[0])
         if config.boundary != "reflecting":
-            pot[-1] = old[-2] + mur_beta(ind[-1]) * (pot[-2] - old[-1])
+            pot[-1] = old[-2] + mur_beta(rate[-1]) * (pot[-2] - old[-1])
         t = initial.time + (m + 1) * dt
     record(t, pot, mom)
     out["step_times"].append(t)
