@@ -26,6 +26,7 @@ __all__ = [
     "DRIVE_AMPLITUDE",
     "FIT_PERIODS",
     "FRONT_KA_LIMIT",
+    "RAMP_PERIODS",
     "RESIDUAL_THRESHOLD",
     "SETTLE_PERIODS",
     "WINDOW_WAVELENGTHS",
@@ -43,18 +44,24 @@ __all__ = [
 FRONT_KA_LIMIT = 0.5
 _POWER_TOLERANCE = 1e-3
 
-# measure_dispersion drives node 0 with amplitude DRIVE_AMPLITUDE, adding
-# DRIVE_AMPLITUDE * (sin w(t + dt) - sin w t) to its potential after each
-# step of a "driven" March from t.  It settles for the group-delay crossing
-# plus SETTLE_PERIODS drive periods and then fits FIT_PERIODS periods over a
-# window of WINDOW_WAVELENGTHS wavelengths, stepping at COURANT_FRACTION of
-# the cell time.  A phase fit whose rms residual exceeds RESIDUAL_THRESHOLD
-# (rad) is a FitFailure.
+# measure_dispersion drives node 0 of an "absorbing" March with amplitude
+# DRIVE_AMPLITUDE, ramped on as sin^2 over RAMP_PERIODS drive periods: it adds
+# the source's increment over each step to node 0 at the yield after it, on
+# top of the kernel's first-order Mur end (Engquist & Majda 1977; Mur 1981).
+# The line is to look infinite to the drive, and the Mur end reflects part of
+# a tone, so at each yield the point also writes the far node over the
+# kernel's Mur value, by the same update with the coefficient that passes the
+# drive tone without reflection.  A point settles for the group-delay
+# crossing plus SETTLE_PERIODS drive periods and then fits FIT_PERIODS
+# periods over a window of WINDOW_WAVELENGTHS wavelengths, stepping at
+# COURANT_FRACTION of the cell time.  A phase fit whose rms residual exceeds
+# RESIDUAL_THRESHOLD (rad) is a FitFailure.
 DRIVE_AMPLITUDE = 1.0e-6
+RAMP_PERIODS = 10.0
 SETTLE_PERIODS = 4.0
 FIT_PERIODS = 8.0
 WINDOW_WAVELENGTHS = 10.0
-COURANT_FRACTION = 0.1
+COURANT_FRACTION = 0.2
 RESIDUAL_THRESHOLD = 0.2
 # The source's sines come from one np.sin per this many steps, and the fit
 # copies this many steps' windows before adding them to its projection in
@@ -108,24 +115,65 @@ def cutoff_scale(array: circuit.ArrayParams, squid: circuit.SquidParams,
 
 
 def _source_kicks(w: float, times: np.ndarray, dt: float):
-    # The source's increment DRIVE_AMPLITUDE * (sin w(t + dt) - sin w t) over
-    # the step from each of times, from one np.sin per _FIT_BLOCK steps.
-    old = np.sin(w * times[0])
+    # The source's increment DRIVE_AMPLITUDE * (s(t + dt) - s(t)) over the
+    # step from each of times, with s(t) = r(t) sin w t and the ramp
+    # r(t) = sin^2(pi t / (2 T)) up to T = RAMP_PERIODS periods and 1 after,
+    # from one np.sin per _FIT_BLOCK steps, and one more for the ramp while
+    # it lasts.
+    ramp_time = RAMP_PERIODS * 2.0 * math.pi / w
+
+    def source(t):
+        value = np.sin(w * t)
+        if t[0] < ramp_time:
+            value *= np.sin((0.5 * math.pi / ramp_time)
+                            * np.minimum(t, ramp_time)) ** 2
+        return value
+
+    old = source(times[:1])[0]
     for first in range(0, len(times), _FIT_BLOCK):
-        phases = np.sin(w * (times[first:first + _FIT_BLOCK] + dt))
-        yield from (DRIVE_AMPLITUDE * np.diff(phases, prepend=old)).tolist()
-        old = phases[-1]
+        values = source(times[first:first + _FIT_BLOCK] + dt)
+        yield from (DRIVE_AMPLITUDE * np.diff(values, prepend=old)).tolist()
+        old = values[-1]
+
+
+def _far_end_coefficient(w_dt: float, kappa: float) -> float:
+    # The end update pot[-1] = old[-2] + beta (pot[-2] - old[-1]) holds
+    # exactly for the outgoing wave exp i(k n - w dt m) at node n and step m
+    # (k in radians per cell) when
+    # beta = sin((w dt - k)/2) / sin((w dt + k)/2).  With k the leapfrog's
+    # wavenumber of the tone, sin(w dt/2) = kappa sin(k/2), the end passes the
+    # tone without reflection.  As w and k go to 0, beta goes to the Mur
+    # coefficient (kappa - 1)/(kappa + 1).
+    k = 2.0 * math.asin(math.sin(0.5 * w_dt) / kappa)
+    return math.sin(0.5 * (w_dt - k)) / math.sin(0.5 * (w_dt + k))
+
+
+def _driven_far_end(march: lattice.March, far: float, kicks):
+    # Drain an "absorbing" march from its first step on, adding each step's
+    # kick, from kicks, to node 0 at the yield after it and writing the last
+    # node over the kernel's Mur value with the update
+    # pot[-1] = old[-2] + far (pot[-2] - old[-1]), from the end values kept
+    # at the yield before (after this write).
+    steps = iter(march)
+    next(steps)  # the initial state: each later yield follows one step
+    potential = march.potential
+    right0, right1 = potential.item(-2), potential.item(-1)
+    for m, kick in zip(steps, kicks):
+        potential[0] += kick
+        potential[-1] = right1 = right0 + far * (potential.item(-2) - right1)
+        right0 = potential.item(-2)
+        yield m
 
 
 def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, dt: float, cell_time: float,
                       w: float) -> float:
-    # One point of measure_dispersion: its own driven line, stepped through
-    # the settle and then the fit steps in one run, with the source's kick
-    # for each step added to node 0 at the yield after it.  Each fit step's
-    # window is projected on cos/sin of the drive by least squares, exact for
-    # a pure tone whether or not the fit covers whole periods; the projection
-    # is summed over blocks of _FIT_BLOCK steps.
+    # One point of measure_dispersion: its own line, stepped through the
+    # settle and then the fit steps in one run, with its source and far end
+    # written by _driven_far_end.  Each fit step's window is projected on
+    # cos/sin of the drive by least squares, exact for a pure tone whether or
+    # not the fit covers whole periods; the projection is summed over blocks
+    # of _FIT_BLOCK steps.
     a = array.cell_length
     omega_max = 2.0 / cell_time
     ka = 2.0 * math.asin(w / omega_max)
@@ -141,23 +189,23 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     settle_steps = int(math.ceil(settle_time / dt))
     fit_steps = int(math.ceil(FIT_PERIODS * period / dt))
 
+    far = _far_end_coefficient(w * dt, dt / cell_time)
+
     march = lattice.March(lattice.zero_state(line), line, squid, pulse,
                           lattice.SolverConfig(n_steps=settle_steps + fit_steps,
-                                               dt=dt, boundary="driven"))
+                                               dt=dt, boundary="absorbing"))
     kicks = _source_kicks(w, march.step_times[:-1], dt)
-    steps = iter(march)
-    next(steps)  # the initial state: each later yield follows one step
-    potential = march.potential
-    for _, kick in zip(itertools.islice(steps, settle_steps - 1), kicks):
-        potential[0] += kick
+    steps = _driven_far_end(march, far, kicks)
+    for _ in itertools.islice(steps, settle_steps - 1):
+        pass
 
+    potential = march.potential
     window = slice(window_start, window_start + window_cells)
     drive_phase = w * march.step_times[settle_steps:]
     basis = np.array([np.cos(drive_phase), np.sin(drive_phase)])
     projection = np.zeros((2, window_cells))
     block = np.empty((_FIT_BLOCK, window_cells))
-    for k, (_, kick) in enumerate(zip(steps, kicks)):
-        potential[0] += kick
+    for k, _ in enumerate(steps):
         row = k % _FIT_BLOCK
         block[row] = potential[window]
         if row == _FIT_BLOCK - 1 or k == fit_steps:
@@ -183,9 +231,11 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     """Map the dispersion relation by driving uniform lines, one per point.
 
     Each drive frequency gets its own line, sized so the phase fit spans
-    WINDOW_WAVELENGTHS wavelengths.  Raises BandLimit for drives above 95% of
-    the band edge and FitFailure when the steady state yields no usable phase
-    profile.
+    WINDOW_WAVELENGTHS wavelengths.  The measured k solves the leapfrog's own
+    relation sin(w dt/2) = (dt/sqrt(L C0)) sin(k a/2) to within 1e-5 up to
+    ka = 2.1, and to within 4e-4 from there to the band limit.  Raises
+    BandLimit for drives above 95% of the band edge and FitFailure when the
+    steady state yields no usable phase profile.
     """
     cell_time = circuit.cell_time(array, squid, flux_dc)
     omega_max = 2.0 / cell_time

@@ -14,18 +14,45 @@ from squid_horizon.cli import _DISPERSION_KA
 from squid_horizon.constants import FLUX_QUANTUM
 from squid_horizon.errors import BandLimit, FitFailure, OutOfBand
 
-from conftest import (REF_CELL_LENGTH, REF_CELL_SPEED, REF_PULSE_SPEED,
-                      with_source)
+from conftest import REF_CELL_LENGTH, REF_CELL_SPEED, REF_PULSE_SPEED
 
 # 2 / sqrt(L0 C0) for the reference cell at zero flux.
 OMEGA_MAX = 31182225171438.945
 
 
+def ramped_source(w, t):
+    """The dispersion source per unit amplitude at time t: sin w t, ramped
+    on as sin^2 over RAMP_PERIODS drive periods."""
+    ramp_time = dispersion.RAMP_PERIODS * 2.0 * math.pi / w
+    value = np.sin(w * t)
+    if t < ramp_time:
+        value *= np.sin(0.5 * math.pi / ramp_time * t) ** 2
+    return value
+
+
+def with_source(march, w, far):
+    """Iterate an "absorbing" march, writing at each yield m after the first
+    what a dispersion point writes there: at node 0 the ramped source's
+    increment over the step, DRIVE_AMPLITUDE * (s(t_m) - s(t_(m-1))), one
+    np.sin per step, added to the kernel's Mur end, and at the last node a
+    Mur end with coefficient far from the end values of yield m - 1."""
+    times = march.step_times
+    for m in march:
+        pot = march.potential
+        if m:
+            pot[0] += dispersion.DRIVE_AMPLITUDE * (
+                ramped_source(w, times[m]) - ramped_source(w, times[m - 1]))
+            pot[-1] = kept[0] + far * (pot[-2] - kept[1])
+        kept = pot[[-2, -1]]
+        yield m
+
+
 def reference_wavenumber(array, squid, flux, w):
     """One point of measure_dispersion by the whole-block algorithm: a
     settle run, then a fit run from its final state that keeps every step's
-    window, projected on cos/sin of the drive afterwards.  Returns k and
-    the fit's step count."""
+    window, projected on cos/sin of the drive afterwards.  Both runs write
+    their source and far end as with_source does.  Returns k and the fit's step
+    count."""
     pulse = sh.FluxPulse(amplitude=0.0, dc_offset=flux / FLUX_QUANTUM)
     dt = lattice.stable_timestep(array, squid, pulse,
                                  dispersion.COURANT_FRACTION)
@@ -41,17 +68,24 @@ def reference_wavenumber(array, squid, flux, w):
     settle_steps = int(math.ceil(settle_time / dt))
     fit_steps = int(math.ceil(dispersion.FIT_PERIODS * period / dt))
 
+    # At the far end the coefficient that the outgoing tone
+    # exp i(k n - w m dt) satisfies with the leapfrog's k.
+    kappa = dt / cell_time
+    k_tone = 2.0 * math.asin(math.sin(0.5 * w * dt) / kappa)
+    far = (math.sin(0.5 * (w * dt - k_tone))
+           / math.sin(0.5 * (w * dt + k_tone)))
+
     settle = lattice.March(lattice.zero_state(line), line, squid, pulse,
                            lattice.SolverConfig(n_steps=settle_steps, dt=dt,
-                                                boundary="driven"))
-    for _ in with_source(settle, dispersion.DRIVE_AMPLITUDE, w):
+                                                boundary="absorbing"))
+    for _ in with_source(settle, w, far):
         pass
     window = slice(60, 60 + window_cells)
     march = lattice.March(settle.final_state, line, squid, pulse,
                           lattice.SolverConfig(n_steps=fit_steps, dt=dt,
-                                               boundary="driven"))
+                                               boundary="absorbing"))
     samples = np.empty((fit_steps + 1, window_cells))
-    for m in with_source(march, dispersion.DRIVE_AMPLITUDE, w):
+    for m in with_source(march, w, far):
         samples[m] = march.potential[window]
 
     c = np.cos(w * march.step_times)
@@ -251,45 +285,145 @@ class TestMeasuredCurve:
 
 
 class TestLeapfrogRelation:
-    @pytest.mark.parametrize("dc_offset", [0.0, 0.1])
-    def test_measured_k_solves_leapfrog_relation(self, ref_array, ref_squid,
-                                                 dc_offset):
-        # The scheme's exact relation is sin(w dt/2) = (dt/sqrt(L C0))
-        # sin(k a/2); the measured k stays within 2e-5 of its solution,
-        # far inside the 1% that criterion 7 allows against the
-        # continuous-time relation.
+    # The scheme's exact relation is sin(w dt/2) = (dt/sqrt(L C0))
+    # sin(k a/2); the measured k stays within 2e-5 of its solution, far
+    # inside the 1% that criterion 7 allows against the continuous-time
+    # relation.
+
+    @staticmethod
+    def deviations(array, squid, dc_offset):
         assert {0.1, 0.2, 0.3, 2.0} <= set(_DISPERSION_KA)  # criterion 7's
         flux = dc_offset * FLUX_QUANTUM
-        cell_time = circuit.cell_time(ref_array, ref_squid, flux)
+        cell_time = circuit.cell_time(array, squid, flux)
         freqs = [2.0 / cell_time * math.sin(0.5 * ka)
                  for ka in _DISPERSION_KA]
-        curve = dispersion.measure_dispersion(ref_array, ref_squid, flux,
-                                              freqs)
+        curve = dispersion.measure_dispersion(array, squid, flux, freqs)
         dt = lattice.stable_timestep(
-            ref_array, ref_squid,
+            array, squid,
             sh.FluxPulse(amplitude=0.0, dc_offset=flux / FLUX_QUANTUM),
             dispersion.COURANT_FRACTION)
         k_leap = 2.0 / REF_CELL_LENGTH * np.arcsin(
             cell_time / dt * np.sin(0.5 * curve.omega_measured * dt))
-        deviation = np.abs(curve.wavenumbers / k_leap - 1.0)
         assert len(curve) == len(_DISPERSION_KA)
+        return np.abs(curve.wavenumbers / k_leap - 1.0)
+
+    @pytest.mark.parametrize("dc_offset", [0.0, 0.1])
+    def test_measured_k_solves_leapfrog_relation(self, ref_array, ref_squid,
+                                                 dc_offset):
+        deviation = self.deviations(ref_array, ref_squid, dc_offset)
         assert np.max(deviation) <= 2e-5, deviation
+
+    @pytest.mark.parametrize("settle", [8.0, 12.0])
+    def test_holds_at_other_settle_lengths(self, ref_array, ref_squid,
+                                           monkeypatch, settle):
+        # The ka = 2 point moves most with the settle length: under a drive
+        # switched on at once, or ramped over 4 periods, it broke the bound
+        # at some lengths.
+        monkeypatch.setattr(dispersion, "SETTLE_PERIODS", settle)
+        deviation = self.deviations(ref_array, ref_squid, 0.0)
+        assert np.max(deviation) <= 2e-5, deviation
+
+
+    @pytest.mark.parametrize("ka, bound", [(2.1, 2e-5), (2.49, 1e-3)])
+    def test_above_the_cli_points(self, ref_array, ref_squid, ka, bound):
+        # Above ka = 2 the deviation grows towards the band limit: over
+        # settle lengths of 4 to 12 periods it stays at or below 6.4e-6 at
+        # ka = 2.1, and below 4e-4 at ka = 2.49 and at 0.95 of the band
+        # edge (ka = 2.50).
+        w = OMEGA_MAX * math.sin(0.5 * ka)
+        curve = dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
+        dt = lattice.stable_timestep(ref_array, ref_squid,
+                                     sh.FluxPulse(amplitude=0.0),
+                                     dispersion.COURANT_FRACTION)
+        k_leap = 2.0 / REF_CELL_LENGTH * math.asin(
+            2.0 / (OMEGA_MAX * dt) * math.sin(0.5 * w * dt))
+        assert abs(curve.wavenumbers[0] / k_leap - 1.0) <= bound
 
 
 class TestSource:
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
-    def test_kicks_match_one_sine_per_step(self, steps):
-        # Blocks of _FIT_BLOCK sines, differenced across block ends, give
-        # the bits of one np.sin per step.
+    def test_kicks_match_one_sine_per_step(self, monkeypatch, steps):
+        # Blocks of _FIT_BLOCK sines and ramps, differenced across block
+        # ends, give the bits of one source value per step.  The ramp ends
+        # at step 100, so 130 steps also run a block past it.
         w, dt = 0.3 * OMEGA_MAX, 1.7e-15
         times = 2.0e-13 + np.arange(steps) * dt
+        monkeypatch.setattr(dispersion, "RAMP_PERIODS",
+                            (times[0] + 100.5 * dt) * w / (2.0 * math.pi))
         kicks = list(dispersion._source_kicks(w, times, dt))
-        old, expected = np.sin(w * times[0]), []
+        old, expected = ramped_source(w, times[0]), []
         for t in times:
-            new = np.sin(w * (t + dt))
+            new = ramped_source(w, t + dt)
             expected.append(dispersion.DRIVE_AMPLITUDE * (new - old))
             old = new
         assert np.array(kicks).tobytes() == np.array(expected).tobytes()
+
+
+class TestEnds:
+    """A dispersion point's far end, which it writes itself at each yield
+    of an "absorbing" March over the kernel's Mur value."""
+
+    def test_far_end_with_mur_coefficient_is_the_kernels(self, ref_array,
+                                                        ref_squid):
+        # With kappa = dt/sqrt(L C0) and the Mur coefficient, the far-end
+        # write gives the "absorbing" kernel's trajectory bit for bit: the
+        # point's far end is the kernel's arithmetic with another
+        # coefficient.  The packet runs into the far end, and a kick lands
+        # on node 0 at each step, as a source gives.
+        line = replace(ref_array, n_cells=200)
+        pulse = sh.FluxPulse(amplitude=0.0)
+        dt = lattice.stable_timestep(line, ref_squid, pulse,
+                                     dispersion.COURANT_FRACTION)
+        kappa = dt / circuit.cell_time(line, ref_squid, 0.0)
+        beta = (kappa - 1.0) / (kappa + 1.0)
+        packet = lattice.gaussian_packet(
+            line, ref_squid, pulse, 100 * REF_CELL_LENGTH,
+            10 * REF_CELL_LENGTH, 0.5, 1e-6, dt)
+        kicks = 1e-10 * np.random.default_rng(5).standard_normal(800)
+        kicks = kicks.tolist()
+
+        def march():
+            return lattice.March(packet, line, ref_squid, pulse,
+                                 lattice.SolverConfig(n_steps=800, dt=dt,
+                                                      boundary="absorbing"))
+
+        kernel, absorbed = march(), []
+        steps = iter(kernel)
+        next(steps)
+        for _, kick in zip(steps, kicks):
+            kernel.potential[0] += kick
+            absorbed.append(kernel.potential.copy())
+        written = march()
+        written = [written.potential.copy() for _ in
+                   dispersion._driven_far_end(written, beta, kicks)]
+        assert len(written) == 800
+        assert np.array(absorbed).tobytes() == np.array(written).tobytes()
+        # The packet has left through the far end; a reflecting end would
+        # have returned all of it.
+        assert np.max(np.abs(written[-1])) < 0.05 * np.max(np.abs(written[0]))
+
+    @pytest.mark.parametrize("ka", [0.1, 0.5, 2.0])
+    def test_far_end_passes_its_tone(self, ka):
+        # Exact samples of the outgoing tone exp i(k n - w dt m), at the
+        # drive's w for ka and the leapfrog's k for w, satisfy the far-end
+        # update pot[-1] = old[-2] + beta (pot[-2] - old[-1]).
+        kappa = 0.2
+        w_dt = 2.0 * kappa * math.sin(0.5 * ka)
+        k = 2.0 * math.asin(math.sin(0.5 * w_dt) / kappa)
+        beta = dispersion._far_end_coefficient(w_dt, kappa)
+        n, m = np.arange(8), np.arange(5)[:, np.newaxis]
+        wave = np.exp(1j * (k * n - w_dt * m))
+        updated = wave[:-1, -2] + beta * (wave[1:, -2] - wave[:-1, -1])
+        np.testing.assert_allclose(updated, wave[1:, -1], rtol=0, atol=1e-13)
+
+    def test_far_end_tends_to_mur(self):
+        # As w and k go to 0 the tone's coefficient becomes the kernel's
+        # Mur coefficient, with a remainder of order (w dt)^2.
+        kappa = 0.2
+        mur = (kappa - 1.0) / (kappa + 1.0)
+        for w_dt in (1e-2, 1e-3, 1e-4):
+            beta = dispersion._far_end_coefficient(w_dt, kappa)
+            assert abs(beta - mur) <= w_dt ** 2
 
 
 class TestStreamedFit:
@@ -301,22 +435,23 @@ class TestStreamedFit:
     def test_matches_whole_block_reference(self, ref_array, ref_squid,
                                            monkeypatch, ka, block):
         # The CLI's points never end the fit on a block boundary; a block
-        # size dividing the fit's fit_steps + 1 windows does.
+        # size dividing the fit's fit_steps + 1 windows does.  At ka = 2
+        # their count, 151, is prime, and the whole fit is one block.
         w = OMEGA_MAX * math.sin(0.5 * ka)
         expected, fit_steps = reference_wavenumber(ref_array, ref_squid, 0.0,
                                                    w)
         if block == "one":
             monkeypatch.setattr(dispersion, "_FIT_BLOCK", 1)
         elif block == "divisor":
-            size = max(d for d in range(2, 65) if (fit_steps + 1) % d == 0)
-            assert size < fit_steps + 1
+            size = max((d for d in range(2, 65) if (fit_steps + 1) % d == 0),
+                       default=fit_steps + 1)
             monkeypatch.setattr(dispersion, "_FIT_BLOCK", size)
         curve = dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
         assert curve.wavenumbers[0] == pytest.approx(expected, rel=1e-12)
 
     def test_fit_holds_no_step_by_window_block(self, ref_array, ref_squid):
-        # At ka = 0.1 the fit's 5030 steps of a 629-cell window would take
-        # 24 MiB; a 64-row block of it takes 0.3 MiB.
+        # At ka = 0.1 the fit's 2515 steps of a 629-cell window would take
+        # 12 MiB; a 64-row block of it takes 0.3 MiB.
         w = OMEGA_MAX * math.sin(0.05)
         tracemalloc.start()
         try:
