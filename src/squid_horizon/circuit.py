@@ -35,7 +35,7 @@ __all__ = [
     "ValidityReport",
     "squid_critical_current",
     "effective_plasma_frequency",
-    "inductance_stretch",
+    "inverse_inductance_stretch",
     "josephson_inductance",
     "relative_inductance",
     "cell_time",
@@ -196,26 +196,25 @@ def effective_plasma_frequency(squid: SquidParams, flux: float) -> float:
     return math.sqrt(2.0 * math.pi * ics / (cj2 * FLUX_QUANTUM))
 
 
-def inductance_stretch(ratio: np.ndarray,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Factor asin(r)/r by which a current at r = I/I_c^s stretches the
-    Josephson inductance, for an array of r with |r| <= 1, with the series
-    1 + r^2/6 below |r| = 1e-6 to avoid 0/0.  Written into out, a float
-    array of r's shape other than r itself, when one is given."""
-    stretch = np.abs(ratio, out=out)
-    big = stretch >= 1.0e-6
-    np.multiply(ratio, ratio, out=stretch)
-    stretch /= 6.0
-    stretch += 1.0
-    np.arcsin(ratio, out=stretch, where=big)
-    np.divide(stretch, ratio, out=stretch, where=big)
-    return stretch
+def inverse_inductance_stretch(ratio: np.ndarray,
+                               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Factor r/asin(r) = L(0)/L(I) at r = I/I_c^s, for an array of r with
+    |r| <= 1, with the series 1 - r^2/6 below |r| = 1e-6 to avoid 0/0.
+    Written into out, a float array of r's shape other than r itself, when
+    one is given."""
+    inverse = np.abs(ratio, out=out)
+    big = inverse >= 1.0e-6
+    np.multiply(ratio, ratio, out=inverse)
+    inverse /= -6.0
+    inverse += 1.0
+    np.arcsin(ratio, out=inverse, where=big)
+    np.divide(ratio, inverse, out=inverse, where=big)
+    return inverse
 
 
 def josephson_inductance(squid: SquidParams, flux):
     """Flux-dependent Josephson inductance Phi_0/(2*pi*I_c^s) of one cell
-    (H) at zero current; a current I stretches it by inductance_stretch of
-    I/I_c^s."""
+    (H) at zero current; a current I stretches it by asin(r)/r, r = I/I_c^s."""
     return FLUX_QUANTUM / (2.0 * math.pi * squid_critical_current(squid, flux))
 
 

@@ -44,18 +44,17 @@ __all__ = [
 FRONT_KA_LIMIT = 0.5
 _POWER_TOLERANCE = 1e-3
 
-# measure_dispersion drives node 0 of an "absorbing" March with amplitude
-# DRIVE_AMPLITUDE, ramped on as sin^2 over RAMP_PERIODS drive periods: it adds
-# the source's increment over each step to node 0 at the yield after it, on
-# top of the kernel's first-order Mur end (Engquist & Majda 1977; Mur 1981).
-# The line is to look infinite to the drive, and the Mur end reflects part of
-# a tone, so at each yield the point also writes the far node over the
-# kernel's Mur value, by the same update with the coefficient that passes the
-# drive tone without reflection.  A point settles for the group-delay
-# crossing plus SETTLE_PERIODS drive periods and then fits FIT_PERIODS
-# periods over a window of WINDOW_WAVELENGTHS wavelengths, stepping at
-# COURANT_FRACTION of the cell time.  A phase fit whose rms residual exceeds
-# RESIDUAL_THRESHOLD (rad) is a FitFailure.
+# measure_dispersion drives node 0 of a "reflecting" March with amplitude
+# DRIVE_AMPLITUDE, ramped on as sin^2 over RAMP_PERIODS drive periods, and
+# writes both end nodes itself: at the yield after each step it writes each
+# end over the kernel's free end by the first-order Mur update (Engquist &
+# Majda 1977; Mur 1981), with the coefficient that passes the drive tone
+# without reflection, so the line looks infinite to the drive, and adds the
+# source's increment over the step to node 0 in the same write.  A point
+# settles for the group-delay crossing plus SETTLE_PERIODS drive periods and
+# then fits FIT_PERIODS periods over a window of WINDOW_WAVELENGTHS
+# wavelengths, stepping at COURANT_FRACTION of the cell time.  A phase fit
+# whose rms residual exceeds RESIDUAL_THRESHOLD (rad) is a FitFailure.
 DRIVE_AMPLITUDE = 1.0e-6
 RAMP_PERIODS = 10.0
 SETTLE_PERIODS = 4.0
@@ -136,32 +135,32 @@ def _source_kicks(w: float, times: np.ndarray, dt: float):
         old = values[-1]
 
 
-def _far_end_coefficient(w_dt: float, kappa: float) -> float:
+def _end_coefficient(w_dt: float, kappa: float) -> float:
     # The end update pot[-1] = old[-2] + beta (pot[-2] - old[-1]) holds
     # exactly for the outgoing wave exp i(k n - w dt m) at node n and step m
     # (k in radians per cell) when
-    # beta = sin((w dt - k)/2) / sin((w dt + k)/2).  With k the leapfrog's
-    # wavenumber of the tone, sin(w dt/2) = kappa sin(k/2), the end passes the
-    # tone without reflection.  As w and k go to 0, beta goes to the Mur
-    # coefficient (kappa - 1)/(kappa + 1).
+    # beta = sin((w dt - k)/2) / sin((w dt + k)/2), and its mirror at node 0
+    # for the mirrored wave.  With k the leapfrog's wavenumber of the tone,
+    # sin(w dt/2) = kappa sin(k/2), the ends pass the tone without
+    # reflection; as w and k go to 0, beta goes to (kappa - 1)/(kappa + 1).
     k = 2.0 * math.asin(math.sin(0.5 * w_dt) / kappa)
     return math.sin(0.5 * (w_dt - k)) / math.sin(0.5 * (w_dt + k))
 
 
-def _driven_far_end(march: lattice.March, far: float, kicks):
-    # Drain an "absorbing" march from its first step on, adding each step's
-    # kick, from kicks, to node 0 at the yield after it and writing the last
-    # node over the kernel's Mur value with the update
-    # pot[-1] = old[-2] + far (pot[-2] - old[-1]), from the end values kept
-    # at the yield before (after this write).
+def _driven_ends(march: lattice.March, beta: float, kicks):
+    # Drain a "reflecting" march from its first step on, writing both ends
+    # at the yield after each step, from the values kept at the yield before:
+    # pot[0] = old[1] + beta (pot[1] - old[0]) + kick, with the step's kick
+    # from kicks, and pot[-1] = old[-2] + beta (pot[-2] - old[-1]).
     steps = iter(march)
     next(steps)  # the initial state: each later yield follows one step
-    potential = march.potential
-    right0, right1 = potential.item(-2), potential.item(-1)
+    pot = march.potential
+    left0, left1 = pot.item(0), pot.item(1)
+    right0, right1 = pot.item(-2), pot.item(-1)
     for m, kick in zip(steps, kicks):
-        potential[0] += kick
-        potential[-1] = right1 = right0 + far * (potential.item(-2) - right1)
-        right0 = potential.item(-2)
+        pot[0] = left0 = left1 + beta * (pot.item(1) - left0) + kick
+        pot[-1] = right1 = right0 + beta * (pot.item(-2) - right1)
+        left1, right0 = pot.item(1), pot.item(-2)
         yield m
 
 
@@ -169,8 +168,8 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, dt: float, cell_time: float,
                       w: float) -> float:
     # One point of measure_dispersion: its own line, stepped through the
-    # settle and then the fit steps in one run, with its source and far end
-    # written by _driven_far_end.  Each fit step's window is projected on
+    # settle and then the fit steps in one run, with its source and ends
+    # written by _driven_ends.  Each fit step's window is projected on
     # cos/sin of the drive by least squares, exact for a pure tone whether or
     # not the fit covers whole periods; the projection is summed over blocks
     # of _FIT_BLOCK steps.
@@ -189,13 +188,12 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     settle_steps = int(math.ceil(settle_time / dt))
     fit_steps = int(math.ceil(FIT_PERIODS * period / dt))
 
-    far = _far_end_coefficient(w * dt, dt / cell_time)
-
     march = lattice.March(lattice.zero_state(line), line, squid, pulse,
                           lattice.SolverConfig(n_steps=settle_steps + fit_steps,
-                                               dt=dt, boundary="absorbing"))
+                                               dt=dt, boundary="reflecting"))
     kicks = _source_kicks(w, march.step_times[:-1], dt)
-    steps = _driven_far_end(march, far, kicks)
+    steps = _driven_ends(march, _end_coefficient(w * dt, dt / cell_time),
+                         kicks)
     for _ in itertools.islice(steps, settle_steps - 1):
         pass
 
@@ -233,7 +231,7 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     Each drive frequency gets its own line, sized so the phase fit spans
     WINDOW_WAVELENGTHS wavelengths.  The measured k solves the leapfrog's own
     relation sin(w dt/2) = (dt/sqrt(L C0)) sin(k a/2) to within 1e-5 up to
-    ka = 2.1, and to within 4e-4 from there to the band limit.  Raises
+    ka = 2.1, and to within 5e-4 from there to the band limit.  Raises
     BandLimit for drives above 95% of the band edge and FitFailure when the
     steady state yields no usable phase profile.
     """

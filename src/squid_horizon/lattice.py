@@ -189,13 +189,15 @@ class March:
     """The leapfrog of one run, handed to its consumer step by step.
 
     Iterating yields m = 0, 1, ..., n_steps, each time from the initial
-    state.  At each yield ``potential`` and the scaled ``momentum`` (half a
-    step behind) are the live state at ``step_times[m]``.  ``momentum`` is
-    to be read only; a consumer may add to ``potential`` before the next
-    step, as a source at the driven end does (under the "driven" boundary
-    node 0 is a free end and the far end absorbs).  ``final_state`` is
-    taken after the last yield, so it holds such a write.  numpy's overflow
-    and invalid warnings stay off until the iteration ends or is left.
+    state.  At each yield ``potential`` (volts) and ``momentum`` (half a
+    step behind; the SI momentum over kick * _Scales.momentum_unit, with
+    kick = dtau * chi, so a step adds the Laplacian of ``potential`` to it)
+    are the live state at ``step_times[m]``.  ``momentum`` is to be read
+    only; a consumer may write ``potential`` before the next step, as a
+    dispersion point writes both end nodes, its source included, under the
+    "reflecting" boundary.  ``final_state`` is taken after the last yield,
+    so it holds such a write.  numpy's overflow and invalid warnings stay
+    off until the iteration ends or is left.
 
     Raises ValueError for a start before the front's broadening pole,
     NonFinite for a start time that is not finite, and CourantViolation
@@ -220,6 +222,7 @@ class March:
                                    "= %.3e s"
                                    % (dt, config.courant_fraction, budget))
         self._dtau = dt / scales.t_ref
+        self._kick = self._dtau * scales.chi
         if not math.isfinite(initial.time):
             raise NonFinite("initial time is not finite")
         self.positions = (np.arange(n) + 0.5) * array.cell_length
@@ -235,20 +238,20 @@ class March:
         scales, positions, step_times = (self._scales, self.positions,
                                          self.step_times)
         n, steps = len(positions), config.n_steps
-        dtau, chi = self._dtau, scales.chi
-
-        # The update steps each cell by rate = dtau/(L/L(0)).  A still front
-        # never broadens (the law s0/(1 + b*u*t) has u = 0), so one rate serves
-        # every half step.
+        kick = self._kick
+        # With the momentum M = mom/kick each cell steps by its rate
+        # kick*dtau/(L/L(0)).  A still front never broadens (the law
+        # s0/(1 + b*u*t) has u = 0), so one rate serves every half step.
+        rate_unit = kick * self._dtau
         static_bias = pulse.velocity == 0.0
         if static_bias:
-            rate = dtau / circuit.relative_inductance(
+            rate = rate_unit / circuit.relative_inductance(
                 bias.flux_fraction_at(pulse, positions, 0.0))
         else:
             rate = np.empty(n)  # filled by each block of steps
 
         self.potential = pot = initial.potential.copy()
-        self.momentum = mom = initial.momentum / scales.momentum_unit
+        self.momentum = mom = initial.momentum / (scales.momentum_unit * kick)
         if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
             raise NonFinite("initial state is not finite")
 
@@ -261,20 +264,20 @@ class March:
         pot_right, pot_left = pot[1:], pot[:-1]
         diffs_right, diffs_left = diffs[1:], diffs[:-1]
         lap, work = np.empty(n), np.empty(n)
-        kick = dtau * chi
 
         mur = config.boundary == "absorbing"
         open_right = config.boundary != "reflecting"
         stretch = config.current_dependent_inductance
         if stretch:
-            # I/I_c^s of each cell, then its stretch and the stretched rate.
+            # I/I_c^s of each cell, then the stretched rate.
             rel, stretched = np.empty(n), np.empty(n)
+            ratio_unit = scales.phase_unit * kick
         check_every = config.check_every
 
         def mur_beta(end_rate):
             # First-order Mur coefficient for an end cell stepped at end_rate:
-            # kappa = dtau * sqrt(chi / (L/L(0))).
-            kappa = math.sqrt(kick * end_rate)
+            # kappa = dtau * sqrt(chi / (L/L(0))) = sqrt(end_rate).
+            kappa = math.sqrt(end_rate)
             return (kappa - 1.0) / (kappa + 1.0)
 
         # The end rates the Mur coefficients were computed for; they change
@@ -294,32 +297,31 @@ class March:
                     half_times = step_times[first:block.stop] + 0.5 * dt
                     lo, hi, left, right = bias.front_window(pulse, half_times,
                                                             positions)
-                    rate[:lo], rate[hi:] = dtau / circuit.relative_inductance(
-                        np.array([left, right]))
+                    rate[:lo], rate[hi:] = rate_unit / (
+                        circuit.relative_inductance(np.array([left, right])))
                     rate_rows = circuit.relative_inductance(
                         bias.flux_fraction_at(pulse, positions[lo:hi],
                                               half_times[:, np.newaxis]))
-                    np.divide(dtau, rate_rows, out=rate_rows)
+                    np.divide(rate_unit, rate_rows, out=rate_rows)
 
                 for m in block:
                     yield m
                     np.subtract(pot_right, pot_left, out=bonds)
                     np.subtract(diffs_right, diffs_left, out=lap)
-                    np.multiply(kick, lap, out=work)
-                    mom += work
+                    mom += lap
                     if not static_bias:
                         rate[lo:hi] = rate_rows[m - first]
                     rate_half = rate
 
                     if stretch:
                         np.abs(mom, out=rel)
-                        rel *= scales.phase_unit
+                        rel *= ratio_unit
                         peak = float(rel.max())
                         if peak >= 1.0:
                             raise OverCritical("cell current reached %.3f of "
                                                "critical" % peak)
-                        circuit.inductance_stretch(rel, out=stretched)
-                        rate_half = np.divide(rate, stretched, out=stretched)
+                        circuit.inverse_inductance_stretch(rel, out=stretched)
+                        rate_half = np.multiply(rate, stretched, out=stretched)
 
                     if mur:
                         left_old0, left_old1 = pot.item(0), pot.item(1)
@@ -350,7 +352,7 @@ class March:
             yield steps
             self.final_state = LatticeState(
                 time=step_times.item(steps), potential=pot.copy(),
-                momentum=mom * scales.momentum_unit)
+                momentum=mom * (scales.momentum_unit * kick))
 
 
 def run(initial: LatticeState, array: circuit.ArrayParams,
@@ -361,8 +363,9 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     Raises as March does."""
     march = March(initial, array, squid, pulse, config)
     scales, positions = march._scales, march.positions
-    cap, chi = scales.cap, scales.chi
-    kick = march._dtau * chi
+    cap, kick = scales.cap, march._kick
+    kin_unit = cap / scales.chi * kick * kick
+    current_unit = -(cap / scales.t_ref) * kick
     steps = config.n_steps
     recorded = {*range(0, steps, config.record_every or steps), steps}
     n_rec = len(recorded)
@@ -376,12 +379,12 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
         ind = circuit.relative_inductance(
             bias.flux_fraction_at(pulse, positions, t))
         bonds = np.diff(pot)
-        mom_next = mom + kick * np.diff(bonds, prepend=0.0, append=0.0)
-        kin = (cap / chi) * mom * mom_next / (2.0 * ind)
+        mom_next = mom + np.diff(bonds, prepend=0.0, append=0.0)
+        kin = kin_unit * mom * mom_next / (2.0 * ind)
         bond = 0.5 * cap * bonds * bonds
         rec_times[slot] = t
         rec_pot[slot] = pot
-        rec_cur[slot] = -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind
+        rec_cur[slot] = current_unit * 0.5 * (mom + mom_next) / ind
         rec_energy[slot] = kin.sum() + bond.sum()
         rec_density[slot] = kin
         rec_density[slot, :-1] += 0.5 * bond

@@ -149,22 +149,25 @@ class TestParameterValidation:
 
 class TestInductanceStretch:
     """The current law L(I) = L(0) asin(r)/r at r = I/I_c^s, which the
-    leapfrog kernel applies through inductance_stretch."""
+    leapfrog kernel applies through its inverse,
+    inverse_inductance_stretch."""
 
     def test_half_pi_at_critical_current(self):
         np.testing.assert_allclose(
-            circuit.inductance_stretch(np.array([1.0, -1.0])),
+            1.0 / circuit.inverse_inductance_stretch(np.array([1.0, -1.0])),
             0.5 * math.pi, rtol=1e-12)
 
     def test_series_branch_continuous(self):
-        # Straddle the 1e-6 switch to the series 1 + r^2/6.
-        lo, hi = circuit.inductance_stretch(np.array([0.99e-6, 1.01e-6]))
+        # Straddle the 1e-6 switch to the series 1 - r^2/6.
+        lo, hi = circuit.inverse_inductance_stretch(
+            np.array([0.99e-6, 1.01e-6]))
         assert lo == pytest.approx(hi, rel=1e-12)
-        assert circuit.inductance_stretch(np.array([0.0]))[0] == 1.0
+        assert circuit.inverse_inductance_stretch(np.array([0.0]))[0] == 1.0
 
     def test_monotone_in_current(self):
-        stretch = circuit.inductance_stretch(np.linspace(0.0, 1.0, 101))
-        assert np.all(np.diff(stretch) >= 0.0)
+        inverse = circuit.inverse_inductance_stretch(
+            np.linspace(0.0, 1.0, 101))
+        assert np.all(np.diff(inverse) <= 0.0)
 
     def test_array_matches_elementwise_calls(self):
         # Relative currents on both sides of the 1e-6 series switch, up to
@@ -174,10 +177,10 @@ class TestInductanceStretch:
                                  [0.0, 1.0, -1.0, 1e-7, -5e-7, 2e-6,
                                   0.999999, 0.5, 1e-3, -1e-3, 0.0, 0.1,
                                   0.9, -0.9, 1e-12, 0.3]])
-        single = [circuit.inductance_stretch(np.array([r]))[0]
+        single = [circuit.inverse_inductance_stretch(np.array([r]))[0]
                   for r in ratios]
-        np.testing.assert_array_equal(circuit.inductance_stretch(ratios),
-                                      single)
+        np.testing.assert_array_equal(
+            circuit.inverse_inductance_stretch(ratios), single)
 
 
 class TestArrayInputs:

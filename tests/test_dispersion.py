@@ -30,20 +30,23 @@ def ramped_source(w, t):
     return value
 
 
-def with_source(march, w, far):
-    """Iterate an "absorbing" march, writing at each yield m after the first
-    what a dispersion point writes there: at node 0 the ramped source's
-    increment over the step, DRIVE_AMPLITUDE * (s(t_m) - s(t_(m-1))), one
-    np.sin per step, added to the kernel's Mur end, and at the last node a
-    Mur end with coefficient far from the end values of yield m - 1."""
+def with_source(march, w, beta):
+    """Iterate a "reflecting" march, writing at each yield m after the first
+    what a dispersion point writes there: at both end nodes a Mur end with
+    coefficient beta from the end values of yield m - 1, and at node 0 the
+    ramped source's increment over the step,
+    DRIVE_AMPLITUDE * (s(t_m) - s(t_(m-1))), one np.sin per step, added to
+    that end's write."""
     times = march.step_times
     for m in march:
         pot = march.potential
         if m:
-            pot[0] += dispersion.DRIVE_AMPLITUDE * (
-                ramped_source(w, times[m]) - ramped_source(w, times[m - 1]))
-            pot[-1] = kept[0] + far * (pot[-2] - kept[1])
-        kept = pot[[-2, -1]]
+            source = (ramped_source(w, times[m])
+                      - ramped_source(w, times[m - 1]))
+            pot[0] = (kept[1] + beta * (pot[1] - kept[0])
+                      + dispersion.DRIVE_AMPLITUDE * source)
+            pot[-1] = kept[2] + beta * (pot[-2] - kept[3])
+        kept = pot[[0, 1, -2, -1]]
         yield m
 
 
@@ -51,7 +54,7 @@ def reference_wavenumber(array, squid, flux, w):
     """One point of measure_dispersion by the whole-block algorithm: a
     settle run, then a fit run from its final state that keeps every step's
     window, projected on cos/sin of the drive afterwards.  Both runs write
-    their source and far end as with_source does.  Returns k and the fit's step
+    their source and ends as with_source does.  Returns k and the fit's step
     count."""
     pulse = sh.FluxPulse(amplitude=0.0, dc_offset=flux / FLUX_QUANTUM)
     dt = lattice.stable_timestep(array, squid, pulse,
@@ -68,24 +71,24 @@ def reference_wavenumber(array, squid, flux, w):
     settle_steps = int(math.ceil(settle_time / dt))
     fit_steps = int(math.ceil(dispersion.FIT_PERIODS * period / dt))
 
-    # At the far end the coefficient that the outgoing tone
+    # At both ends the coefficient that the outgoing tone
     # exp i(k n - w m dt) satisfies with the leapfrog's k.
     kappa = dt / cell_time
     k_tone = 2.0 * math.asin(math.sin(0.5 * w * dt) / kappa)
-    far = (math.sin(0.5 * (w * dt - k_tone))
-           / math.sin(0.5 * (w * dt + k_tone)))
+    beta = (math.sin(0.5 * (w * dt - k_tone))
+            / math.sin(0.5 * (w * dt + k_tone)))
 
     settle = lattice.March(lattice.zero_state(line), line, squid, pulse,
                            lattice.SolverConfig(n_steps=settle_steps, dt=dt,
-                                                boundary="absorbing"))
-    for _ in with_source(settle, w, far):
+                                                boundary="reflecting"))
+    for _ in with_source(settle, w, beta):
         pass
     window = slice(60, 60 + window_cells)
     march = lattice.March(settle.final_state, line, squid, pulse,
                           lattice.SolverConfig(n_steps=fit_steps, dt=dt,
-                                               boundary="absorbing"))
+                                               boundary="reflecting"))
     samples = np.empty((fit_steps + 1, window_cells))
-    for m in with_source(march, w, far):
+    for m in with_source(march, w, beta):
         samples[m] = march.potential[window]
 
     c = np.cos(w * march.step_times)
@@ -323,12 +326,23 @@ class TestLeapfrogRelation:
         deviation = self.deviations(ref_array, ref_squid, 0.0)
         assert np.max(deviation) <= 2e-5, deviation
 
+    @pytest.mark.parametrize("settle", [4.0, 8.0, 12.0])
+    @pytest.mark.parametrize("dc_offset", [0.0, 0.1])
+    def test_cli_points_within_1e_5(self, ref_array, ref_squid, monkeypatch,
+                                    dc_offset, settle):
+        # With both ends matched to the tone the worst deviation at the
+        # CLI's points is 4.2e-6 at 4 settle periods, 2.4e-6 at 8 and
+        # 5.1e-6 at 12 (ka = 2), at either flux.
+        monkeypatch.setattr(dispersion, "SETTLE_PERIODS", settle)
+        deviation = self.deviations(ref_array, ref_squid, dc_offset)
+        assert np.max(deviation) <= 1e-5, deviation
+
 
     @pytest.mark.parametrize("ka, bound", [(2.1, 2e-5), (2.49, 1e-3)])
     def test_above_the_cli_points(self, ref_array, ref_squid, ka, bound):
         # Above ka = 2 the deviation grows towards the band limit: over
-        # settle lengths of 4 to 12 periods it stays at or below 6.4e-6 at
-        # ka = 2.1, and below 4e-4 at ka = 2.49 and at 0.95 of the band
+        # settle lengths of 4 to 12 periods it stays at or below 7.0e-6 at
+        # ka = 2.1, and below 5e-4 at ka = 2.49 and at 0.95 of the band
         # edge (ka = 2.50).
         w = OMEGA_MAX * math.sin(0.5 * ka)
         curve = dispersion.measure_dispersion(ref_array, ref_squid, 0.0, [w])
@@ -360,16 +374,17 @@ class TestSource:
 
 
 class TestEnds:
-    """A dispersion point's far end, which it writes itself at each yield
-    of an "absorbing" March over the kernel's Mur value."""
+    """A dispersion point's ends, which it writes itself at each yield of a
+    "reflecting" March over the kernel's free ends."""
 
-    def test_far_end_with_mur_coefficient_is_the_kernels(self, ref_array,
-                                                        ref_squid):
-        # With kappa = dt/sqrt(L C0) and the Mur coefficient, the far-end
-        # write gives the "absorbing" kernel's trajectory bit for bit: the
-        # point's far end is the kernel's arithmetic with another
-        # coefficient.  The packet runs into the far end, and a kick lands
-        # on node 0 at each step, as a source gives.
+    def test_ends_with_mur_coefficient_are_the_kernels(self, ref_array,
+                                                       ref_squid):
+        # With kappa = dt/sqrt(L C0) and the Mur coefficient, the end
+        # writes give the "absorbing" kernel's trajectory bit for bit, a
+        # kick added to its node 0 at each yield: the point's ends are the
+        # kernel's arithmetic with another coefficient.  The packet runs
+        # into the far end, and the kicks, as a source gives, leave through
+        # the near end.
         line = replace(ref_array, n_cells=200)
         pulse = sh.FluxPulse(amplitude=0.0)
         dt = lattice.stable_timestep(line, ref_squid, pulse,
@@ -382,20 +397,20 @@ class TestEnds:
         kicks = 1e-10 * np.random.default_rng(5).standard_normal(800)
         kicks = kicks.tolist()
 
-        def march():
+        def march(boundary):
             return lattice.March(packet, line, ref_squid, pulse,
                                  lattice.SolverConfig(n_steps=800, dt=dt,
-                                                      boundary="absorbing"))
+                                                      boundary=boundary))
 
-        kernel, absorbed = march(), []
+        kernel, absorbed = march("absorbing"), []
         steps = iter(kernel)
         next(steps)
         for _, kick in zip(steps, kicks):
             kernel.potential[0] += kick
             absorbed.append(kernel.potential.copy())
-        written = march()
+        written = march("reflecting")
         written = [written.potential.copy() for _ in
-                   dispersion._driven_far_end(written, beta, kicks)]
+                   dispersion._driven_ends(written, beta, kicks)]
         assert len(written) == 800
         assert np.array(absorbed).tobytes() == np.array(written).tobytes()
         # The packet has left through the far end; a reflecting end would
@@ -410,7 +425,7 @@ class TestEnds:
         kappa = 0.2
         w_dt = 2.0 * kappa * math.sin(0.5 * ka)
         k = 2.0 * math.asin(math.sin(0.5 * w_dt) / kappa)
-        beta = dispersion._far_end_coefficient(w_dt, kappa)
+        beta = dispersion._end_coefficient(w_dt, kappa)
         n, m = np.arange(8), np.arange(5)[:, np.newaxis]
         wave = np.exp(1j * (k * n - w_dt * m))
         updated = wave[:-1, -2] + beta * (wave[1:, -2] - wave[:-1, -1])
@@ -422,7 +437,7 @@ class TestEnds:
         kappa = 0.2
         mur = (kappa - 1.0) / (kappa + 1.0)
         for w_dt in (1e-2, 1e-3, 1e-4):
-            beta = dispersion._far_end_coefficient(w_dt, kappa)
+            beta = dispersion._end_coefficient(w_dt, kappa)
             assert abs(beta - mur) <= w_dt ** 2
 
 

@@ -467,9 +467,9 @@ class TestSineDrive:
 class TestNonlinearOption:
     @pytest.mark.parametrize("name", ["still-tanh", "broadening-tanh"])
     def test_small_amplitude_matches_linear(self, ref_squid, name):
-        # Below |I|/I_c = 2e-8 the stretch 1 + r^2/6 rounds to 1.0, so the
-        # stretch run, through its reused buffers, steps bit for bit as the
-        # plain run does.
+        # Below |I|/I_c = 1.8e-8 the inverse stretch 1 - r^2/6 rounds to
+        # 1.0, so the stretch run, through its reused buffers, steps bit for
+        # bit as the plain run does.
         n = 256
         arr = make_array(n)
         pulse = TestWindowedKernel.PULSES[name]
@@ -488,7 +488,9 @@ class TestNonlinearOption:
             for _ in march:
                 rows.append(march.potential.copy())
                 peak = max(peak, float(np.abs(march.momentum).max()))
-            assert 0.0 < peak * march._scales.phase_unit < 2e-8
+            # March keeps the momentum in units of the kick.
+            ratio = peak * march._scales.phase_unit * march._kick
+            assert 0.0 < ratio < 1.8e-8
             runs.append((np.array(rows), march.final_state))
         (plain, plain_final), (stretched, stretched_final) = runs
         assert stretched.tobytes() == plain.tobytes()
@@ -712,9 +714,10 @@ class TestMarch:
 
 
 def reference_run(initial, arr, squid, pulse, config):
-    """The leapfrog of lattice.run written plainly: the rate dtau/(L/L(0))
-    of the whole line at every half step from a scalar time and both Mur
-    coefficients at every step.  Returns the fields of a LatticeTrajectory
+    """The leapfrog of lattice.run written plainly, with the momentum in
+    March's unit M = mom/kick: the rate kick*dtau/(L/L(0)) of the whole
+    line at every half step from a scalar time and both Mur coefficients at
+    every step.  Returns the fields of a LatticeTrajectory
     by name, the final state's included, with the time and the potential
     of every step as step_times and step_potentials."""
     n = arr.n_cells
@@ -723,6 +726,9 @@ def reference_run(initial, arr, squid, pulse, config):
                                               config.courant_fraction)
     dtau, chi, cap = dt / scales.t_ref, scales.chi, scales.cap
     kick = dtau * chi
+    rate_unit = kick * dtau
+    kin_unit = cap / chi * kick * kick
+    current_unit = -(cap / scales.t_ref) * kick
     positions = (np.arange(n) + 0.5) * arr.cell_length
 
     def bias_at(t):
@@ -733,7 +739,7 @@ def reference_run(initial, arr, squid, pulse, config):
         return np.diff(np.concatenate(([0.0], np.diff(pot), [0.0])))
 
     def mur_beta(end_rate):
-        kappa = np.sqrt(kick * end_rate)
+        kappa = np.sqrt(end_rate)
         return (kappa - 1.0) / (kappa + 1.0)
 
     out = {key: [] for key in ("times", "potentials", "currents",
@@ -742,8 +748,8 @@ def reference_run(initial, arr, squid, pulse, config):
 
     def record(t, pot, mom):
         ind = bias_at(t)
-        mom_next = mom + kick * laplacian(pot)
-        kin = (cap / chi) * mom * mom_next / (2.0 * ind)
+        mom_next = mom + laplacian(pot)
+        kin = kin_unit * mom * mom_next / (2.0 * ind)
         d = np.diff(pot)
         bond = 0.5 * cap * d * d
         density = kin.copy()
@@ -751,8 +757,7 @@ def reference_run(initial, arr, squid, pulse, config):
         density[1:] += 0.5 * bond
         out["times"].append(t)
         out["potentials"].append(pot.copy())
-        out["currents"].append(
-            -(cap / scales.t_ref) * 0.5 * (mom + mom_next) / ind)
+        out["currents"].append(current_unit * 0.5 * (mom + mom_next) / ind)
         out["energies"].append(kin.sum() + bond.sum())
         out["energy_density"].append(density)
 
@@ -760,19 +765,19 @@ def reference_run(initial, arr, squid, pulse, config):
     cadence = config.record_every or steps
     record_steps = set(range(0, steps, cadence)) | {steps}
     pot = initial.potential.copy()
-    mom = initial.momentum / scales.momentum_unit
+    mom = initial.momentum / (scales.momentum_unit * kick)
     t = initial.time
     for m in range(steps):
         if m in record_steps:
             record(t, pot, mom)
         out["step_times"].append(t)
         out["step_potentials"].append(pot.copy())
-        mom = mom + kick * laplacian(pot)
-        rate = dtau / bias_at(t + 0.5 * dt)
+        mom = mom + laplacian(pot)
+        rate = rate_unit / bias_at(t + 0.5 * dt)
         if config.current_dependent_inductance:
             # I/I_c^s from the momentum: TestPhaseLaw checks the law.
-            rate = rate / circuit.inductance_stretch(np.abs(mom)
-                                                     * scales.phase_unit)
+            rate = rate * circuit.inverse_inductance_stretch(
+                np.abs(mom) * (scales.phase_unit * kick))
         old = pot.copy()
         pot = pot + mom * rate
         if config.boundary == "absorbing":
@@ -784,7 +789,8 @@ def reference_run(initial, arr, squid, pulse, config):
     out["step_times"].append(t)
     out["step_potentials"].append(pot.copy())
     out = {key: np.array(value) for key, value in out.items()}
-    out["potential"], out["momentum"] = pot, mom * scales.momentum_unit
+    out["potential"] = pot
+    out["momentum"] = mom * (scales.momentum_unit * kick)
     out["time"] = t
     return out
 
