@@ -55,7 +55,7 @@ __all__ = [
     "zero_state",
 ]
 
-_BOUNDARIES = ("reflecting", "absorbing", "driven")
+_BOUNDARIES = ("reflecting", "absorbing")
 _BINARY_MAGIC = b"SQHZ1"
 _LOCALIZATION_THRESHOLD = 0.25  # largest participation ratio of a packet
 # March evaluates the moving bias for this many steps at once.
@@ -95,7 +95,9 @@ class SolverConfig:
 
     dt = None picks courant_fraction * sqrt(L_min C0) with L_min the cell
     inductance at the smallest flux the bias reaches.  record_every = 0
-    records only the initial and final snapshots.
+    records only the initial and final snapshots.  boundary "reflecting"
+    leaves both ends free; "absorbing" writes each end node by the
+    first-order Mur update, with kappa = sqrt(end rate).
     """
 
     n_steps: int
@@ -265,8 +267,7 @@ class March:
         diffs_right, diffs_left = diffs[1:], diffs[:-1]
         lap, work = np.empty(n), np.empty(n)
 
-        mur = config.boundary == "absorbing"
-        open_right = config.boundary != "reflecting"
+        absorbing = config.boundary == "absorbing"
         stretch = config.current_dependent_inductance
         if stretch:
             # I/I_c^s of each cell, then the stretched rate.
@@ -323,21 +324,19 @@ class March:
                         circuit.inverse_inductance_stretch(rel, out=stretched)
                         rate_half = np.multiply(rate, stretched, out=stretched)
 
-                    if mur:
+                    if absorbing:
                         left_old0, left_old1 = pot.item(0), pot.item(1)
-                    if open_right:
                         right_old0, right_old1 = pot.item(-2), pot.item(-1)
 
                     np.multiply(mom, rate_half, out=work)
                     pot += work
 
-                    if mur:
+                    if absorbing:
                         end = rate_half.item(0)
                         if end != left_end:
                             left_end, beta_left = end, mur_beta(end)
                         pot[0] = left_old1 + beta_left * (pot.item(1)
                                                           - left_old0)
-                    if open_right:
                         end = rate_half.item(-1)
                         if end != right_end:
                             right_end, beta_right = end, mur_beta(end)

@@ -1,5 +1,4 @@
-"""Shared fixtures: the reference device of the acceptance studies, and a
-sine source for the driven end of a lattice March.
+"""Shared fixtures: the reference device of the acceptance studies.
 
 Junction capacitance is fixed by asking for a 1 THz zero-flux plasma
 frequency; the pulse speed is 0.95 of the unbiased propagation speed and
@@ -7,7 +6,6 @@ its steepness saturates the velocity-gradient cap (a tenth of the plasma
 frequency over 2*pi).
 """
 
-import numpy as np
 import pytest
 
 import squid_horizon as sh
@@ -26,18 +24,6 @@ REF_GROUND_CAPACITANCE = 5.0e-17
 REF_CELL_SPEED = 3897778.146429868
 REF_PULSE_SPEED = 0.95 * REF_CELL_SPEED
 REF_STEEPNESS = 436228.3606298319
-
-
-def with_source(march, amplitude, frequency):
-    """Iterate march, adding amplitude * (sin w t_m - sin w t_(m-1)) to
-    node 0 at each yield m after the first: a soft sine source at the
-    driven end, one np.sin per step."""
-    times = march.step_times
-    for m in march:
-        if m:
-            march.potential[0] += amplitude * (np.sin(frequency * times[m])
-                                               - np.sin(frequency * times[m - 1]))
-        yield m
 
 
 @pytest.fixture

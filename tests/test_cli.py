@@ -277,14 +277,6 @@ class TestSimulate:
                 library, lattice.run(state, array, squid, pulse, solver))
             assert (library.read_bytes() == written) == stretch
 
-    def test_driven_boundary_runs(self, tmp_path, capsys):
-        # Without a source node 0 is a free end and the far end absorbs.
-        path = write_variant(tmp_path / "driven.json", array__n_cells=300,
-                             solver__n_steps=300, solver__boundary="driven")
-        assert main(["simulate", "--config", str(path),
-                     "--out", str(tmp_path), "--emit", ""]) == 0
-        assert "boundary = driven" in capsys.readouterr().out
-
 
 class TestDispersion:
     def test_measures_standard_points(self, tmp_path, capsys):

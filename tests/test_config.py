@@ -93,6 +93,7 @@ class TestStrictParsing:
         '{"output": {"workers": 0}}',
         '{"output": {"emit": ["png"]}}',
         '{"solver": {"boundary": "open"}}',
+        '{"solver": {"boundary": "driven"}}',
         '{"pulse": {"shape": 3}}',
         '{"audit": {"max_signal_frequency": -1.0}}',
         '{"junction": {"critical_current": NaN}}',
@@ -168,7 +169,7 @@ class TestRoundTrip:
                        "courant_fraction": draw(
                            st.floats(0.0, 0.5, exclude_min=True)),
                        "boundary": draw(st.sampled_from(
-                           ["reflecting", "absorbing", "driven"])),
+                           ["reflecting", "absorbing"])),
                        "record_every": draw(st.integers(0, 2 ** 63 - 1)),
                        "current_dependent_inductance": draw(st.booleans()),
                        "check_every": draw(st.integers(1, 2 ** 63 - 1))},

@@ -289,7 +289,7 @@ class TestMeasuredCurve:
 
 class TestLeapfrogRelation:
     # The scheme's exact relation is sin(w dt/2) = (dt/sqrt(L C0))
-    # sin(k a/2); the measured k stays within 2e-5 of its solution, far
+    # sin(k a/2); the measured k stays within 1e-5 of its solution, far
     # inside the 1% that criterion 7 allows against the continuous-time
     # relation.
 
@@ -310,33 +310,17 @@ class TestLeapfrogRelation:
         assert len(curve) == len(_DISPERSION_KA)
         return np.abs(curve.wavenumbers / k_leap - 1.0)
 
-    @pytest.mark.parametrize("dc_offset", [0.0, 0.1])
-    def test_measured_k_solves_leapfrog_relation(self, ref_array, ref_squid,
-                                                 dc_offset):
-        deviation = self.deviations(ref_array, ref_squid, dc_offset)
-        assert np.max(deviation) <= 2e-5, deviation
-
-    @pytest.mark.parametrize("settle", [8.0, 12.0])
-    def test_holds_at_other_settle_lengths(self, ref_array, ref_squid,
-                                           monkeypatch, settle):
-        # The ka = 2 point moves most with the settle length: under a drive
-        # switched on at once, or ramped over 4 periods, it broke the bound
-        # at some lengths.
-        monkeypatch.setattr(dispersion, "SETTLE_PERIODS", settle)
-        deviation = self.deviations(ref_array, ref_squid, 0.0)
-        assert np.max(deviation) <= 2e-5, deviation
-
     @pytest.mark.parametrize("settle", [4.0, 8.0, 12.0])
     @pytest.mark.parametrize("dc_offset", [0.0, 0.1])
     def test_cli_points_within_1e_5(self, ref_array, ref_squid, monkeypatch,
                                     dc_offset, settle):
-        # With both ends matched to the tone the worst deviation at the
-        # CLI's points is 4.2e-6 at 4 settle periods, 2.4e-6 at 8 and
-        # 5.1e-6 at 12 (ka = 2), at either flux.
+        # The ka = 2 point moves most with the settle length.  With both
+        # ends matched to the tone the worst deviation at the CLI's points
+        # is 4.2e-6 at 4 settle periods, 2.4e-6 at 8 and 5.1e-6 at 12
+        # (ka = 2), at either flux.
         monkeypatch.setattr(dispersion, "SETTLE_PERIODS", settle)
         deviation = self.deviations(ref_array, ref_squid, dc_offset)
         assert np.max(deviation) <= 1e-5, deviation
-
 
     @pytest.mark.parametrize("ka, bound", [(2.1, 2e-5), (2.49, 1e-3)])
     def test_above_the_cli_points(self, ref_array, ref_squid, ka, bound):
