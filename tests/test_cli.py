@@ -277,6 +277,16 @@ class TestSimulate:
                 library, lattice.run(state, array, squid, pulse, solver))
             assert (library.read_bytes() == written) == stretch
 
+    def test_driven_boundary_rejected(self, tmp_path, capsys):
+        # The half-open end is gone: the error names the two that remain.
+        path = write_variant(tmp_path / "driven.json",
+                             solver__boundary="driven")
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path), "--emit", ""]) == 2
+        err = capsys.readouterr().err
+        assert "reflecting" in err and "absorbing" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["driven.json"]
+
 
 class TestDispersion:
     def test_measures_standard_points(self, tmp_path, capsys):

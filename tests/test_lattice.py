@@ -26,6 +26,67 @@ def uniform():
     return sh.FluxPulse(amplitude=0.0)
 
 
+def assert_two_half_runs_match_one(squid, pulse, boundary):
+    arr = make_array(128)
+    rng = np.random.default_rng(11)
+    state = lattice.LatticeState(0.0, rng.standard_normal(128) * 1e-6,
+                                 rng.standard_normal(128) * 1e-27)
+    dt = lattice.stable_timestep(arr, squid, pulse)
+    whole, first = (
+        lattice.run(state, arr, squid, pulse,
+                    lattice.SolverConfig(n_steps=steps, dt=dt,
+                                         boundary=boundary))
+        for steps in (400, 200))
+    second = lattice.run(first.final_state, arr, squid, pulse,
+                         lattice.SolverConfig(n_steps=200, dt=dt,
+                                              boundary=boundary))
+    # one SI round trip of the momentum costs a couple of ulps
+    scale = np.max(np.abs(whole.final_state.potential))
+    np.testing.assert_allclose(second.final_state.potential,
+                               whole.final_state.potential,
+                               rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(second.final_state.momentum,
+                               whole.final_state.momentum, rtol=1e-10)
+
+
+def assert_mirror_symmetric_bitwise(squid, pulse, boundary):
+    rng = np.random.default_rng(3)
+    n = 128
+    pot = rng.standard_normal(n)
+    mom = rng.standard_normal(n)
+    arr = make_array(n)
+    cfg = lattice.SolverConfig(n_steps=500, boundary=boundary)
+    fwd = lattice.run(lattice.LatticeState(0.0, pot, mom),
+                      arr, squid, pulse, cfg)
+    rev = lattice.run(lattice.LatticeState(0.0, pot[::-1].copy(),
+                                           mom[::-1].copy()),
+                      arr, squid, pulse, cfg)
+    assert np.array_equal(rev.final_state.potential,
+                          fwd.final_state.potential[::-1])
+
+
+def assert_linear(squid, pulse, boundary):
+    rng = np.random.default_rng(5)
+    n = 128
+    arr = make_array(n)
+    cfg = lattice.SolverConfig(n_steps=500, boundary=boundary)
+    p1, m1 = rng.standard_normal(n), rng.standard_normal(n)
+    p2, m2 = rng.standard_normal(n), rng.standard_normal(n)
+    alpha, beta = 0.37, -1.4
+    out1 = lattice.run(lattice.LatticeState(0.0, p1, m1),
+                       arr, squid, pulse, cfg)
+    out2 = lattice.run(lattice.LatticeState(0.0, p2, m2),
+                       arr, squid, pulse, cfg)
+    combo = lattice.run(
+        lattice.LatticeState(0.0, alpha * p1 + beta * p2,
+                             alpha * m1 + beta * m2),
+        arr, squid, pulse, cfg)
+    expected = (alpha * out1.final_state.potential +
+                beta * out2.final_state.potential)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(combo.final_state.potential - expected)) < 1e-12 * scale
+
+
 class TestConfigValidation:
     def test_courant_fraction_cap(self):
         with pytest.raises(ValueError):
@@ -105,24 +166,7 @@ class TestStep:
         assert np.all(delta[[0, 1, 6, 7, 8]] == 0.0)
 
     def test_two_half_runs_match_one(self, ref_squid, uniform):
-        arr = make_array(128)
-        rng = np.random.default_rng(11)
-        state = lattice.LatticeState(0.0, rng.standard_normal(128) * 1e-6,
-                                     rng.standard_normal(128) * 1e-27)
-        dt = lattice.stable_timestep(arr, ref_squid, uniform)
-        whole = lattice.run(state, arr, ref_squid, uniform,
-                            lattice.SolverConfig(n_steps=400, dt=dt))
-        first = lattice.run(state, arr, ref_squid, uniform,
-                            lattice.SolverConfig(n_steps=200, dt=dt))
-        second = lattice.run(first.final_state, arr, ref_squid, uniform,
-                             lattice.SolverConfig(n_steps=200, dt=dt))
-        # one SI round trip of the momentum costs a couple of ulps
-        scale = np.max(np.abs(whole.final_state.potential))
-        np.testing.assert_allclose(second.final_state.potential,
-                                   whole.final_state.potential,
-                                   rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(second.final_state.momentum,
-                                   whole.final_state.momentum, rtol=1e-10)
+        assert_two_half_runs_match_one(ref_squid, uniform, "reflecting")
 
 
 class TestConservationAndSymmetry:
@@ -175,40 +219,10 @@ class TestConservationAndSymmetry:
                               broadening.final_state.momentum)
 
     def test_mirror_symmetry_bitwise(self, ref_squid, uniform):
-        rng = np.random.default_rng(3)
-        n = 128
-        pot = rng.standard_normal(n)
-        mom = rng.standard_normal(n)
-        arr = make_array(n)
-        cfg = lattice.SolverConfig(n_steps=500)
-        fwd = lattice.run(lattice.LatticeState(0.0, pot, mom),
-                          arr, ref_squid, uniform, cfg)
-        rev = lattice.run(lattice.LatticeState(0.0, pot[::-1].copy(),
-                                               mom[::-1].copy()),
-                          arr, ref_squid, uniform, cfg)
-        assert np.array_equal(rev.final_state.potential,
-                              fwd.final_state.potential[::-1])
+        assert_mirror_symmetric_bitwise(ref_squid, uniform, "reflecting")
 
     def test_linearity(self, ref_squid, uniform):
-        rng = np.random.default_rng(5)
-        n = 128
-        arr = make_array(n)
-        cfg = lattice.SolverConfig(n_steps=500)
-        p1, m1 = rng.standard_normal(n), rng.standard_normal(n)
-        p2, m2 = rng.standard_normal(n), rng.standard_normal(n)
-        alpha, beta = 0.37, -1.4
-        out1 = lattice.run(lattice.LatticeState(0.0, p1, m1),
-                           arr, ref_squid, uniform, cfg)
-        out2 = lattice.run(lattice.LatticeState(0.0, p2, m2),
-                           arr, ref_squid, uniform, cfg)
-        combo = lattice.run(
-            lattice.LatticeState(0.0, alpha * p1 + beta * p2,
-                                 alpha * m1 + beta * m2),
-            arr, ref_squid, uniform, cfg)
-        expected = (alpha * out1.final_state.potential +
-                    beta * out2.final_state.potential)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(combo.final_state.potential - expected)) < 1e-12 * scale
+        assert_linear(ref_squid, uniform, "reflecting")
 
     def test_non_finite_state_detected(self, ref_squid, uniform):
         n = 64
@@ -412,22 +426,54 @@ class TestReflection:
 
 
 class TestAbsorbingBoundary:
-    @pytest.mark.parametrize("carrier_ka", [0.1, 0.2, 0.3])
-    def test_residual_energy(self, ref_squid, uniform, carrier_ka):
+    """Both ends take the same first-order Mur update, each with the rate
+    of its own end cell."""
+
+    @staticmethod
+    def residual_energy(squid, pulse, carrier_ka, direction):
+        # The fraction of a packet's energy left once it has run 450 cells
+        # at the unbiased speed from the middle of a 600-cell line.
         n = 600
         arr = make_array(n)
-        dt = lattice.stable_timestep(arr, ref_squid, uniform)
-        pk = lattice.gaussian_packet(arr, ref_squid, uniform,
+        dt = lattice.stable_timestep(arr, squid, pulse)
+        pk = lattice.gaussian_packet(arr, squid, pulse,
                                      center=300 * CELL_LENGTH,
                                      sigma=20 * CELL_LENGTH,
                                      carrier_ka=carrier_ka,
-                                     amplitude=1e-6, dt=dt)
+                                     amplitude=1e-6, dt=dt,
+                                     direction=direction)
         steps = int(round(450 * CELL_LENGTH / REF_CELL_SPEED / dt))
-        traj = lattice.run(pk, arr, ref_squid, uniform,
+        traj = lattice.run(pk, arr, squid, pulse,
                            lattice.SolverConfig(n_steps=steps, dt=dt,
                                                 record_every=steps,
                                                 boundary="absorbing"))
-        assert traj.energies[-1] / traj.energies[0] < 0.01
+        return traj.energies[-1] / traj.energies[0]
+
+    @pytest.mark.parametrize("carrier_ka", [0.1, 0.2, 0.3])
+    def test_residual_energy(self, ref_squid, uniform, carrier_ka):
+        assert self.residual_energy(ref_squid, uniform, carrier_ka, 1) < 0.01
+
+    @pytest.mark.parametrize("carrier_ka", [0.1, 0.2, 0.3])
+    def test_node_zero_absorbs_a_leftward_packet(self, ref_squid, uniform,
+                                                 carrier_ka):
+        assert self.residual_energy(ref_squid, uniform, carrier_ka, -1) < 0.01
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_biased_ends_absorb(self, ref_squid, direction):
+        # Under a dc flux kappa is set by the biased end cell: 1.2e-6 of
+        # the energy is left, where a kappa taken at zero flux leaves 3e-3.
+        biased = sh.FluxPulse(amplitude=0.0, dc_offset=0.2)
+        assert self.residual_energy(ref_squid, biased, 0.1, direction) < 1e-4
+
+    def test_mirror_symmetry_bitwise(self, ref_squid, uniform):
+        assert_mirror_symmetric_bitwise(ref_squid, uniform, "absorbing")
+
+    def test_linearity(self, ref_squid, uniform):
+        assert_linear(ref_squid, uniform, "absorbing")
+
+    def test_two_half_runs_match_one(self, ref_squid, uniform):
+        # The update reads only the potential of the step it ends.
+        assert_two_half_runs_match_one(ref_squid, uniform, "absorbing")
 
 
 class TestNonlinearOption:
@@ -610,7 +656,9 @@ class TestMarch:
         assert march.final_state.potential[0] == 1e-6
         assert np.all(march.final_state.potential[1:] == 0.0)
 
-    def test_write_between_steps_is_stepped(self, ref_squid, uniform):
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
+    def test_write_between_steps_is_stepped(self, ref_squid, uniform,
+                                            boundary):
         # A write at yield m is the state step m starts from: the same run
         # split there, the write made at the first part's last yield, agrees.
         arr = make_array(64)
@@ -622,7 +670,7 @@ class TestMarch:
         def march(initial, steps, write_at):
             run = lattice.March(initial, arr, ref_squid, uniform,
                                 lattice.SolverConfig(n_steps=steps, dt=dt,
-                                                     boundary="reflecting"))
+                                                     boundary=boundary))
             for m in run:
                 if m == write_at:
                     run.potential[0] += 1e-6
@@ -880,10 +928,12 @@ class TestWindowedKernel:
         assert bias.front_window(leaving, end, positions)[:2] == (
             self.N - 1, self.N)
 
-    def test_later_start_gives_same_bits(self, ref_squid):
+    @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
+    @pytest.mark.parametrize("name", sorted(PULSES))
+    def test_later_start_gives_same_bits(self, ref_squid, name, boundary):
         # The blocks' times start from initial.time, as the loop's do.
-        self.assert_same_bits(ref_squid, self.PULSES["broadening-tanh"],
-                              "absorbing", True, start=2.7e-12)
+        self.assert_same_bits(ref_squid, self.PULSES[name], boundary, True,
+                              start=2.7e-12)
 
 
 class TestExport:
