@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -353,20 +353,20 @@ def validity_report(array: ArrayParams, squid: SquidParams, pulse: FluxPulse,
     return ValidityReport(checks)
 
 
-DriveLike = float | Callable[[float], float]
-
-
-def _as_time_function(value: DriveLike) -> Callable[[float], float]:
-    """Normalise a drive given as a constant or a callable of t (s)."""
-    if callable(value):
-        return value
-    const = float(value)
-    return lambda t: const
+def _check_steps(dt: float, n_steps: int, omega: float, name: str) -> None:
+    # n_steps and dt as lattice.SolverConfig checks them; dt <= 0.05/omega.
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError("n_steps must be an integer of at least 1")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if dt > 0.05 / omega:
+        raise ValueError("dt must satisfy dt <= 0.05/%s = %.3e s"
+                         % (name, 0.05 / omega))
 
 
 def single_squid_dynamics(squid: SquidParams,
-                          drive_current: DriveLike,
-                          external_flux: DriveLike,
+                          drive_current: float,
+                          external_flux: float,
                           initial: SquidState,
                           dt: float,
                           n_steps: int) -> SquidTrajectory:
@@ -377,19 +377,14 @@ def single_squid_dynamics(squid: SquidParams,
     pinned to the applied loop flux with stiffness 2/beta_L.  Damping enters
     only when the junction has a normal resistance.  Classic fourth-order
     Runge-Kutta in plasma-frequency time; dt must not exceed 0.05/omega_p.
-
-    drive_current and external_flux may each be a constant or a callable of
-    time in seconds.
-
-    Raises NonFinite for a non-finite initial state or drive and when the
-    state overflows.
+    drive_current (A) and external_flux (Wb) are constants.  Raises
+    ValueError for bad n_steps or dt, and NonFinite for a non-finite initial
+    state or drive and when the state overflows.
     """
     jj = squid.junction
     phi0 = FLUX_QUANTUM
     omega_p = effective_plasma_frequency(squid, 0.0)
-    if dt > 0.05 / omega_p:
-        raise ValueError("dt must satisfy dt <= 0.05/omega_p = %.3e s"
-                         % (0.05 / omega_p))
+    _check_steps(dt, n_steps, omega_p, "omega_p")
     blq = beta_l(squid)
     if blq <= 0.0:
         raise ValueError("full SQUID dynamics needs positive loop inductance")
@@ -399,21 +394,16 @@ def single_squid_dynamics(squid: SquidParams,
         omega_c = 2.0 * math.pi * jj.critical_current * jj.normal_resistance / phi0
         delta = omega_p / omega_c
 
-    current = _as_time_function(drive_current)
-    flux = _as_time_function(external_flux)
-    two_ic = 2.0 * jj.critical_current
+    ibar = float(drive_current) / (2.0 * jj.critical_current)
+    fbar = 2.0 * math.pi * float(external_flux) / phi0
+    # Checked here: a non-finite drive would reach sin/cos within a step.
+    if not math.isfinite(ibar + fbar):
+        raise NonFinite("drive current or external flux is not finite")
 
     h = dt * omega_p
     sin, cos = math.sin, math.cos
 
-    def rhs(tau, gp, gm, vp, vm):
-        t = tau / omega_p
-        ibar = current(t) / two_ic
-        fbar = 2.0 * math.pi * flux(t) / phi0
-        # Guard the drives where they enter: a non-finite value would reach
-        # sin/cos through the stage states before the end-of-step check.
-        if not math.isfinite(ibar + fbar):
-            raise NonFinite("drive became non-finite at t = %.6e s" % t)
+    def rhs(gp, gm, vp, vm):
         ap = ibar - cos(gm) * sin(gp) - delta * vp
         am = (fbar - 2.0 * gm) / blq - cos(gp) * sin(gm) - delta * vm
         return vp, vm, ap, am
@@ -427,20 +417,18 @@ def single_squid_dynamics(squid: SquidParams,
 
     out = np.empty((n_steps + 1, 4))
     out[0] = gp, gm, vp, vm
-    tau = 0.0
     for i in range(1, n_steps + 1):
-        k1 = rhs(tau, gp, gm, vp, vm)
-        k2 = rhs(tau + 0.5 * h, gp + 0.5 * h * k1[0], gm + 0.5 * h * k1[1],
+        k1 = rhs(gp, gm, vp, vm)
+        k2 = rhs(gp + 0.5 * h * k1[0], gm + 0.5 * h * k1[1],
                  vp + 0.5 * h * k1[2], vm + 0.5 * h * k1[3])
-        k3 = rhs(tau + 0.5 * h, gp + 0.5 * h * k2[0], gm + 0.5 * h * k2[1],
+        k3 = rhs(gp + 0.5 * h * k2[0], gm + 0.5 * h * k2[1],
                  vp + 0.5 * h * k2[2], vm + 0.5 * h * k2[3])
-        k4 = rhs(tau + h, gp + h * k3[0], gm + h * k3[1],
+        k4 = rhs(gp + h * k3[0], gm + h * k3[1],
                  vp + h * k3[2], vm + h * k3[3])
         gp += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         gm += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         vp += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
         vm += h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        tau += h
         out[i] = gp, gm, vp, vm
         if not math.isfinite(gp + gm + vp + vm):
             raise NonFinite("state overflowed at step %d" % i)
@@ -456,8 +444,8 @@ def single_squid_dynamics(squid: SquidParams,
 
 
 def reduced_junction_dynamics(squid: SquidParams,
-                              drive_current: DriveLike,
-                              external_flux: DriveLike,
+                              drive_current: float,
+                              external_flux: float,
                               initial_phase: float,
                               initial_rate: float,
                               dt: float,
@@ -471,34 +459,24 @@ def reduced_junction_dynamics(squid: SquidParams,
     energy uses the half-step-consistent estimator
     v^2/2 - (dt*a)^2/8 + U, whose drift stays at round-off for bound motion.
 
-    drive_current and external_flux may each be a constant or a callable
-    of time in seconds.  initial_rate is d(phase)/dt in rad/s.  dt must not
-    exceed 0.05/omega_p^s at the initial flux.  Raises NonFinite for a
+    drive_current (A) and external_flux (Wb) are constants.  initial_rate
+    is d(phase)/dt in rad/s.  dt must not exceed 0.05/omega_p^s at the
+    flux.  Raises ValueError for bad n_steps or dt, and NonFinite for a
     non-finite initial state or drive current and when the trajectory
     overflows.
     """
-    current = _as_time_function(drive_current)
-    flux = _as_time_function(external_flux)
-
-    omega_ref = effective_plasma_frequency(squid, flux(0.0))
-    if dt > 0.05 / omega_ref:
-        raise ValueError("dt must satisfy dt <= 0.05/omega_p^s = %.3e s"
-                         % (0.05 / omega_ref))
-    ics_ref = squid_critical_current(squid, flux(0.0))
+    flux = float(external_flux)
+    omega_ref = effective_plasma_frequency(squid, flux)
+    _check_steps(dt, n_steps, omega_ref, "omega_p^s")
+    ibar = float(drive_current) / squid_critical_current(squid, flux)
+    if not math.isfinite(ibar):
+        raise NonFinite("drive current is not finite")
 
     h = dt * omega_ref
     sin, cos = math.sin, math.cos
 
-    def accel_and_potential(gamma: float, t: float) -> tuple[float, float]:
-        ics = squid_critical_current(squid, flux(t))
-        w2 = ics / ics_ref  # (omega_p^s / omega_ref)^2
-        ibar = current(t) / ics
-        # Guard the drive where it enters, before it reaches sin/cos.
-        if not math.isfinite(ibar):
-            raise NonFinite("drive became non-finite at t = %.6e s" % t)
-        a = w2 * (ibar - sin(gamma))
-        u = w2 * (1.0 - cos(gamma) - ibar * gamma)
-        return a, u
+    def accel_and_potential(gamma: float) -> tuple[float, float]:
+        return ibar - sin(gamma), 1.0 - cos(gamma) - ibar * gamma
 
     gamma = float(initial_phase)
     v = float(initial_rate) / omega_ref
@@ -509,14 +487,13 @@ def reduced_junction_dynamics(squid: SquidParams,
     rates = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
 
-    a, u = accel_and_potential(gamma, 0.0)
+    a, u = accel_and_potential(gamma)
     phases[0], rates[0] = gamma, v
     energies[0] = 0.5 * v * v - h * h * a * a / 8.0 + u
     for i in range(1, n_steps + 1):
         v_half = v + 0.5 * h * a
         gamma += h * v_half
-        t = i * dt
-        a, u = accel_and_potential(gamma, t)
+        a, u = accel_and_potential(gamma)
         v = v_half + 0.5 * h * a
         phases[i], rates[i] = gamma, v
         energies[i] = 0.5 * v * v - h * h * a * a / 8.0 + u

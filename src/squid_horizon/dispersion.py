@@ -62,9 +62,9 @@ FIT_PERIODS = 8.0
 WINDOW_WAVELENGTHS = 10.0
 COURANT_FRACTION = 0.2
 RESIDUAL_THRESHOLD = 0.2
-# The source's sines come from one np.sin per this many steps, and the fit
-# copies this many steps' windows before adding them to its projection in
-# one product; a multiply-add per step costs three to four copies.
+# The fit copies this many steps' windows before adding them to its
+# projection in one product; a multiply-add per step costs three to four
+# copies.
 _FIT_BLOCK = 64
 
 
@@ -86,6 +86,10 @@ class DispersionCurve:
 
     @property
     def relative_errors(self) -> np.ndarray:
+        """|omega_measured - omega_analytic| / omega_analytic, against the
+        continuous-time relation: its 4.7e-3 at ka = 2 is almost all the
+        leapfrog's own time-step error, as the measured k holds the
+        leapfrog's relation to 1e-5."""
         return np.abs(self.omega_measured - self.omega_analytic) / self.omega_analytic
 
 
@@ -115,24 +119,15 @@ def cutoff_scale(array: circuit.ArrayParams, squid: circuit.SquidParams,
 
 def _source_kicks(w: float, times: np.ndarray, dt: float):
     # The source's increment DRIVE_AMPLITUDE * (s(t + dt) - s(t)) over the
-    # step from each of times, with s(t) = r(t) sin w t and the ramp
-    # r(t) = sin^2(pi t / (2 T)) up to T = RAMP_PERIODS periods and 1 after,
-    # from one np.sin per _FIT_BLOCK steps, and one more for the ramp while
-    # it lasts.
+    # step from each of times, s(t) = r(t) sin w t with r(t) = sin^2(pi t /
+    # (2 T)) up to T = RAMP_PERIODS periods and 1 after, as Python floats
+    # read one by one from one array of s over [t0, times + dt].
     ramp_time = RAMP_PERIODS * 2.0 * math.pi / w
-
-    def source(t):
-        value = np.sin(w * t)
-        if t[0] < ramp_time:
-            value *= np.sin((0.5 * math.pi / ramp_time)
-                            * np.minimum(t, ramp_time)) ** 2
-        return value
-
-    old = source(times[:1])[0]
-    for first in range(0, len(times), _FIT_BLOCK):
-        values = source(times[first:first + _FIT_BLOCK] + dt)
-        yield from (DRIVE_AMPLITUDE * np.diff(values, prepend=old)).tolist()
-        old = values[-1]
+    t = np.concatenate((times[:1], times + dt))
+    s = np.sin(w * t)
+    ramp = t < ramp_time
+    s[ramp] *= np.sin((0.5 * math.pi / ramp_time) * t[ramp]) ** 2
+    return map(float, DRIVE_AMPLITUDE * np.diff(s))
 
 
 def _end_coefficient(w_dt: float, kappa: float) -> float:

@@ -126,12 +126,15 @@ def velocity_profile(array: circuit.ArrayParams, squid: circuit.SquidParams,
     The default grid covers n_cells cell centres centred on the front.  The
     samples and speed_at take c from the same arithmetic, so horizon
     refinement is not limited by the grid pitch and sees the curve the
-    grid samples bit for bit.
+    grid samples bit for bit.  Raises ValueError for given positions that
+    are not finite and strictly increasing.
     """
     if positions is None:
         positions = _comoving_grid(array, pulse)
     else:
         positions = np.asarray(positions, dtype=float)
+        if not np.isfinite(positions).all() or (np.diff(positions) <= 0).any():
+            raise ValueError("positions must be finite and strictly increasing")
     speed_at = _speed_evaluator(array, squid, pulse, time)
     return VelocityProfile(positions=positions, speed=speed_at(positions),
                            flow_speed=pulse.velocity, speed_at=speed_at,

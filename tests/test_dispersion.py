@@ -341,9 +341,9 @@ class TestLeapfrogRelation:
 class TestSource:
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
     def test_kicks_match_one_sine_per_step(self, monkeypatch, steps):
-        # Blocks of _FIT_BLOCK sines and ramps, differenced across block
-        # ends, give the bits of one source value per step.  The ramp ends
-        # at step 100, so 130 steps also run a block past it.
+        # One array of sines and ramps over all the steps, differenced, gives
+        # the bits of one source value per step as Python floats.  The ramp
+        # ends at step 100, so 130 steps also run past it.
         w, dt = 0.3 * OMEGA_MAX, 1.7e-15
         times = 2.0e-13 + np.arange(steps) * dt
         monkeypatch.setattr(dispersion, "RAMP_PERIODS",
@@ -355,6 +355,7 @@ class TestSource:
             expected.append(dispersion.DRIVE_AMPLITUDE * (new - old))
             old = new
         assert np.array(kicks).tobytes() == np.array(expected).tobytes()
+        assert all(type(kick) is float for kick in kicks)
 
 
 class TestEnds:

@@ -128,10 +128,12 @@ def budget_pulses(draw):
 
 def line_speed(pulse, arg):
     """Line speed at t = 0 where the front's scaled coordinate is arg;
-    arg = -inf or +inf gives the plateau behind or ahead."""
+    arg = -inf or +inf gives the plateau behind or ahead, from the profile's
+    own evaluator, since a profile's grid is finite."""
     array, squid = reference_line()
     xi = pulse.front_position + arg / pulse.steepness
-    return float(sh.velocity_profile(array, squid, pulse, 0.0, [xi]).speed[0])
+    profile = sh.velocity_profile(array, squid, pulse, 0.0, [0.0])
+    return float(profile.speed_at(np.array([xi]))[0])
 
 
 OFFSET_FRONT = sh.FluxPulse(amplitude=0.2, dc_offset=0.05, velocity=1.0,
@@ -188,6 +190,19 @@ class TestVelocityProfile:
         prof = sh.velocity_profile(ref_array, ref_squid, step_pulse,
                                    positions=grid)
         np.testing.assert_allclose(prof.positions, grid)
+
+    @pytest.mark.parametrize("bad", ["duplicate", "reversed", "nan"])
+    def test_positions_must_increase(self, ref_array, ref_squid, step_pulse,
+                                     bad):
+        # A doubled grid gave a horizon with a NaN gradient, classified
+        # white; a reversed one failed inside the root search.
+        grid = np.linspace(-1.0e-5, 1.0e-5, 11)
+        positions = {"duplicate": np.repeat(grid, 2),
+                     "reversed": grid[::-1],
+                     "nan": np.where(grid == grid[3], math.nan, grid)}[bad]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sh.velocity_profile(ref_array, ref_squid, step_pulse,
+                                positions=positions)
 
     def test_flow_speed_copied(self, ref_profile, step_pulse):
         assert ref_profile.flow_speed == step_pulse.velocity
