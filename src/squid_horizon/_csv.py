@@ -10,7 +10,9 @@ tie or to 10**13 for double arithmetic to decide.  Any other field is
 formatted by Python value by value.  A file shorter than one block is
 written row by row with ``fmt % row``: on a few rows numpy's per-call cost
 outweighs its speed, and its formatting loops would add about 0.6 MiB to
-the resident memory of a process that writes only small files.
+the resident memory of a process that writes only small files.  A
+``Cycle`` column, such as a record's time repeated on each of its rows, is
+formatted once per distinct value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,27 @@ _POW10 = np.array([float("1e%d" % k) for k in range(-_POW10_BIAS, 309)])
 _PAD = 0xFF
 _E_WIDTH = len("-1.234567890123e-308")
 _MINUS, _ZERO = ord("-"), ord("0")
+
+
+class Cycle:
+    """A column of ``rows`` rows that runs through ``values``, each one
+    held for ``hold`` consecutive rows, and starts over after the last:
+    row k is ``values[k // hold % len(values)]``."""
+
+    def __init__(self, values, rows: int, hold: int = 1):
+        self.values = np.asarray(values)
+        self.rows = rows
+        self.hold = hold
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __iter__(self):
+        return iter(self.values[self.index(0, self.rows)])
+
+    def index(self, start, stop) -> np.ndarray:
+        """The index into values of rows start to stop."""
+        return np.arange(start, stop) // self.hold % len(self.values)
 
 
 def write_csv(path, header: str, fmt: str, *columns) -> None:
@@ -69,6 +92,9 @@ def _block(formatters, start, stop) -> np.ndarray:
 def _formatter(field, column):
     """A function of (start, stop) giving the column's rows in that range
     as padded UTF-8, one (rows, width) uint8 row per value."""
+    if isinstance(column, Cycle):
+        text = _formatter(field, column.values)(0, len(column.values))
+        return lambda start, stop: text[column.index(start, stop)]
     values = np.asarray(column)
     if field == "%.12e" and values.dtype.kind in "biuf":
         values = values.astype(np.float64, copy=False)

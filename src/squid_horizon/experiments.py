@@ -305,13 +305,31 @@ class SweepResult:
     points: tuple
 
 
+# The errors that fail one sweep point without stopping the sweep.
+_POINT_ERRORS = (SquidHorizonError, ValueError, ArithmeticError)
+
+
 def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
     # In request order, so a failing point records the first error it hits.
-    # The line's t = 0 horizons are found once, on first use.
+    # The line's t = 0 horizons are found once, on first use.  With
+    # photon_count requested for a moving pulse they are row 0 of the
+    # budget's traversal, bit for bit line_horizons', so the point makes one
+    # scan and one refine.  Should that traversal raise, each output makes
+    # its own call instead and so raises the error it raises alone.
     flux_dc = cfg.pulse.dc_offset * FLUX_QUANTUM
-    horizons = None
+    traversal = horizons = None
+    share = "photon_count" in names and cfg.pulse.velocity > 0.0
     outputs = {}
     for name in names:
+        if share and name in ("horizon_count", "hawking_temperature",
+                              "photon_count"):
+            share = False
+            try:
+                traversal = geometry.traversal_horizons(cfg.array, cfg.squid,
+                                                        cfg.pulse)
+                horizons = traversal.initial
+            except _POINT_ERRORS:
+                pass
         if name in ("horizon_count", "hawking_temperature") and \
                 horizons is None:
             horizons = geometry.line_horizons(cfg.array, cfg.squid, cfg.pulse)
@@ -326,8 +344,10 @@ def _evaluate_outputs(names: tuple, cfg: RunConfig) -> dict:
             value = geometry.hawking_temperature(
                 geometry.emitting_horizon(horizons))
         else:  # photon_count; SweepSpec has checked every name
-            value = geometry.photons_per_pulse(
-                cfg.array, cfg.squid, cfg.pulse).expected_count
+            budget = (traversal.budget() if traversal is not None else
+                      geometry.photons_per_pulse(cfg.array, cfg.squid,
+                                                 cfg.pulse))
+            value = budget.expected_count
         outputs[name] = value
     return outputs
 
@@ -344,7 +364,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             outputs = _evaluate_outputs(spec.outputs, cfg)
             points.append(SweepPoint(coordinates=coords, outputs=outputs,
                                      error=None))
-        except (SquidHorizonError, ValueError, ArithmeticError) as exc:
+        except _POINT_ERRORS as exc:
             points.append(SweepPoint(coordinates=coords, outputs={},
                                      error="%s: %s" % (type(exc).__name__,
                                                        exc)))

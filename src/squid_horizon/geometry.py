@@ -37,6 +37,7 @@ __all__ = [
     "EffectiveMetric",
     "HorizonReport",
     "PhotonBudget",
+    "TraversalHorizons",
     "velocity_profile",
     "effective_metric",
     "find_horizons",
@@ -46,6 +47,7 @@ __all__ = [
     "hawking_temperature",
     "radiated_power",
     "photons_per_pulse",
+    "traversal_horizons",
     "steepness_for_gradient_cap",
     "write_horizon_trace",
 ]
@@ -365,18 +367,19 @@ def _reports(roots, gradients):
 def _window_horizons(array, squid, pulse, times):
     # (rows, roots, gradients) of the line's crossings at each of the times
     # from the front's window at the last, widest time: off it the profile
-    # is exactly flat at every time.  No row block is scanned after one
-    # with a row without a crossing.
+    # is exactly flat at every time.  The first time is a block of its own,
+    # and no row block is scanned after one with a row without a crossing,
+    # so a line without a crossing at the first time scans one row.
     grid = _comoving_grid(array, pulse)
     spacing = _grid_step(grid)
     lo, hi = bias.comoving_window(pulse, times[-1], grid)[:2]
     window = grid[lo:hi]
     per_block = max(1, _BLOCK_ELEMENTS // len(window))
+    edges = [0, *range(1, len(times), per_block), len(times)]
     blocks = []
-    for first in range(0, len(times), per_block):  # per_block rows at once
+    for first, stop in zip(edges, edges[1:]):
         speeds = _speed_evaluator(
-            array, squid, pulse,
-            times[first:first + per_block, np.newaxis])(window)
+            array, squid, pulse, times[first:stop, np.newaxis])(window)
         blocks.append(_brackets(speeds - pulse.velocity, first))
         if len(np.unique(blocks[-1][0])) < len(speeds):
             break  # a row without a crossing: no later row is needed
@@ -419,6 +422,75 @@ def radiated_power(temperature):
     return np.pi * kt * kt / (12.0 * HBAR)
 
 
+@dataclass(frozen=True)
+class TraversalHorizons:
+    """The line's horizons at evenly spaced times of one traversal, from
+    one scan and one refine.
+
+    Crossing j lies at positions[j] (m) at time times[rows[j]], with the
+    gradient dc/dxi gradients[j] (1/s).  Times after the first without a
+    crossing may be left unscanned; t = 0 always is.
+    """
+
+    times: np.ndarray
+    rows: np.ndarray
+    positions: np.ndarray
+    gradients: np.ndarray
+
+    @property
+    def initial(self) -> tuple[HorizonReport, ...]:
+        """The horizons at t = 0: line_horizons' bit for bit."""
+        first = self.rows == 0
+        return _reports(self.positions[first], self.gradients[first])
+
+    def budget(self) -> PhotonBudget:
+        """The emission history of the first black horizon at every time.
+
+        Raises NoHorizon at the first time without a black horizon.
+        """
+        times = self.times
+        # The first black horizon of each time.
+        black = np.flatnonzero(self.gradients > 0.0)
+        sampled, first_black = np.unique(self.rows[black], return_index=True)
+        if len(sampled) < len(times):
+            missing = np.flatnonzero(~np.isin(np.arange(len(times)),
+                                              sampled))[0]
+            raise NoHorizon("no black horizon at t = %.3e s" % times[missing])
+        emitter = black[first_black]
+
+        temperatures = _temperature(self.gradients[emitter])
+        powers = radiated_power(temperatures)
+        rates = powers / (BOLTZMANN * temperatures)
+        count = float(np.trapezoid(rates, times))
+        return PhotonBudget(expected_count=count, times=times,
+                            horizon_positions=self.positions[emitter],
+                            gradients=self.gradients[emitter],
+                            temperatures=temperatures, powers=powers)
+
+
+def traversal_horizons(array: circuit.ArrayParams,
+                       squid: circuit.SquidParams, pulse: bias.FluxPulse,
+                       samples: int = 65) -> TraversalHorizons:
+    """The line's horizons at samples evenly spaced times while the front
+    crosses the line, n_cells * cell_length / u in all.
+
+    Each time's horizons are line_horizons' at that time; all times are
+    scanned from one window and refined together, and a line without a
+    crossing at t = 0 is scanned at t = 0 only.
+
+    Raises ValueError for a still pulse or samples that is not an integer
+    of at least 2.
+    """
+    if pulse.velocity <= 0.0:
+        raise ValueError("photon budget needs a moving pulse")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError("photon budget needs an integer of at least 2 samples")
+    total_time = array.n_cells * array.cell_length / pulse.velocity
+    times = np.linspace(0.0, total_time, samples)
+    return TraversalHorizons(times, *_window_horizons(array, squid, pulse,
+                                                      times))
+
+
 def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, samples: int = 65
                       ) -> PhotonBudget:
@@ -427,36 +499,13 @@ def photons_per_pulse(array: circuit.ArrayParams, squid: circuit.SquidParams,
     Integrates the emission rate power/(k_B T_H) over the traversal time
     n_cells * cell_length / u, with the temperature history taken
     from the (possibly broadening) comoving profile at samples evenly
-    spaced times.  Each sample's horizons are line_horizons' at its time;
-    all samples are scanned from one window and refined together.
+    spaced times: traversal_horizons(array, squid, pulse, samples).budget().
 
     Raises ValueError for a still pulse or samples that is not an integer
     of at least 2, and NoHorizon at the first sample without a black
     horizon.
     """
-    if pulse.velocity <= 0.0:
-        raise ValueError("photon budget needs a moving pulse")
-    if not isinstance(samples, numbers.Integral) or samples < 2:
-        raise ValueError("photon budget needs an integer of at least 2 samples")
-    total_time = array.n_cells * array.cell_length / pulse.velocity
-    times = np.linspace(0.0, total_time, samples)
-    rows, roots, gradients = _window_horizons(array, squid, pulse, times)
-    # The first black horizon of each sample.
-    black = np.flatnonzero(gradients > 0.0)
-    sampled, first_black = np.unique(rows[black], return_index=True)
-    if len(sampled) < samples:
-        missing = np.flatnonzero(~np.isin(np.arange(samples), sampled))[0]
-        raise NoHorizon("no black horizon at t = %.3e s" % times[missing])
-    emitter = black[first_black]
-
-    temperatures = _temperature(gradients[emitter])
-    powers = radiated_power(temperatures)
-    rates = powers / (BOLTZMANN * temperatures)
-    count = float(np.trapezoid(rates, times))
-    return PhotonBudget(expected_count=count, times=times,
-                        horizon_positions=roots[emitter],
-                        gradients=gradients[emitter],
-                        temperatures=temperatures, powers=powers)
+    return traversal_horizons(array, squid, pulse, samples).budget()
 
 
 def steepness_for_gradient_cap(array: circuit.ArrayParams,

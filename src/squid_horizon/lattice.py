@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import bias, circuit
-from ._csv import write_csv
+from ._csv import Cycle, write_csv
 from .constants import FLUX_QUANTUM
 from .errors import (
     CourantViolation,
@@ -480,7 +480,8 @@ def write_trajectory_csv(path, trajectory: LatticeTrajectory) -> None:
     """Row-per-node dump with columns t, node, A, I, V."""
     n_rec, n = trajectory.potentials.shape
     write_csv(path, "t,node,A,I,V", "%.12e,%d,%.12e,%.12e,%.12e",
-              np.repeat(trajectory.times, n), np.tile(np.arange(n), n_rec),
+              Cycle(trajectory.times, n_rec * n, hold=n),
+              Cycle(np.arange(n), n_rec * n),
               trajectory.potentials.ravel(), trajectory.currents.ravel(),
               trajectory.voltages.ravel())
 

@@ -123,6 +123,23 @@ class TestMatchesPercentFormatting:
             reference_csv("h", fmt, *columns)
 
 
+class TestCycle:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(times=st.lists(doubles, min_size=1, max_size=6),
+           nodes=st.integers(1, 9), block=blocks)
+    def test_matches_repeat_and_tile(self, times, nodes, block):
+        # A trajectory's layout: each time held on its record's rows, and
+        # the node index starting over on every record.
+        t = np.array(times, dtype=np.float64)
+        rows = len(t) * nodes
+        cycles = (_csv.Cycle(t, rows, hold=nodes),
+                  _csv.Cycle(np.arange(nodes), rows))
+        assert written("t,n", "%.12e,%d", *cycles, block=block) == \
+            reference_csv("t,n", "%.12e,%d", np.repeat(t, nodes),
+                          np.tile(np.arange(nodes), len(t)))
+
+
 class TestRejects:
     @pytest.mark.parametrize("fmt", ["%.12e", "%.12e,%d,%d", "%.12e%d"])
     def test_field_count_differs_from_columns(self, tmp_path, fmt):

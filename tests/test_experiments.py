@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from squid_horizon import circuit, cli, config, experiments
-from squid_horizon.errors import ConfigError, NoHorizon, ParseError, UnknownKey
+from squid_horizon import circuit, cli, config, experiments, geometry
+from squid_horizon.constants import FLUX_QUANTUM, RESISTANCE_QUANTUM
+from squid_horizon.errors import (ConfigError, NoHorizon, ParseError,
+                                  SquidHorizonError, UnknownKey)
+
+from conftest import REF_CELL_SPEED
 
 TRAVERSAL_TIME = experiments.TRAP_LAUNCH_CELLS * 2.5e-7 / 3897778.146429868
 
@@ -245,6 +249,64 @@ class TestTrapping:
             experiments.wavepacket_trapping(cfg)
 
 
+def separate_calls(names, cfg):
+    """(outputs, error) of one sweep point whose outputs each make their
+    own line_horizons or photons_per_pulse call, in request order."""
+    flux_dc = cfg.pulse.dc_offset * FLUX_QUANTUM
+    outputs = {}
+    try:
+        for name in names:
+            if name == "cell_speed":
+                value = circuit.cell_velocity(cfg.array, cfg.squid, flux_dc)
+            elif name == "impedance_ratio":
+                value = circuit.array_impedance(
+                    cfg.array, cfg.squid, flux_dc) / RESISTANCE_QUANTUM
+            elif name == "horizon_count":
+                value = float(len(geometry.line_horizons(
+                    cfg.array, cfg.squid, cfg.pulse)))
+            elif name == "hawking_temperature":
+                value = geometry.hawking_temperature(geometry.emitting_horizon(
+                    geometry.line_horizons(cfg.array, cfg.squid, cfg.pulse)))
+            else:
+                value = geometry.photons_per_pulse(
+                    cfg.array, cfg.squid, cfg.pulse).expected_count
+            outputs[name] = value
+    except (SquidHorizonError, ValueError, ArithmeticError) as exc:
+        return {}, "%s: %s" % (type(exc).__name__, exc)
+    return outputs, None
+
+
+def _speed_at_fraction(fraction):
+    # Line speed of the default device at the given flux fraction.
+    cfg = config.default_config()
+    return circuit.cell_velocity(cfg.array, cfg.squid,
+                                 fraction * FLUX_QUANTUM)
+
+
+# Overrides of the default configuration, one sweep point each.
+SWEEP_CASES = {
+    # One black horizon at every sample of the broadening traversal.
+    "reference": {},
+    # A still front: no budget, and no horizon.
+    "still": {"pulse.velocity": 0.0},
+    # Slower than either plateau: no crossing at any time.
+    "no-crossing": {"pulse.velocity": 0.5 * REF_CELL_SPEED},
+    # A Gaussian bump crossed at scaled coordinates -1 (white) and +1
+    # (black).
+    "bump": {"pulse.shape": "gaussian",
+             "pulse.velocity": _speed_at_fraction(0.2 * math.exp(-0.5))},
+    # A horizon at scaled coordinate 3 that broadening carries off the
+    # line's comoving grid about two thirds of the way through the
+    # traversal.
+    "leaves-line": {"pulse.broadening": 1.0e5,
+                    "pulse.velocity": _speed_at_fraction(
+                        0.1 * (1.0 - math.tanh(3.0)))},
+    # A flat front whose steepness underflows to zero by the end of the
+    # traversal, so its traversal fails where its t = 0 scan does not.
+    "pole": {"pulse.steepness": 1.0e-30, "pulse.broadening": 1.0e300},
+}
+
+
 @pytest.fixture(scope="module")
 def static_base():
     return config.apply_override(config.default_config(),
@@ -367,6 +429,81 @@ class TestSweep:
             assert point.outputs["horizon_count"] == 1.0
         assert result.points[0].outputs["hawking_temperature"] == \
             pytest.approx(0.12156624712116852, rel=1e-6)
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    @pytest.mark.parametrize("outputs", [
+        ("photon_count", "horizon_count", "hawking_temperature",
+         "cell_speed"),
+        ("hawking_temperature", "impedance_ratio", "cell_speed",
+         "horizon_count", "photon_count"),
+        ("horizon_count", "photon_count", "hawking_temperature"),
+    ], ids=["photon-first", "photon-last", "photon-between"])
+    def test_outputs_and_error_match_separate_calls(self, default_cfg,
+                                                    case, outputs):
+        cfg = config.apply_override(default_cfg, SWEEP_CASES[case])
+        spec = experiments.SweepSpec(base=cfg, axes=(), outputs=outputs)
+        point, = experiments.run_sweep(spec).points
+        assert (point.outputs, point.error) == separate_calls(outputs, cfg)
+
+    @pytest.mark.parametrize("case, photon_first, photon_last", [
+        ("reference", None, None),
+        ("bump", None, None),
+        ("still", "ValueError: photon budget needs a moving pulse",
+         "NoHorizon: profile has no c = u crossing"),
+        ("no-crossing", "NoHorizon: no black horizon at t = 0.000e+00 s",
+         "NoHorizon: profile has no c = u crossing"),
+        ("leaves-line", "NoHorizon: no black horizon at t = 2.213e-10 s",
+         "NoHorizon: no black horizon at t = 2.213e-10 s"),
+        ("pole", "ValueError: front steepness 0 at t = 3.24071e-10 s: "
+         "before the broadening pole",
+         "NoHorizon: profile has no c = u crossing"),
+    ])
+    def test_cases_reach_their_errors(self, default_cfg, case, photon_first,
+                                      photon_last):
+        # The error of each case with photon_count first and last.  The
+        # horizon leaves the line 2.2e-10 s into a 3.2e-10 s traversal, and
+        # the flat front's traversal fails where its t = 0 scan does not.
+        cfg = config.apply_override(default_cfg, SWEEP_CASES[case])
+        names = ("photon_count", "horizon_count", "hawking_temperature")
+        assert separate_calls(names, cfg)[1] == photon_first
+        assert separate_calls(names[::-1], cfg)[1] == photon_last
+        if case in ("bump", "leaves-line"):
+            assert [h.kind for h in geometry.line_horizons(
+                cfg.array, cfg.squid, cfg.pulse)] == (
+                    ["white", "black"] if case == "bump" else ["black"])
+
+    @pytest.mark.parametrize("case, refines, rows", [
+        ("reference", 1, None), ("no-crossing", 0, 1)])
+    def test_photon_count_shares_one_scan_and_refine(
+            self, default_cfg, monkeypatch, case, refines, rows):
+        # With photon_count requested, the t = 0 horizons are row 0 of the
+        # budget's traversal: one lane_brentq call at a horizon point, and
+        # one row scanned where t = 0 has no crossing.
+        calls = {"lane_brentq": 0, "line_horizons": 0, "rows": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def scanned(f, first_row=0):
+            calls["rows"] += len(f)
+            return brackets(f, first_row)
+
+        brackets = geometry._brackets
+        monkeypatch.setattr(geometry, "_brackets", scanned)
+        for name in ("lane_brentq", "line_horizons"):
+            monkeypatch.setattr(geometry, name,
+                                counted(name, getattr(geometry, name)))
+        cfg = config.apply_override(default_cfg, SWEEP_CASES[case])
+        spec = experiments.SweepSpec(base=cfg, axes=(),
+                                     outputs=experiments._SWEEP_OUTPUTS)
+        experiments.run_sweep(spec)
+        assert calls["lane_brentq"] == refines
+        assert calls["line_horizons"] == 0
+        if rows is not None:
+            assert calls["rows"] == rows
 
     def test_load_sweep_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "spec.json"

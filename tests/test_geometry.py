@@ -591,6 +591,46 @@ class TestLineHorizons:
         assert [h.kind for h in found] == kinds
 
 
+class TestTraversalHorizons:
+    @PROPERTY
+    @given(pulse=budget_pulses(), n_cells=st.integers(300, 4800),
+           samples=st.integers(2, 65))
+    # Moving exactly at a plateau's speed: no crossing.
+    @example(pulse=dataclasses.replace(
+                 OFFSET_FRONT, velocity=line_speed(OFFSET_FRONT, math.inf)),
+             n_cells=4800, samples=65)
+    # A still front: c > u = 0 everywhere.
+    @example(pulse=dataclasses.replace(OFFSET_FRONT, velocity=0.0),
+             n_cells=4800, samples=65)
+    # A Gaussian bump crossed at scaled coordinates -1 and +1.
+    @example(pulse=dataclasses.replace(
+                 GAUSSIAN_BUMP, velocity=line_speed(GAUSSIAN_BUMP, 1.0)),
+             n_cells=4800, samples=65)
+    # A horizon at scaled coordinate 12 that broadening carries to 24 over
+    # the 1200-cell traversal, so the window is that of coordinate 24.
+    @example(pulse=dataclasses.replace(
+                 OFFSET_FRONT, broadening=WIDENING,
+                 velocity=line_speed(OFFSET_FRONT, 12.0)),
+             n_cells=1200, samples=65)
+    def test_first_row_is_line_horizons(self, pulse, n_cells, samples):
+        # Row 0 of the traversal's one scan and refine is bit for bit the
+        # line's own t = 0 scan, in the window of the last, widest time.
+        array, squid = reference_line()
+        array = dataclasses.replace(array, n_cells=n_cells)
+        if pulse.velocity > 0.0:
+            first = sh.geometry.traversal_horizons(array, squid, pulse,
+                                                   samples).initial
+        else:  # no traversal: rows spanning a moving front's instead
+            times = np.linspace(0.0, n_cells * array.cell_length
+                                / REF_CELL_SPEED, samples)
+            rows, roots, gradients = sh.geometry._window_horizons(
+                array, squid, pulse, times)
+            first = sh.geometry._reports(roots[rows == 0],
+                                         gradients[rows == 0])
+        assert horizon_bits(first) == horizon_bits(
+            sh.geometry.line_horizons(array, squid, pulse))
+
+
 class TestLaneBrentq:
     @PROPERTY
     @given(brackets=smooth_brackets())
