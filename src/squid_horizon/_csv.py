@@ -1,18 +1,21 @@
-"""The one CSV writer behind every column-shaped artifact.
+"""The one CSV writer behind every column-shaped artifact, and the one
+home of vectorised text.
 
-numpy formats the ``%.12e`` and ``%d`` columns a block of rows at a time,
-and the text is byte-identical to ``fmt % row``.  Each field becomes a row
-of UTF-8 bytes padded with 0xFF, a byte UTF-8 never uses, and the padding
-is dropped when the block is written.  A ``%.12e`` value is left to
-Python's own ``%`` when it is not finite, lies outside [1e-290, 1e290)
-(zeros excepted), or when its scaled mantissa is too close to a rounding
-tie or to 10**13 for double arithmetic to decide.  Any other field is
-formatted by Python value by value.  A file shorter than one block is
-written row by row with ``fmt % row``: on a few rows numpy's per-call cost
-outweighs its speed, and its formatting loops would add about 0.6 MiB to
-the resident memory of a process that writes only small files.  A
-``Cycle`` column, such as a record's time repeated on each of its rows, is
-formatted once per distinct value.
+numpy formats the ``%.12e``, ``%.2f`` and ``%d`` columns a block of rows at
+a time, and the text is byte-identical to ``fmt % row``.  Each field
+becomes a row of UTF-8 bytes padded with 0xFF, a byte UTF-8 never uses,
+and the padding is dropped when the block is written.  A ``%.12e`` value
+is left to Python's own ``%`` when it is not finite, lies outside
+[1e-290, 1e290) (zeros excepted), or when its scaled mantissa is too close
+to a rounding tie or to 10**13 for double arithmetic to decide.  A
+``%.2f`` value is left to Python when it is negative (-0.0 included), not
+below 1e6 or not finite, or when its value in hundredths is within 1e-6
+of a rounding tie.  Any other field is formatted by Python value by value.
+Text shorter than one block is formatted row by row with ``fmt % row``: on
+a few rows numpy's per-call cost outweighs its speed, and its formatting
+loops would add about 0.6 MiB to the resident memory of a process that
+writes only small files.  A ``Cycle`` column, such as a record's time
+repeated on each of its rows, is formatted once per distinct value.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ _POW10 = np.array([float("1e%d" % k) for k in range(-_POW10_BIAS, 309)])
 
 _PAD = 0xFF
 _E_WIDTH = len("-1.234567890123e-308")
+_F_WIDTH = len("999999.99")
+# A %.2f integer part's digit k from the left is a leading zero below these
+# many hundredths; the units digit always stays.
+_F_LEADING = 10 ** np.arange(7, 2, -1)
 _MINUS, _ZERO = ord("-"), ord("0")
 
 
@@ -58,6 +65,19 @@ def write_csv(path, header: str, fmt: str, *columns) -> None:
     UTF-8.  Raises ``ValueError``, before the file is opened, if the field
     and column counts differ or the columns differ in length.
     """
+    chunks = format_rows(fmt, *columns)
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
+        fh.writelines(chunks)
+
+
+def format_rows(fmt: str, *columns, end: str = "\n"):
+    """``fmt % row + end`` for each row of the columns, as UTF-8 chunks.
+
+    ``fmt`` holds one field per column, joined by commas, and ``end`` is
+    one ASCII character.  Raises ``ValueError`` at once if the field and
+    column counts differ or the columns differ in length.
+    """
     fields = fmt.split(",")
     if len(fields) != len(columns):
         raise ValueError("fmt %r has %d fields for %d columns"
@@ -67,26 +87,22 @@ def write_csv(path, header: str, fmt: str, *columns) -> None:
         raise ValueError("columns differ in length: %s"
                          % sorted(len(c) for c in columns))
     rows = lengths.pop()
-    with open(path, "wb") as fh:
-        fh.write((header + "\n").encode())
-        if rows < _BLOCK_ROWS:
-            fh.write("".join(fmt % row + "\n"
-                             for row in zip(*columns)).encode())
-            return
-        formatters = [_formatter(f, c) for f, c in zip(fields, columns)]
-        for start in range(0, rows, _BLOCK_ROWS):
-            text = _block(formatters, start, min(start + _BLOCK_ROWS, rows))
-            fh.write(text[text != _PAD])
+    if rows < _BLOCK_ROWS:
+        return ["".join(fmt % row + end for row in zip(*columns)).encode()]
+    formatters = [_formatter(f, c) for f, c in zip(fields, columns)]
+    return (_block(formatters, start, min(start + _BLOCK_ROWS, rows), end)
+            for start in range(0, rows, _BLOCK_ROWS))
 
 
-def _block(formatters, start, stop) -> np.ndarray:
-    """Rows start to stop as one padded (rows, width) uint8 array."""
+def _block(formatters, start, stop, end) -> np.ndarray:
+    """The UTF-8 text of rows start to stop."""
     comma = np.full((stop - start, 1), ord(","), np.uint8)
     blocks = []
     for field in formatters:
         blocks += [field(start, stop), comma]
-    blocks[-1] = np.full_like(comma, ord("\n"))
-    return np.concatenate(blocks, axis=1)
+    blocks[-1] = np.full_like(comma, ord(end))
+    text = np.concatenate(blocks, axis=1)
+    return text[text != _PAD]
 
 
 def _formatter(field, column):
@@ -99,15 +115,18 @@ def _formatter(field, column):
     if field == "%.12e" and values.dtype.kind in "biuf":
         values = values.astype(np.float64, copy=False)
         return lambda start, stop: _exp12(values[start:stop])
+    if field == "%.2f" and values.dtype.kind in "biuf":
+        values = values.astype(np.float64, copy=False)
+        return lambda start, stop: _fixed2(values[start:stop])
     if field == "%d" and values.dtype.kind in "iu":
         return lambda start, stop: _integers(values[start:stop])
     return lambda start, stop: _python(field, column[start:stop])
 
 
-def _python(field, values, width=None) -> np.ndarray:
+def _python(field, values, width=0) -> np.ndarray:
     """``field % v`` for each value, padded to ``width`` or the longest."""
     text = [(field % v).encode() for v in values]
-    width = width or max(map(len, text))
+    width = max([width, *map(len, text)])
     padded = b"".join(t.ljust(width, b"\xff") for t in text)
     return np.frombuffer(padded, np.uint8).reshape(len(text), width)
 
@@ -170,4 +189,30 @@ def _exp12(x: np.ndarray) -> np.ndarray:
     out[out[:, 17] == _ZERO, 17] = _PAD
     if fallback.any():
         out[fallback] = _python("%.12e", x[fallback].tolist(), _E_WIDTH)
+    return out
+
+
+def _fixed2(x: np.ndarray) -> np.ndarray:
+    """``%.2f`` of a float64 block."""
+    fast = ~np.signbit(x) & (x < 1e6)
+    # Below 1e6, x * 100 lies within 7.5e-9 of the exact number of
+    # hundredths, so rint gives Python's digits unless it lies within 1e-6
+    # of a tie.  Nine digits of hundredths make 1e6 or more.
+    s = np.where(fast, x, 0.0) * 100.0
+    hundredths = np.rint(s)
+    fallback = (~fast | (np.abs(s - np.floor(s) - 0.5) < 1e-6)
+                | (hundredths >= 1e8))
+    hundredths = hundredths.astype(np.int64)
+
+    out = np.empty((len(x), _F_WIDTH), np.uint8)
+    digits = _digits(hundredths, 8)
+    out[:, :6] = digits[:, :6]
+    out[:, 6] = ord(".")
+    out[:, 7:] = digits[:, 6:]
+    out[:, :5][hundredths[:, None] < _F_LEADING] = _PAD
+    if fallback.any():
+        text = _python("%.2f", x[fallback].tolist(), _F_WIDTH)
+        out = np.pad(out, ((0, 0), (0, text.shape[1] - _F_WIDTH)),
+                     constant_values=_PAD)
+        out[fallback] = text
     return out

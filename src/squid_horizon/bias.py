@@ -87,26 +87,35 @@ class FluxPulse:
         return self.dc_offset + self.amplitude
 
 
-def _shape_fraction(pulse: FluxPulse, arg):
+def _shape_fraction(pulse: FluxPulse, arg, out=None):
     # arg is the scaled front coordinate s * (distance from front centre).
+    # Each step writes into out, which may be arg itself; without one each
+    # step allocates, as the plain expression would.
     if pulse.shape == "tanh":
-        moving = 0.5 * pulse.amplitude * (1.0 - np.tanh(arg))
+        moving = np.multiply(0.5 * pulse.amplitude, np.subtract(
+            1.0, np.tanh(arg, out=out), out=out), out=out)
     else:
-        moving = pulse.amplitude * np.exp(-0.5 * arg * arg)
-    return pulse.dc_offset + moving
+        # -0.5 * arg goes to a scratch of its own: out may be arg.
+        moving = np.multiply(pulse.amplitude, np.exp(np.multiply(
+            np.multiply(-0.5, arg), arg, out=out), out=out), out=out)
+    return np.add(pulse.dc_offset, moving, out=out)
 
 
-def flux_fraction_at(pulse: FluxPulse, x, t: float):
+def flux_fraction_at(pulse: FluxPulse, x, t: float, out=None):
     """Flux through the loop at lab position x and time t, in units of Phi_0.
 
     Accepts scalar or array x.  Away from the front the profile is exactly
     one of two plateau values; front_window says where.  For an array x, t
     may be an array that broadcasts against it, such as a column of times;
-    each element equals the call with that one time.
+    each element equals the call with that one time.  The result is
+    written into out, a float array of the broadcast shape, when one is
+    given; the bits are the same either way.
     """
     s = pulse.steepness_at(t)
-    arg = s * (np.asarray(x, dtype=float) - pulse.front_position - pulse.velocity * t)
-    out = _shape_fraction(pulse, arg)
+    arg = np.multiply(s, np.subtract(
+        np.asarray(x, dtype=float) - pulse.front_position,
+        pulse.velocity * t, out=out), out=out)
+    out = _shape_fraction(pulse, arg, out=out)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -119,9 +128,10 @@ def front_window(pulse: FluxPulse, t,
     Returns (lo, hi, left, right): flux_fraction_at at time t is exactly
     left at positions[:lo] and exactly right at positions[hi:], so only
     positions[lo:hi] need evaluating.  The window is one sample wider on
-    each side than the saturation threshold demands.  t may be an array of
-    times; the window is then the union of their windows, from the
-    smallest lo to the largest hi.
+    each side than the saturation threshold demands, and empty when the
+    front lies wholly beyond the first or the last position.  t may be an
+    array of times; the window is then the union of their windows, from
+    the smallest lo to the largest hi.
 
     Raises ValueError when any t lies before the broadening pole
     t = -1/(b*u), where the steepness turns negative.
@@ -153,9 +163,13 @@ def _window(pulse: FluxPulse, t, centre, positions):
                          "broadening pole" % (s.flat[first],
                                               np.ravel(t)[first]))
     half_width = _SATURATION[pulse.shape] / s
+    n = len(positions)
     lo, hi = np.asarray(positions).searchsorted(
         [np.min(centre - half_width), np.max(centre + half_width)]).tolist()
-    return (max(lo - 1, 0), min(hi + 1, len(positions)),
+    # A front wholly beyond either end leaves the window empty there.
+    if hi > 0 and lo < n:
+        lo, hi = max(lo - 1, 0), min(hi + 1, n)
+    return (lo, hi,
             *_shape_fraction(pulse, np.array([-math.inf, math.inf])).tolist())
 
 

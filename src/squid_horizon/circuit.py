@@ -165,12 +165,16 @@ def _flux_fraction(flux):
 def _finite_quotient(numerator: float, denominator, what: str):
     # A positive numerator over denominators >= 0, checked on the largest
     # quotient before a zero denominator raises (float) or warns (array).
-    smallest = (np.minimum.reduce(denominator, axis=None, initial=math.inf)
-                if isinstance(denominator, np.ndarray) else denominator)
-    if smallest > 0.0 and math.isfinite(numerator / smallest):
+    # A float quotient that underflows to zero is refused too; for an
+    # array that would take a second pass, and no caller divides by one.
+    if isinstance(denominator, np.ndarray):
+        smallest = np.minimum.reduce(denominator, axis=None, initial=math.inf)
+        if smallest > 0.0 and math.isfinite(numerator / smallest):
+            return numerator / denominator
+    elif denominator > 0.0 and 0.0 < numerator / denominator < math.inf:
         return numerator / denominator
-    raise NonFinite("%s is not finite: a product of the array and junction "
-                    "parameters over- or underflows" % what)
+    raise NonFinite("%s is zero or not finite: a product of the array and "
+                    "junction parameters over- or underflows" % what)
 
 
 def squid_critical_current(squid: SquidParams, flux):
@@ -189,11 +193,13 @@ def effective_plasma_frequency(squid: SquidParams, flux: float) -> float:
     """Plasma frequency (rad/s) of the flux-tuned SQUID.
 
     Uses the parallel capacitance of the two junctions, so at zero flux it
-    coincides with the single-junction plasma frequency.
+    coincides with the single-junction plasma frequency.  Raises NonFinite
+    when its square is zero or infinite in float arithmetic.
     """
     ics = squid_critical_current(squid, flux)
     cj2 = 2.0 * squid.junction.capacitance
-    return math.sqrt(2.0 * math.pi * ics / (cj2 * FLUX_QUANTUM))
+    return math.sqrt(_finite_quotient(2.0 * math.pi * ics, cj2 * FLUX_QUANTUM,
+                                      "plasma frequency"))
 
 
 def inverse_inductance_stretch(ratio: np.ndarray,
@@ -218,14 +224,16 @@ def josephson_inductance(squid: SquidParams, flux):
     return FLUX_QUANTUM / (2.0 * math.pi * squid_critical_current(squid, flux))
 
 
-def relative_inductance(fraction):
+def relative_inductance(fraction, out=None):
     """Zero-current inductance L/L(0) = 1/cos(pi*f) at flux fraction f.
 
     The scaled form of josephson_inductance that the leapfrog kernel steps
     with.  f is not range-checked: callers pass flux fractions of a
-    FluxPulse, which stay below half a quantum.
+    FluxPulse, which stay below half a quantum.  Written into out, a float
+    array of f's shape that may be f itself, when one is given.
     """
-    return 1.0 / _namespace(fraction).cos(math.pi * fraction)
+    return np.divide(1.0, np.cos(np.multiply(math.pi, fraction, out=out),
+                                 out=out), out=out)
 
 
 def cell_time(array: ArrayParams, squid: SquidParams, flux):
@@ -241,7 +249,8 @@ def cell_time(array: ArrayParams, squid: SquidParams, flux):
 def cell_velocity(array: ArrayParams, squid: SquidParams, flux):
     """Low-frequency propagation speed a/sqrt(L*C0) of the loaded line (m/s).
 
-    Raises NonFinite when L*C0 underflows to zero or the speed overflows.
+    Raises NonFinite when L*C0 underflows to zero, the speed overflows, or
+    a float speed underflows to zero.
     """
     return _finite_quotient(array.cell_length,
                             cell_time(array, squid, flux),

@@ -251,6 +251,9 @@ class March:
                 bias.flux_fraction_at(pulse, positions, 0.0))
         else:
             rate = np.empty(n)  # filled by each block of steps
+            # Each block's rows of rates, computed in place.  Pages past the
+            # widest block's rows are never touched, so never resident.
+            rows = np.empty(_BLOCK * n)
 
         self.potential = pot = initial.potential.copy()
         self.momentum = mom = initial.momentum / (scales.momentum_unit * kick)
@@ -300,9 +303,12 @@ class March:
                                                             positions)
                     rate[:lo], rate[hi:] = rate_unit / (
                         circuit.relative_inductance(np.array([left, right])))
-                    rate_rows = circuit.relative_inductance(
-                        bias.flux_fraction_at(pulse, positions[lo:hi],
-                                              half_times[:, np.newaxis]))
+                    rate_rows = rows[:len(block) * (hi - lo)].reshape(
+                        len(block), hi - lo)
+                    bias.flux_fraction_at(pulse, positions[lo:hi],
+                                          half_times[:, np.newaxis],
+                                          out=rate_rows)
+                    circuit.relative_inductance(rate_rows, out=rate_rows)
                     np.divide(rate_unit, rate_rows, out=rate_rows)
 
                 for m in block:

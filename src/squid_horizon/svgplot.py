@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
+from . import _csv
+
 __all__ = ["line_plot"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -53,23 +57,24 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
     for a value that is not finite, and naming the axis for an extent
     that overflows.
     """
-    xs, ys = [], []
+    arrays = []
     for x, y, label in series:
-        x, y = [float(v) for v in x], [float(v) for v in y]
-        if not all(map(math.isfinite, x + y)):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("series %r has a value that is not finite"
                              % (label,))
-        xs += x
-        ys += y
+        arrays.append((x, y, label))
     for x, label in vlines:
         if not math.isfinite(x):
             raise ValueError("marker %r is not finite" % (label,))
-        xs.append(float(x))
-    if not xs or not ys:
+    xs = np.concatenate([[float(x) for x, _ in vlines],
+                         *(x for x, _, _ in arrays)])
+    ys = np.concatenate([[], *(y for _, y, _ in arrays)])
+    if not xs.size or not ys.size:
         raise ValueError("line_plot needs at least one point")
 
     def padded(values, axis):
-        lo, hi = min(values), max(values)
+        lo, hi = float(values.min()), float(values.max())
         # Far from zero 1.0 rounds away, and a tick step below an ulp of
         # the ticks never advances.
         width = 1e-12 * max(abs(lo), abs(hi))
@@ -87,11 +92,13 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    # Pixel coordinates of a float or of a float array, element by element
+    # the same operations.
     def sx(x):
-        return _MARGIN_L + (float(x) - x0) / (x1 - x0) * plot_w
+        return _MARGIN_L + (x - x0) / (x1 - x0) * plot_w
 
     def sy(y):
-        return _MARGIN_T + plot_h - (float(y) - y0) / (y1 - y0) * plot_h
+        return _MARGIN_T + plot_h - (y - y0) / (y1 - y0) * plot_h
 
     parts = []
     parts.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
@@ -131,7 +138,7 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
                  % (_MARGIN_T + plot_h // 2, _MARGIN_T + plot_h // 2, ylabel))
 
     for x, label in vlines:
-        px = sx(x)
+        px = sx(float(x))
         parts.append('<line x1="%.2f" y1="%d" x2="%.2f" y2="%d" '
                      'stroke="#555" stroke-dasharray="5,4"/>'
                      % (px, _MARGIN_T, px, _MARGIN_T + plot_h))
@@ -139,10 +146,11 @@ def line_plot(path, series: Sequence[tuple], title: str, xlabel: str,
                      'font-size="11" text-anchor="middle">%s</text>'
                      % (px, _MARGIN_T - 6, label))
 
-    for i, (x, y, label) in enumerate(series):
+    for i, (x, y, label) in enumerate(arrays):
         color = _COLORS[i % len(_COLORS)]
-        points = " ".join("%.2f,%.2f" % (sx(px), sy(py))
-                          for px, py in zip(x, y))
+        n = min(len(x), len(y))
+        points = b"".join(_csv.format_rows("%.2f,%.2f", sx(x[:n]), sy(y[:n]),
+                                           end=" ")).decode()[:-1]
         parts.append('<polyline fill="none" stroke="%s" stroke-width="1.5" '
                      'points="%s"/>' % (color, points))
         if label:

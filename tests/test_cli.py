@@ -505,6 +505,32 @@ class TestArithmeticLimits:
         assert err.startswith("error: ")
         assert "not finite" in err
 
+    @pytest.mark.parametrize("changes, scale", [
+        # 2*C_J*Phi_0 underflows to zero: the plasma frequency was a
+        # ZeroDivisionError.
+        ({"junction__critical_current": 5e-324,
+          "junction__capacitance": 5e-324, "squid__loop_inductance": 0.0,
+          "array__ground_capacitance": 5e-324, "array__cell_length": 5e-324,
+          "pulse__steepness": 5e-324}, "plasma frequency"),
+        # L*C0 overflows and a/sqrt(L*C0) underflows to zero: the pulse
+        # speed ratio was a ZeroDivisionError.
+        ({"junction__critical_current": 1.27e-228,
+          "squid__loop_inductance": 1e150,
+          "array__ground_capacitance": 1.98e117,
+          "array__cell_length": 5.2e-279}, "cell speed a/sqrt(L*C0)")],
+        ids=["subnormal-capacitances", "vanishing-cell-speed"])
+    def test_validate_arithmetic_limits_are_errors(self, tmp_path, capsys,
+                                                   changes, scale):
+        cfg = write_variant(tmp_path / "c.json", **changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["validate", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s is zero or not finite" % scale)
+        assert err.count("\n") == 1
+
 
 class TestEntryPoint:
     def test_subcommand_required(self):

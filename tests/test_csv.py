@@ -1,11 +1,12 @@
 """The CSV writer against a plain reference writer, byte for byte.
 
-``write_csv`` formats ``%.12e`` and ``%d`` columns with numpy once a file
-has a block of rows; the reference below is the per-row ``%`` it must
-reproduce exactly.  The property tests shrink the block to a few rows, so
-that numpy formats their short columns across several blocks.
+``write_csv`` formats ``%.12e``, ``%.2f`` and ``%d`` columns with numpy
+once a file has a block of rows; the reference below is the per-row ``%``
+it must reproduce exactly.  The property tests shrink the block to a few
+rows, so that numpy formats their short columns across several blocks.
 """
 
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -59,6 +60,32 @@ def decimal_edges(draw):
 
 doubles = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
                               allow_subnormal=True), decimal_edges())
+
+
+@st.composite
+def hundredths_edges(draw):
+    """Doubles where rounding to hundredths is hardest: decimal ties
+    n.nn5 below 1e6 (2.675 is stored just below its tie), binary ties
+    such as 0.125, and the last values before seven integer digits, each
+    exactly or one ulp either side, with either sign."""
+    kind = draw(st.sampled_from(["decimal", "binary", "rollover"]))
+    if kind == "decimal":
+        value = float("%d5e-3" % draw(st.integers(0, 10**9)))
+    elif kind == "binary":
+        value = (draw(st.integers(0, 10**6))
+                 + draw(st.sampled_from([0.125, 0.375, 0.625, 0.875])))
+    else:
+        value = draw(st.sampled_from([999.995, 999999.99, 999999.995,
+                                      1e6]))
+    step = draw(st.sampled_from([-np.inf, 0.0, np.inf]))
+    if step:
+        value = float(np.nextafter(value, step))
+    return -value if draw(st.booleans()) else value
+
+
+bit_patterns = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+pixels = st.one_of(bit_patterns, st.floats(0.0, 1e6), hundredths_edges())
 texts = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
 
 
@@ -77,6 +104,19 @@ class TestMatchesPercentFormatting:
         column = np.array(values, dtype=np.float64)
         assert written("x", "%.12e", column, block=block) == \
             reference_csv("x", "%.12e", column)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(values=st.lists(pixels, max_size=40), block=blocks)
+    @example(values=[0.0, -0.0, 0.125, 0.375, 2.675, 2.665, 0.005, 0.015,
+                     1.005, 999.995, 999999.99, 999999.995,
+                     999999.9999999999, 1e6, 5e-324, 1e300, -1e300,
+                     float("nan"), -float("nan"), float("inf"),
+                     -float("inf")], block=4)
+    def test_fixed_two_decimals(self, values, block):
+        column = np.array(values, dtype=np.float64)
+        assert written("x", "%.2f", column, block=block) == \
+            reference_csv("x", "%.2f", column)
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=200)

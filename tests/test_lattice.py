@@ -837,6 +837,11 @@ class TestWindowedKernel:
         "leaving-tanh": sh.FluxPulse(
             amplitude=0.2, dc_offset=0.05, velocity=SPEED, steepness=3.2e6,
             front_position=420 * CELL_LENGTH),
+        # Past the last cell within a few blocks: the window shrinks to
+        # zero width and stays there.
+        "departed-tanh": sh.FluxPulse(
+            amplitude=0.2, dc_offset=0.05, velocity=SPEED, steepness=3.2e6,
+            front_position=470 * CELL_LENGTH, broadening=2.0e4),
     }
 
     @staticmethod
@@ -922,11 +927,30 @@ class TestWindowedKernel:
                              for name in ("entering-tanh", "leaving-tanh"))
         dt = lattice.stable_timestep(make_array(self.N), ref_squid, leaving)
         end = self.STEPS * dt
-        assert bias.front_window(entering, 0.0, positions)[:2] == (0, 1)
+        # Wholly before the first cell, then over it, then past it.
+        assert bias.front_window(entering, 0.0, positions)[:2] == (0, 0)
+        lo, hi = bias.front_window(entering, 0.5 * end, positions)[:2]
+        assert lo == 0 < hi < self.N
         assert bias.front_window(entering, end, positions)[0] > 0
         assert bias.front_window(leaving, 0.0, positions)[1] < self.N
+        lo, hi = bias.front_window(leaving, 0.5 * end, positions)[:2]
+        assert 0 < lo < hi == self.N
         assert bias.front_window(leaving, end, positions)[:2] == (
-            self.N - 1, self.N)
+            self.N, self.N)
+
+    def test_departed_front_leaves_empty_windows(self, ref_squid):
+        # The last blocks' windows, as the March takes them, have zero
+        # width: a reused rows buffer is checked at zero width as well.
+        pulse = self.PULSES["departed-tanh"]
+        positions = (np.arange(self.N) + 0.5) * CELL_LENGTH
+        dt = lattice.stable_timestep(make_array(self.N), ref_squid, pulse)
+        step_times = np.arange(self.STEPS) * dt
+        windows = [bias.front_window(
+            pulse, step_times[first:first + lattice._BLOCK] + 0.5 * dt,
+            positions)[:2]
+            for first in range(0, self.STEPS, lattice._BLOCK)]
+        assert windows[0][0] < windows[0][1] == self.N
+        assert windows[-4:] == [(self.N, self.N)] * 4
 
     @pytest.mark.parametrize("boundary", ["reflecting", "absorbing"])
     @pytest.mark.parametrize("name", sorted(PULSES))

@@ -1,5 +1,7 @@
 """Generated vector plots: structure and determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,58 @@ def test_edges_of_float_range(tmp_path, axis, ends, error):
             svgplot.line_plot(path, [(x, y, "edge")], title="t",
                               xlabel="x", ylabel="y")
         assert not path.exists()
+
+
+def reference_points(series, vlines=()):
+    """Each polyline's points attribute as line_plot wrote it one point at
+    a time: the same axes, then "%.2f,%.2f" % (sx(x), sy(y)) per point."""
+    xs = ([float(v) for x, _, _ in series for v in x]
+          + [float(x) for x, _ in vlines])
+    ys = [float(v) for _, y, _ in series for v in y]
+
+    def padded(values):
+        lo, hi = min(values), max(values)
+        width = 1e-12 * max(abs(lo), abs(hi))
+        if hi - lo <= width:
+            width = max(1.0, width)
+            lo, hi = lo - width, hi + width
+        pad = 0.05 * (hi - lo)
+        return lo - pad, hi + pad
+
+    (x0, x1), (y0, y1) = padded(xs), padded(ys)
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_L - svgplot._MARGIN_R
+    plot_h = svgplot._HEIGHT - svgplot._MARGIN_T - svgplot._MARGIN_B
+
+    def sx(x):
+        return svgplot._MARGIN_L + (float(x) - x0) / (x1 - x0) * plot_w
+
+    def sy(y):
+        return (svgplot._MARGIN_T + plot_h
+                - (float(y) - y0) / (y1 - y0) * plot_h)
+
+    return [" ".join("%.2f,%.2f" % (sx(px), sy(py)) for px, py in zip(x, y))
+            for x, y, _ in series]
+
+
+_RNG = np.random.default_rng(17)
+_LONG = np.sort(_RNG.uniform(-3.0, 7.0, 5000))  # past one block of rows
+
+
+@pytest.mark.parametrize("series, vlines", [
+    ([([0, 1, 2, 3], [1.5, -2, 3, 0.25], "list"),
+      (list(_LONG), list(np.sin(_LONG)), "long list")], ()),
+    ([(_LONG, _RNG.standard_normal(5000) * 1e-6, "final"),
+      (_LONG, np.exp(-_LONG * _LONG), "initial")], ()),
+    ([(np.array([2.0]), np.array([3.0]), "point"),
+      (_LONG, np.cos(_LONG), "long")], ()),
+    ([(np.array([2.0]), np.array([3.0]), "point")], ()),
+    ([(_LONG, np.full(5000, 0.25), "flat")], ()),
+    ([(_LONG, np.tanh(_LONG), "tanh")], [(-40.0, "before"), (1e3, "after")]),
+], ids=["lists", "arrays", "one-point-and-long", "one-point", "flat",
+        "markers-outside-the-data"])
+def test_points_match_per_point_formatting(tmp_path, series, vlines):
+    path = tmp_path / "p.svg"
+    svgplot.line_plot(path, series, title="t", xlabel="x", ylabel="y",
+                      vlines=vlines)
+    points = re.findall(r'<polyline [^>]*points="([^"]*)"', path.read_text())
+    assert points == reference_points(series, vlines)
