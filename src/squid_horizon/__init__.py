@@ -27,9 +27,6 @@ from .circuit import (
 )
 from .dispersion import (
     DispersionCurve,
-    cutoff_scale,
-    front_resolved,
-    front_spectral_fraction,
     measure_dispersion,
     omega_analytic,
     write_dispersion_csv,

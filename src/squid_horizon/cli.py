@@ -135,11 +135,11 @@ def _cmd_validate(args) -> int:
 def _cmd_profile(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    profile = geometry.velocity_profile(cfg.array, cfg.squid, cfg.pulse, 0.0)
-    horizons = geometry.find_horizons(profile)
     c_ahead = circuit.cell_velocity(
         cfg.array, cfg.squid,
         cfg.pulse.dc_offset * FLUX_QUANTUM)
+    profile = geometry.velocity_profile(cfg.array, cfg.squid, cfg.pulse, 0.0)
+    horizons = geometry.find_horizons(profile)
     print("flow speed u = %.6e m/s, c ahead of front = %.6e m/s"
           % (profile.flow_speed, c_ahead))
     if not horizons:

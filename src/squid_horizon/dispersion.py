@@ -1,4 +1,4 @@
-"""Lattice dispersion: analytic relation, measurement, and cutoff scales.
+"""Lattice dispersion: the analytic relation and its measurement.
 
 The discrete line carries waves with omega = (2/sqrt(L C0)) |sin(k a / 2)|,
 linear at long wavelength with speed a/sqrt(L C0) and saturating at the zone
@@ -25,24 +25,15 @@ __all__ = [
     "COURANT_FRACTION",
     "DRIVE_AMPLITUDE",
     "FIT_PERIODS",
-    "FRONT_KA_LIMIT",
     "RAMP_PERIODS",
     "RESIDUAL_THRESHOLD",
     "SETTLE_PERIODS",
     "WINDOW_WAVELENGTHS",
     "DispersionCurve",
-    "cutoff_scale",
-    "front_spectral_fraction",
-    "front_resolved",
     "measure_dispersion",
     "omega_analytic",
     "write_dispersion_csv",
 ]
-
-# A front with over _POWER_TOLERANCE of its gradient power above half a radian
-# per cell undercuts the smooth-geometry picture; front_resolved flags it.
-FRONT_KA_LIMIT = 0.5
-_POWER_TOLERANCE = 1e-3
 
 # measure_dispersion drives node 0 of a "reflecting" March with amplitude
 # DRIVE_AMPLITUDE, ramped on as sin^2 over RAMP_PERIODS drive periods, and
@@ -103,18 +94,6 @@ def omega_analytic(k, cell_time: float, cell_length: float):
         raise OutOfBand("|k| exceeds the zone edge pi/a = %.4e 1/m" % edge)
     out = (2.0 / cell_time) * np.abs(np.sin(0.5 * k * cell_length))
     return float(out) if out.ndim == 0 else out
-
-
-def cutoff_scale(array: circuit.ArrayParams, squid: circuit.SquidParams,
-                 flux: float) -> float:
-    """Analogue short-distance scale c/omega_p (m) at the given flux bias.
-
-    Both the propagation speed and the plasma frequency scale with the same
-    root-cosine flux factor, so the scale is flux-independent; it exceeding
-    the cell length is what lets the smooth description apply.
-    """
-    speed = circuit.cell_velocity(array, squid, flux)
-    return speed / circuit.effective_plasma_frequency(squid, flux)
 
 
 def _source_kicks(w: float, times: np.ndarray, dt: float):
@@ -256,34 +235,6 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
                            omega_analytic=omega_analytic(k, cell_time, a),
                            omega_measured=w_drive, cell_time=cell_time,
                            cell_length=a)
-
-
-def front_spectral_fraction(pulse: bias.FluxPulse,
-                            array: circuit.ArrayParams) -> float:
-    """Fraction of the front-gradient power above ka = FRONT_KA_LIMIT, at
-    t = 0: broadening to s0/(1 + b u t) only makes the front smoother."""
-    a = array.cell_length
-    s = pulse.steepness
-    width = 1.0 / max(s, 1.0 / (array.n_cells * a))
-    span = max(40.0 * width, 40.0 * a)
-    m = 8192
-    x = np.linspace(-span, span, m, endpoint=False)
-    dx = 2.0 * span / m
-    frac = bias.comoving_flux_fraction(pulse, x + pulse.front_position, 0.0)
-    # Scalar spacing keeps the gradient of a constant profile exactly zero;
-    # per-point spacings would inject rounding noise across the spectrum.
-    gradient = np.gradient(frac, dx)
-    power = np.abs(np.fft.rfft(gradient)) ** 2
-    k = 2.0 * np.pi * np.fft.rfftfreq(m, d=dx)
-    total = power.sum()
-    if total == 0.0:
-        return 0.0
-    return float(power[k * a > FRONT_KA_LIMIT].sum() / total)
-
-
-def front_resolved(pulse: bias.FluxPulse, array: circuit.ArrayParams) -> bool:
-    """True when the bias front is smooth on the lattice scale."""
-    return front_spectral_fraction(pulse, array) <= _POWER_TOLERANCE
 
 
 def write_dispersion_csv(path, curve: DispersionCurve) -> None:

@@ -142,6 +142,10 @@ class BudgetReport:
 
 def temperature_budget(cfg: RunConfig) -> BudgetReport:
     """Temperature history and photon count for the configured pulse."""
+    # The float speed ahead of the front first: a line whose L*C0 over- or
+    # underflows is a NonFinite error, not a line without a horizon.
+    circuit.cell_velocity(cfg.array, cfg.squid,
+                          cfg.pulse.dc_offset * FLUX_QUANTUM)
     budget = geometry.photons_per_pulse(cfg.array, cfg.squid, cfg.pulse)
     t0 = float(budget.temperatures[0])
     t_1000 = 1000.0 * cfg.array.cell_length / cfg.pulse.velocity

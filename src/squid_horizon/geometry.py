@@ -369,12 +369,13 @@ def _window_horizons(array, squid, pulse, times):
     # from the front's window at the last, widest time: off it the profile
     # is exactly flat at every time.  The first time is a block of its own,
     # and no row block is scanned after one with a row without a crossing,
-    # so a line without a crossing at the first time scans one row.
+    # so a line without a crossing at the first time scans one row.  A grid
+    # that rounding collapses onto the front's centre has an empty window.
     grid = _comoving_grid(array, pulse)
     spacing = _grid_step(grid)
     lo, hi = bias.comoving_window(pulse, times[-1], grid)[:2]
     window = grid[lo:hi]
-    per_block = max(1, _BLOCK_ELEMENTS // len(window))
+    per_block = max(1, _BLOCK_ELEMENTS // (len(window) or 1))
     edges = [0, *range(1, len(times), per_block), len(times)]
     blocks = []
     for first, stop in zip(edges, edges[1:]):

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import squid_horizon
 from squid_horizon import cli, config, lattice
 from squid_horizon.cli import main
 
+from test_config import valid_documents
 from test_csv import reference_csv
 
 
@@ -487,6 +490,12 @@ def test_every_written_file_is_announced(tmp_path, capsys, argv, emit):
         ({".svg"} if emit and argv[:2] != ["reproduce", "trapping"] else set())
 
 
+VANISHING_CELL_SPEED = {"junction__critical_current": 1.27e-228,
+                        "squid__loop_inductance": 1e150,
+                        "array__ground_capacitance": 1.98e117,
+                        "array__cell_length": 5.2e-279}
+
+
 class TestArithmeticLimits:
     @pytest.mark.parametrize("command", ["validate", "profile", "budget"])
     def test_underflowing_capacitance_is_an_error(self, tmp_path, capsys,
@@ -505,31 +514,68 @@ class TestArithmeticLimits:
         assert err.startswith("error: ")
         assert "not finite" in err
 
-    @pytest.mark.parametrize("changes, scale", [
+    @pytest.mark.parametrize("command, changes, message", [
         # 2*C_J*Phi_0 underflows to zero: the plasma frequency was a
         # ZeroDivisionError.
-        ({"junction__critical_current": 5e-324,
-          "junction__capacitance": 5e-324, "squid__loop_inductance": 0.0,
-          "array__ground_capacitance": 5e-324, "array__cell_length": 5e-324,
-          "pulse__steepness": 5e-324}, "plasma frequency"),
+        pytest.param("validate", {
+            "junction__critical_current": 5e-324,
+            "junction__capacitance": 5e-324, "squid__loop_inductance": 0.0,
+            "array__ground_capacitance": 5e-324, "array__cell_length": 5e-324,
+            "pulse__steepness": 5e-324},
+            "plasma frequency is zero or not finite",
+            id="subnormal-capacitances"),
         # L*C0 overflows and a/sqrt(L*C0) underflows to zero: the pulse
-        # speed ratio was a ZeroDivisionError.
-        ({"junction__critical_current": 1.27e-228,
-          "squid__loop_inductance": 1e150,
-          "array__ground_capacitance": 1.98e117,
-          "array__cell_length": 5.2e-279}, "cell speed a/sqrt(L*C0)")],
-        ids=["subnormal-capacitances", "vanishing-cell-speed"])
+        # speed ratio was a ZeroDivisionError, the profile's L*C0 overflowed
+        # with a warning, and the budget's profile speeds were all zero, a
+        # line without a horizon.
+        pytest.param("validate", VANISHING_CELL_SPEED,
+                     "cell speed a/sqrt(L*C0) is zero or not finite",
+                     id="vanishing-cell-speed"),
+        pytest.param("profile", VANISHING_CELL_SPEED,
+                     "cell speed a/sqrt(L*C0) is zero or not finite",
+                     id="profile-vanishing-cell-speed"),
+        pytest.param("budget", VANISHING_CELL_SPEED,
+                     "cell speed a/sqrt(L*C0) is zero or not finite",
+                     id="budget-vanishing-cell-speed"),
+        # The cell pitch is below the float spacing at the front, so the
+        # comoving grid collapses onto one float beside it and the front's
+        # window is empty: the scan was a ZeroDivisionError.
+        pytest.param("budget", {"pulse__front_position": 1e20},
+                     "no black horizon at t = 0.000e+00 s",
+                     id="budget-collapsed-grid")])
     def test_validate_arithmetic_limits_are_errors(self, tmp_path, capsys,
-                                                   changes, scale):
+                                                   command, changes,
+                                                   message):
         cfg = write_variant(tmp_path / "c.json", **changes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["validate", "--config", str(cfg),
-                         "--out", str(tmp_path)])
+            code = main([command, "--config", str(cfg),
+                         "--out", str(tmp_path), "--emit", ""])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: %s is zero or not finite" % scale)
+        assert err.startswith("error: " + message)
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command", ["validate", "profile", "budget"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=valid_documents(max_cells=20_000))
+    def test_valid_configs_exit_with_a_code(self, tmp_path, capsys, command,
+                                            doc):
+        # Every accepted document ends in exit 0, 1 or 2 with no exception
+        # escaping main, and a run that succeeds prints no NaN or infinity.
+        # The one directory of the test is reused by every example.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), "--emit", ""])
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
 
 
 class TestEntryPoint:

@@ -12,6 +12,45 @@ from squid_horizon import bias, circuit, config, lattice
 from squid_horizon.errors import ConfigError, ParseError, UnknownKey
 
 
+@st.composite
+def valid_documents(draw, max_cells=2 ** 63 - 1):
+    """A configuration document with every key drawn from its valid
+    domain, so that from_dict accepts it."""
+    positive = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
+    nonnegative = st.floats(min_value=0.0, max_value=1e150)
+    return {
+        "junction": {"critical_current": draw(positive),
+                     "capacitance": draw(positive),
+                     "normal_resistance": draw(st.none() | positive)},
+        "squid": {"loop_inductance": draw(nonnegative)},
+        "array": {"n_cells": draw(st.integers(2, max_cells)),
+                  "cell_length": draw(positive),
+                  "ground_capacitance": draw(positive),
+                  "environment_impedance": draw(nonnegative)},
+        "pulse": {"amplitude": draw(st.floats(0.0, 0.2499)),
+                  "dc_offset": draw(st.floats(0.0, 0.2499)),
+                  "velocity": draw(nonnegative),
+                  "steepness": draw(positive),
+                  "front_position": draw(st.floats(-1e300, 1e300)),
+                  "broadening": draw(nonnegative),
+                  "shape": draw(st.sampled_from(["tanh", "gaussian"]))},
+        "solver": {"n_steps": draw(st.integers(1, 2 ** 63 - 1)),
+                   "dt": draw(st.none() | positive),
+                   "courant_fraction": draw(
+                       st.floats(0.0, 0.5, exclude_min=True)),
+                   "boundary": draw(st.sampled_from(
+                       ["reflecting", "absorbing"])),
+                   "record_every": draw(st.integers(0, 2 ** 63 - 1)),
+                   "current_dependent_inductance": draw(st.booleans()),
+                   "check_every": draw(st.integers(1, 2 ** 63 - 1))},
+        "audit": {"max_signal_frequency": draw(positive)},
+        "output": {"directory": draw(st.none() | st.text(max_size=12)),
+                   "emit": draw(st.lists(
+                       st.sampled_from(["csv", "svg", "bin"]),
+                       max_size=4))},
+    }
+
+
 class TestDefaults:
     def test_shipped_file_matches_builtin(self):
         assert config.load_config(config.defaults_path()) == \
@@ -140,45 +179,11 @@ class TestRoundTrip:
         assert config.load_config(path) == cfg
 
     @settings(derandomize=True, database=None, deadline=None)
-    @given(data=st.data())
-    def test_random_valid_config_roundtrips(self, data):
-        # Every key drawn from its valid domain, so from_dict accepts the
-        # document; dumps_config must then parse back to an equal
-        # configuration and serialise to the same text a second time.
-        draw = data.draw
-        positive = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
-        nonnegative = st.floats(min_value=0.0, max_value=1e150)
-        doc = {
-            "junction": {"critical_current": draw(positive),
-                         "capacitance": draw(positive),
-                         "normal_resistance": draw(st.none() | positive)},
-            "squid": {"loop_inductance": draw(nonnegative)},
-            "array": {"n_cells": draw(st.integers(2, 2 ** 63 - 1)),
-                      "cell_length": draw(positive),
-                      "ground_capacitance": draw(positive),
-                      "environment_impedance": draw(nonnegative)},
-            "pulse": {"amplitude": draw(st.floats(0.0, 0.2499)),
-                      "dc_offset": draw(st.floats(0.0, 0.2499)),
-                      "velocity": draw(nonnegative),
-                      "steepness": draw(positive),
-                      "front_position": draw(st.floats(-1e300, 1e300)),
-                      "broadening": draw(nonnegative),
-                      "shape": draw(st.sampled_from(["tanh", "gaussian"]))},
-            "solver": {"n_steps": draw(st.integers(1, 2 ** 63 - 1)),
-                       "dt": draw(st.none() | positive),
-                       "courant_fraction": draw(
-                           st.floats(0.0, 0.5, exclude_min=True)),
-                       "boundary": draw(st.sampled_from(
-                           ["reflecting", "absorbing"])),
-                       "record_every": draw(st.integers(0, 2 ** 63 - 1)),
-                       "current_dependent_inductance": draw(st.booleans()),
-                       "check_every": draw(st.integers(1, 2 ** 63 - 1))},
-            "audit": {"max_signal_frequency": draw(positive)},
-            "output": {"directory": draw(st.none() | st.text(max_size=12)),
-                       "emit": draw(st.lists(
-                           st.sampled_from(["csv", "svg", "bin"]),
-                           max_size=4))},
-        }
+    @given(doc=valid_documents())
+    def test_random_valid_config_roundtrips(self, doc):
+        # from_dict accepts the document; dumps_config must then parse back
+        # to an equal configuration and serialise to the same text a second
+        # time.
         cfg = config.from_dict(doc)
         text = config.dumps_config(cfg)
         again = config.loads_config(text)

@@ -14,7 +14,7 @@ from squid_horizon.cli import _DISPERSION_KA
 from squid_horizon.constants import FLUX_QUANTUM
 from squid_horizon.errors import BandLimit, FitFailure, OutOfBand
 
-from conftest import REF_CELL_LENGTH, REF_CELL_SPEED, REF_PULSE_SPEED
+from conftest import REF_CELL_LENGTH, REF_CELL_SPEED
 
 # 2 / sqrt(L0 C0) for the reference cell at zero flux.
 OMEGA_MAX = 31182225171438.945
@@ -146,65 +146,6 @@ class TestAnalyticRelation:
         k = np.linspace(0.05, 3.0, 60) / REF_CELL_LENGTH
         err = 1.0 - dispersion.omega_analytic(k, *cell) / (REF_CELL_SPEED * k)
         assert np.all(np.diff(err) > 0.0)
-
-
-class TestCutoffScale:
-    def test_reference_value(self, ref_array, ref_squid):
-        # c(0) / omega_p(0) = 3897778.146 / (2 pi * 1e12)
-        scale = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
-        assert isinstance(scale, float)
-        assert scale == pytest.approx(6.203506590798789e-07, rel=1e-12)
-        assert scale > REF_CELL_LENGTH
-
-    @pytest.mark.parametrize("fraction", [0.1, 0.2, 0.35, 0.45])
-    def test_flux_independent(self, ref_array, ref_squid, fraction):
-        # Speed and plasma frequency carry the same root-cosine factor.
-        flux = fraction * FLUX_QUANTUM
-        biased = dispersion.cutoff_scale(ref_array, ref_squid, flux)
-        base = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
-        assert biased == pytest.approx(base, rel=1e-12)
-
-    def test_margin_grows_as_pitch_shrinks(self, ref_array, ref_squid):
-        # Halving the pitch at fixed capacitance per length halves C0 too;
-        # the cutoff-to-pitch margin then grows by sqrt(2).
-        finer = sh.ArrayParams(
-            n_cells=ref_array.n_cells, cell_length=ref_array.cell_length / 2,
-            ground_capacitance=ref_array.ground_capacitance / 2,
-            environment_impedance=ref_array.environment_impedance)
-        coarse = dispersion.cutoff_scale(ref_array, ref_squid, 0.0)
-        fine = dispersion.cutoff_scale(finer, ref_squid, 0.0)
-        grow = (fine / finer.cell_length) / (coarse / ref_array.cell_length)
-        assert grow == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-class TestFrontSpectrum:
-    def test_reference_front_is_smooth(self, ref_array, step_pulse):
-        fraction = dispersion.front_spectral_fraction(step_pulse, ref_array)
-        assert 0.0 < fraction < 1e-3
-        assert dispersion.front_resolved(step_pulse, ref_array)
-
-    def test_sharp_front_is_flagged(self, ref_array):
-        sharp = sh.FluxPulse(amplitude=0.2, velocity=REF_PULSE_SPEED,
-                             steepness=1.0e7)
-        assert dispersion.front_spectral_fraction(sharp, ref_array) > 0.5
-        assert not dispersion.front_resolved(sharp, ref_array)
-
-    def test_flat_profile_has_no_content(self, ref_array):
-        flat = sh.FluxPulse(amplitude=0.0, dc_offset=0.1)
-        assert dispersion.front_spectral_fraction(flat, ref_array) == 0.0
-
-    def test_gaussian_reference_is_smooth(self, ref_array):
-        pulse = sh.FluxPulse(amplitude=0.2, velocity=REF_PULSE_SPEED,
-                             steepness=4.36e5, shape="gaussian")
-        assert dispersion.front_resolved(pulse, ref_array)
-
-    def test_fraction_grows_with_steepness(self, ref_array):
-        fractions = [
-            dispersion.front_spectral_fraction(
-                sh.FluxPulse(amplitude=0.2, velocity=REF_PULSE_SPEED,
-                             steepness=s), ref_array)
-            for s in (4.0e5, 1.5e6, 4.0e6, 1.0e7)]
-        assert fractions == sorted(fractions)
 
 
 class TestMeasuredCurve:

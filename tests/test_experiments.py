@@ -304,6 +304,10 @@ SWEEP_CASES = {
     # A flat front whose steepness underflows to zero by the end of the
     # traversal, so its traversal fails where its t = 0 scan does not.
     "pole": {"pulse.steepness": 1.0e-30, "pulse.broadening": 1.0e300},
+    # A front so far out that the cell pitch is below the float spacing:
+    # the comoving grid collapses onto the front's centre, and the front's
+    # window is empty.
+    "collapsed-grid": {"pulse.front_position": 1.0e20},
 }
 
 
@@ -456,6 +460,8 @@ class TestSweep:
          "NoHorizon: no black horizon at t = 2.213e-10 s"),
         ("pole", "ValueError: front steepness 0 at t = 3.24071e-10 s: "
          "before the broadening pole",
+         "NoHorizon: profile has no c = u crossing"),
+        ("collapsed-grid", "NoHorizon: no black horizon at t = 0.000e+00 s",
          "NoHorizon: profile has no c = u crossing"),
     ])
     def test_cases_reach_their_errors(self, default_cfg, case, photon_first,
