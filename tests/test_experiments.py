@@ -2,14 +2,16 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from squid_horizon import circuit, cli, config, experiments, geometry
 from squid_horizon.constants import FLUX_QUANTUM, RESISTANCE_QUANTUM
-from squid_horizon.errors import (ConfigError, NoHorizon, ParseError,
-                                  SquidHorizonError, UnknownKey)
+from squid_horizon.errors import (ConfigError, NoHorizon, NonFinite,
+                                  ParseError, SquidHorizonError,
+                                  UnknownKey)
 
 from conftest import REF_CELL_SPEED
 
@@ -180,6 +182,21 @@ class TestBudget:
         report = experiments.temperature_budget(cfg)
         assert math.isnan(report.temperature_ratio_1000)
         assert report.targets_met["decay"] is False
+
+    def test_overflowing_line_is_non_finite(self):
+        # L*C0 overflows and a/sqrt(L*C0) underflows to zero: the speed
+        # ahead of the front is an error, not a line without a horizon,
+        # and no RuntimeWarning is raised on the way.
+        cfg = config.apply_override(config.default_config(), {
+            "junction.critical_current": 1.27e-228,
+            "squid.loop_inductance": 1e150,
+            "array.ground_capacitance": 1.98e117,
+            "array.cell_length": 5.2e-279})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=r"^cell speed a/sqrt\(L\*C0\)"
+                               r" is zero or not finite"):
+                experiments.temperature_budget(cfg)
 
     def test_traversal_time(self, budget_report, default_cfg):
         report, _ = budget_report

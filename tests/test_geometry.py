@@ -842,6 +842,18 @@ class TestPhotonBudget:
             array, squid, pulse, samples))
         assert windowed == full
 
+    def test_collapsed_grid_matches_full_line(self, ref_array, ref_squid,
+                                              broadening_pulse):
+        # At 1e20 m the cell pitch is below the float spacing, so the
+        # comoving grid collapses onto the front's centre and the front's
+        # window is empty; the verdict is still the full line's.
+        pulse = dataclasses.replace(broadening_pulse, front_position=1.0e20)
+        windowed = budget_bits(lambda: sh.photons_per_pulse(
+            ref_array, ref_squid, pulse, samples=5))
+        full = budget_bits(lambda: reference_budget(
+            ref_array, ref_squid, pulse, 5))
+        assert windowed == full == "NoHorizon"
+
     def test_rate_is_power_over_kt(self, ref_array, ref_squid, broadening_pulse):
         budget = sh.photons_per_pulse(ref_array, ref_squid, broadening_pulse,
                                       samples=9)
