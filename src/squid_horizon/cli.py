@@ -199,7 +199,10 @@ def _cmd_dispersion(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     flux_dc = cfg.pulse.dc_offset * FLUX_QUANTUM
-    omega_max = 2.0 / circuit.cell_time(cfg.array, cfg.squid, flux_dc)
+    # measure_dispersion divides by the same cell time.
+    omega_max = circuit._finite_quotient(
+        2.0, circuit.cell_time(cfg.array, cfg.squid, flux_dc),
+        "band edge 2/sqrt(L*C0)")
     freqs = [omega_max * math.sin(0.5 * ka) for ka in _DISPERSION_KA]
     curve = dispersion.measure_dispersion(cfg.array, cfg.squid, flux_dc,
                                           freqs)

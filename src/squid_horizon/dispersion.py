@@ -147,7 +147,6 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     # cos/sin of the drive by least squares, exact for a pure tone whether or
     # not the fit covers whole periods; the projection is summed over blocks
     # of _FIT_BLOCK steps.
-    a = array.cell_length
     omega_max = 2.0 / cell_time
     ka = 2.0 * math.asin(w / omega_max)
     wavelength_cells = 2.0 * math.pi / ka
@@ -156,9 +155,10 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     n = window_start + window_cells + 60
     line = replace(array, n_cells=n)
 
-    v_group = (a / cell_time) * math.cos(0.5 * ka)
     period = 2.0 * math.pi / w
-    settle_time = n * a / v_group + SETTLE_PERIODS * period
+    # The crossing time n a / v_group with v_group = a cos(ka/2)/cell_time,
+    # a cancelled: a speed that underflows would divide by zero.
+    settle_time = n * cell_time / math.cos(0.5 * ka) + SETTLE_PERIODS * period
     settle_steps = int(math.ceil(settle_time / dt))
     fit_steps = int(math.ceil(FIT_PERIODS * period / dt))
 

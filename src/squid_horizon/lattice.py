@@ -11,11 +11,6 @@ Kirchhoff's laws then read
 which a staggered leapfrog integrates exactly in its conservative structure:
 ``q`` lives on half steps and the cell inductance is sampled at the half
 step, so a time-varying flux bias enters only through the ``A`` update.
-
-Internally the solver is nondimensionalized (time in units of the inverse
-zero-bias plasma frequency, inductance in units of the zero-bias cell
-inductance) to keep both arrays near the drive amplitude; all public
-interfaces are SI.
 """
 
 from __future__ import annotations
@@ -173,39 +168,25 @@ def stable_timestep(array: circuit.ArrayParams, squid: circuit.SquidParams,
         array, squid, pulse.dc_offset * FLUX_QUANTUM)
 
 
-class _Scales:
-    """Nondimensionalization constants shared by the stepping routines."""
-
-    def __init__(self, array, squid):
-        self.l_ref = circuit.josephson_inductance(squid, 0.0)
-        self.t_ref = 1.0 / circuit.effective_plasma_frequency(squid, 0.0)
-        self.cap = array.ground_capacitance
-        self.chi = (self.t_ref / circuit.cell_time(array, squid, 0.0)) ** 2
-        # momentum: q_physical = q_scaled * l_ref * cap / t_ref
-        self.momentum_unit = self.l_ref * self.cap / self.t_ref
-        # I/I_c^s = 2*pi*|q|/Phi_0 at every flux, since L*I_c^s = Phi_0/(2*pi)
-        self.phase_unit = 2.0 * math.pi * self.momentum_unit / FLUX_QUANTUM
-
-
 class March:
     """The leapfrog of one run, handed to its consumer step by step.
 
     Iterating yields m = 0, 1, ..., n_steps, each time from the initial
     state.  At each yield ``potential`` (volts) and ``momentum`` (half a
-    step behind; the SI momentum over kick * _Scales.momentum_unit, with
-    kick = dtau * chi, so a step adds the Laplacian of ``potential`` to it)
-    are the live state at ``step_times[m]``.  ``momentum`` is to be read
-    only; a consumer may write ``potential`` before the next step, as a
-    dispersion point writes both end nodes, its source included, under the
-    "reflecting" boundary.  ``final_state`` is taken after the last yield,
-    so it holds such a write.  numpy's overflow and invalid warnings stay
-    off until the iteration ends or is left.
+    step behind; the SI momentum over dt, so a step adds the Laplacian of
+    ``potential`` to it) are the live state at ``step_times[m]``.
+    ``momentum`` is to be read only; a consumer may write ``potential``
+    before the next step, as a dispersion point writes both end nodes, its
+    source included, under the "reflecting" boundary.  ``final_state`` is
+    taken after the last yield, so it holds such a write.  numpy's overflow
+    and invalid warnings stay off until the iteration ends or is left.
 
     Raises ValueError for a start before the front's broadening pole,
-    NonFinite for a start time that is not finite, and CourantViolation
-    when the configured dt exceeds the stability budget; the iteration
-    raises NonFinite for a state that is not finite and OverCritical for a
-    cell current at critical under the current-dependent inductance.
+    NonFinite for a start time that is not finite or a dt/sqrt(L(0) C0)
+    that is zero or not finite, and CourantViolation when the configured
+    dt exceeds the stability budget; the iteration raises NonFinite for a
+    state that is not finite and OverCritical for a cell current at
+    critical under the current-dependent inductance.
     """
 
     def __init__(self, initial: LatticeState, array: circuit.ArrayParams,
@@ -216,15 +197,16 @@ class March:
             raise ValueError("initial state has %d cells, array has %d"
                              % (initial.n_cells, n))
 
-        self._scales = scales = _Scales(array, squid)
         budget = stable_timestep(array, squid, pulse, config.courant_fraction)
         dt = budget if config.dt is None else config.dt
         if dt > budget * (1.0 + 1e-12):
             raise CourantViolation("dt = %.3e s exceeds %.3g * sqrt(L_min C0) "
                                    "= %.3e s"
                                    % (dt, config.courant_fraction, budget))
-        self._dtau = dt / scales.t_ref
-        self._kick = self._dtau * scales.chi
+        self._rate_unit = circuit._finite_quotient(
+            dt, circuit.cell_time(array, squid, 0.0),
+            "timestep over the cell time dt/sqrt(L(0) C0)") ** 2
+        self._dt = dt
         if not math.isfinite(initial.time):
             raise NonFinite("initial time is not finite")
         self.positions = (np.arange(n) + 0.5) * array.cell_length
@@ -233,18 +215,16 @@ class March:
         if not pulse.steepness_at(self.step_times[0]) > 0.0:
             raise ValueError("run starts at t = %g s, before the front's "
                              "broadening pole" % initial.time)
-        self._run = (initial, pulse, config, dt)
+        self._run = (initial, pulse, config)
 
     def __iter__(self):
-        initial, pulse, config, dt = self._run
-        scales, positions, step_times = (self._scales, self.positions,
-                                         self.step_times)
+        initial, pulse, config = self._run
+        positions, step_times = self.positions, self.step_times
         n, steps = len(positions), config.n_steps
-        kick = self._kick
-        # With the momentum M = mom/kick each cell steps by its rate
-        # kick*dtau/(L/L(0)).  A still front never broadens (the law
-        # s0/(1 + b*u*t) has u = 0), so one rate serves every half step.
-        rate_unit = kick * self._dtau
+        dt, rate_unit = self._dt, self._rate_unit
+        # With the momentum M = q/dt each cell steps by its rate
+        # (dt/sqrt(L(0) C0))**2/(L/L(0)).  A still front never broadens (the
+        # law s0/(1 + b*u*t) has u = 0), so one rate serves every half step.
         static_bias = pulse.velocity == 0.0
         if static_bias:
             rate = rate_unit / circuit.relative_inductance(
@@ -256,7 +236,7 @@ class March:
             rows = np.empty(_BLOCK * n)
 
         self.potential = pot = initial.potential.copy()
-        self.momentum = mom = initial.momentum / (scales.momentum_unit * kick)
+        self.momentum = mom = initial.momentum / dt
         if not (np.isfinite(pot).all() and np.isfinite(mom).all()):
             raise NonFinite("initial state is not finite")
 
@@ -273,14 +253,15 @@ class March:
         absorbing = config.boundary == "absorbing"
         stretch = config.current_dependent_inductance
         if stretch:
-            # I/I_c^s of each cell, then the stretched rate.
+            # I/I_c^s of each cell, 2*pi*|q|/Phi_0 at every flux since
+            # L*I_c^s = Phi_0/(2*pi), then the stretched rate.
             rel, stretched = np.empty(n), np.empty(n)
-            ratio_unit = scales.phase_unit * kick
+            ratio_unit = 2.0 * math.pi * dt / FLUX_QUANTUM
         check_every = config.check_every
 
         def mur_beta(end_rate):
             # First-order Mur coefficient for an end cell stepped at end_rate:
-            # kappa = dtau * sqrt(chi / (L/L(0))) = sqrt(end_rate).
+            # kappa = dt / sqrt(L C0) = sqrt(end_rate).
             kappa = math.sqrt(end_rate)
             return (kappa - 1.0) / (kappa + 1.0)
 
@@ -357,7 +338,7 @@ class March:
             yield steps
             self.final_state = LatticeState(
                 time=step_times.item(steps), potential=pot.copy(),
-                momentum=mom * (scales.momentum_unit * kick))
+                momentum=mom * dt)
 
 
 def run(initial: LatticeState, array: circuit.ArrayParams,
@@ -367,10 +348,12 @@ def run(initial: LatticeState, array: circuit.ArrayParams,
     the state at every record_every-th step from the first, and at the last.
     Raises as March does."""
     march = March(initial, array, squid, pulse, config)
-    scales, positions = march._scales, march.positions
-    cap, kick = scales.cap, march._kick
-    kin_unit = cap / scales.chi * kick * kick
-    current_unit = -(cap / scales.t_ref) * kick
+    positions, dt = march.positions, march._dt
+    cap = array.ground_capacitance
+    # The momentum q = M*dt gives the cell current -q/L and energy q^2/(2L).
+    l_ref = circuit.josephson_inductance(squid, 0.0)
+    kin_unit = dt * dt / l_ref
+    current_unit = -dt / l_ref
     steps = config.n_steps
     recorded = {*range(0, steps, config.record_every or steps), steps}
     n_rec = len(recorded)
@@ -445,10 +428,7 @@ def gaussian_packet(array: circuit.ArrayParams, squid: circuit.SquidParams,
     now = np.fft.ifft(one_sided).real
     before = np.fft.ifft(one_sided * np.exp(1j * direction * omega_hat * dt)).real
 
-    scales = _Scales(array, squid)
-    ind_scaled = ind / scales.l_ref
-    dtau = dt / scales.t_ref
-    momentum = ind_scaled * (now - before) / dtau * scales.momentum_unit
+    momentum = ind * array.ground_capacitance * (now - before) / dt
     return LatticeState(time=0.0, potential=now, momentum=momentum)
 
 

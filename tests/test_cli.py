@@ -5,8 +5,10 @@ codes, emitted files, flag precedence and printed summaries.  The
 physics behind each subcommand is covered by the module tests.
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 import squid_horizon
 from squid_horizon import cli, config, lattice
@@ -497,7 +499,8 @@ VANISHING_CELL_SPEED = {"junction__critical_current": 1.27e-228,
 
 
 class TestArithmeticLimits:
-    @pytest.mark.parametrize("command", ["validate", "profile", "budget"])
+    @pytest.mark.parametrize("command", ["validate", "profile", "budget",
+                                         "dispersion"])
     def test_underflowing_capacitance_is_an_error(self, tmp_path, capsys,
                                                   command):
         # L*C0 underflows to zero, so the cell speed and the line impedance
@@ -557,25 +560,65 @@ class TestArithmeticLimits:
         assert err.count("\n") == 1
 
 
-    @pytest.mark.parametrize("command", ["validate", "profile", "budget"])
+    @staticmethod
+    def small_line_outputs(out, command, **changes):
+        """stdout and the bytes of every file command writes into out on a
+        600-cell, 400-step line."""
+        cfg = write_variant(out.with_suffix(".json"), array__n_cells=600,
+                            solver__n_steps=400, **changes)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(command + ["--config", str(cfg), "--out", str(out),
+                                   "--emit", "csv,svg,bin"])
+        assert code == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        return printed.getvalue().replace(str(out), "<out>"), files
+
+    @pytest.mark.parametrize("capacitance", [1e300, 5e-324])
+    @pytest.mark.parametrize("command", [["simulate"], ["dispersion"],
+                                         ["reproduce", "trapping"]],
+                             ids=["simulate", "dispersion", "trapping"])
+    def test_junction_capacitance_does_not_enter_the_ladder(
+            self, tmp_path, command, capacitance):
+        # C_J enters only the plasma frequency, which the ladder equations
+        # do not contain, so the lattice runs alike at any C_J, the ends of
+        # the float range included.
+        default = self.small_line_outputs(tmp_path / "default", command)
+        assert default[1]
+        assert self.small_line_outputs(
+            tmp_path / "variant", command,
+            junction__capacitance=capacitance) == default
+
+    # Examples, cells and steps per command: the lattice commands run their
+    # lines, and dispersion sizes its own, seven of them per example.
+    LIMITS = {"validate": (150, 20_000, 2 ** 63 - 1),
+              "profile": (150, 20_000, 2 ** 63 - 1),
+              "budget": (150, 20_000, 2 ** 63 - 1),
+              "simulate": (150, 2_000, 200),
+              "dispersion": (25, 2_000, 200)}
+
+    @pytest.mark.parametrize("command", LIMITS)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=150,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(doc=valid_documents(max_cells=20_000))
-    def test_valid_configs_exit_with_a_code(self, tmp_path, capsys, command,
-                                            doc):
+    def test_valid_configs_exit_with_a_code(self, tmp_path, capsys, command):
         # Every accepted document ends in exit 0, 1 or 2 with no exception
         # escaping main, and a run that succeeds prints no NaN or infinity.
         # The one directory of the test is reused by every example.
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))
-        code = main([command, "--config", str(cfg),
-                     "--out", str(tmp_path / "out"), "--emit", ""])
-        out = capsys.readouterr().out
-        assert code in (0, 1, 2)
-        if code == 0:
-            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+        examples, max_cells, max_steps = self.LIMITS[command]
+
+        @settings(derandomize=True, database=None, deadline=None,
+                  max_examples=examples)
+        @given(doc=valid_documents(max_cells=max_cells, max_steps=max_steps))
+        def exits_with_a_code(doc):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(doc))
+            code = main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--emit", ""])
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+
+        exits_with_a_code()
 
 
 class TestEntryPoint:

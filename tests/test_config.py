@@ -13,7 +13,7 @@ from squid_horizon.errors import ConfigError, ParseError, UnknownKey
 
 
 @st.composite
-def valid_documents(draw, max_cells=2 ** 63 - 1):
+def valid_documents(draw, max_cells=2 ** 63 - 1, max_steps=2 ** 63 - 1):
     """A configuration document with every key drawn from its valid
     domain, so that from_dict accepts it."""
     positive = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
@@ -34,7 +34,7 @@ def valid_documents(draw, max_cells=2 ** 63 - 1):
                   "front_position": draw(st.floats(-1e300, 1e300)),
                   "broadening": draw(nonnegative),
                   "shape": draw(st.sampled_from(["tanh", "gaussian"]))},
-        "solver": {"n_steps": draw(st.integers(1, 2 ** 63 - 1)),
+        "solver": {"n_steps": draw(st.integers(1, max_steps)),
                    "dt": draw(st.none() | positive),
                    "courant_fraction": draw(
                        st.floats(0.0, 0.5, exclude_min=True)),

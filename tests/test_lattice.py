@@ -246,6 +246,24 @@ class TestConservationAndSymmetry:
         with pytest.raises(errors.NonFinite, match=match):
             lattice.run(state, make_array(n), ref_squid, uniform, cfg)
 
+    @pytest.mark.parametrize("critical_current, ground_capacitance, dt", [
+        (2.0e-6, 1e-320, None), (2.0e-6, 1e12, 5e-324),
+        (1e-200, 1e150, None)],
+        ids=["cell-time-underflows", "rate-underflows", "cell-time-overflows"])
+    def test_rate_unit_must_be_finite(self, uniform, critical_current,
+                                      ground_capacitance, dt):
+        # dt/sqrt(L(0) C0) of 0/0, of zero or of inf/inf: a typed error when
+        # the March is made, not a ZeroDivisionError or a frozen line.
+        squid = sh.SquidParams(
+            junction=sh.JunctionParams(critical_current=critical_current,
+                                       capacitance=1.5e-16),
+            loop_inductance=1.0e-11)
+        arr = sh.ArrayParams(n_cells=16, cell_length=CELL_LENGTH,
+                             ground_capacitance=ground_capacitance)
+        with pytest.raises(errors.NonFinite, match="dt/sqrt"):
+            lattice.March(lattice.zero_state(arr), arr, squid, uniform,
+                          lattice.SolverConfig(n_steps=10, dt=dt))
+
     def test_state_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
             lattice.LatticeState(0.0, np.zeros(8), np.zeros(7))
@@ -500,8 +518,8 @@ class TestNonlinearOption:
             for _ in march:
                 rows.append(march.potential.copy())
                 peak = max(peak, float(np.abs(march.momentum).max()))
-            # March keeps the momentum in units of the kick.
-            ratio = peak * march._scales.phase_unit * march._kick
+            # March keeps the momentum over dt.
+            ratio = peak * (2.0 * math.pi * dt / FLUX_QUANTUM)
             assert 0.0 < ratio < 1.8e-8
             runs.append((np.array(rows), march.final_state))
         (plain, plain_final), (stretched, stretched_final) = runs
@@ -549,9 +567,9 @@ class TestNonlinearOption:
 
 class TestPhaseLaw:
     """Under the current-dependent inductance run reads a cell's I/I_c^s
-    as |q| * _Scales.phase_unit, since L * I_c^s = Phi_0/(2 pi) at every
-    flux; the ratio it replaced is the recorded current over circuit's
-    critical current at the cell's flux."""
+    from its momentum M = q/dt as |M| * 2 pi dt/Phi_0, since
+    L * I_c^s = Phi_0/(2 pi) at every flux; the ratio it replaced is the
+    recorded current over circuit's critical current at the cell's flux."""
 
     @pytest.mark.parametrize("critical_current, ground_capacitance", [
         (2.0e-6, 5.0e-17), (3.7e-7, 1.3e-15)])
@@ -563,17 +581,18 @@ class TestPhaseLaw:
             loop_inductance=1.0e-11)
         arr = sh.ArrayParams(n_cells=16, cell_length=CELL_LENGTH,
                              ground_capacitance=ground_capacitance)
-        scales = lattice._Scales(arr, squid)
+        dt = lattice.stable_timestep(arr, squid, sh.FluxPulse(amplitude=0.0))
         rng = np.random.default_rng(29)
         fraction = np.concatenate(([0.0, 0.45],
                                    rng.uniform(0.0, 0.45, 20000)))
-        mom = rng.standard_normal(fraction.size)  # scaled momentum
-        current = ((scales.cap / scales.t_ref) * mom
+        mom = rng.standard_normal(fraction.size)  # momentum over dt
+        current = ((dt / circuit.josephson_inductance(squid, 0.0)) * mom
                    / circuit.relative_inductance(fraction))
         ratio = np.abs(current) / circuit.squid_critical_current(
             squid, fraction * FLUX_QUANTUM)
-        np.testing.assert_allclose(np.abs(mom) * scales.phase_unit, ratio,
-                                   rtol=4e-15, atol=0.0)
+        np.testing.assert_allclose(
+            np.abs(mom) * (2.0 * math.pi * dt / FLUX_QUANTUM), ratio,
+            rtol=4e-15, atol=0.0)
 
 
 class TestRecording:
@@ -728,20 +747,19 @@ class TestMarch:
 
 def reference_run(initial, arr, squid, pulse, config):
     """The leapfrog of lattice.run written plainly, with the momentum in
-    March's unit M = mom/kick: the rate kick*dtau/(L/L(0)) of the whole
-    line at every half step from a scalar time and both Mur coefficients at
-    every step.  Returns the fields of a LatticeTrajectory
+    March's unit M = mom/dt: the rate (dt/sqrt(L(0) C0))**2/(L/L(0)) of
+    the whole line at every half step from a scalar time and both Mur
+    coefficients at every step.  Returns the fields of a LatticeTrajectory
     by name, the final state's included, with the time and the potential
     of every step as step_times and step_potentials."""
     n = arr.n_cells
-    scales = lattice._Scales(arr, squid)
     dt = config.dt or lattice.stable_timestep(arr, squid, pulse,
                                               config.courant_fraction)
-    dtau, chi, cap = dt / scales.t_ref, scales.chi, scales.cap
-    kick = dtau * chi
-    rate_unit = kick * dtau
-    kin_unit = cap / chi * kick * kick
-    current_unit = -(cap / scales.t_ref) * kick
+    cap = arr.ground_capacitance
+    l_ref = circuit.josephson_inductance(squid, 0.0)
+    rate_unit = (dt / circuit.cell_time(arr, squid, 0.0)) ** 2
+    kin_unit = dt * dt / l_ref
+    current_unit = -dt / l_ref
     positions = (np.arange(n) + 0.5) * arr.cell_length
 
     def bias_at(t):
@@ -778,7 +796,7 @@ def reference_run(initial, arr, squid, pulse, config):
     cadence = config.record_every or steps
     record_steps = set(range(0, steps, cadence)) | {steps}
     pot = initial.potential.copy()
-    mom = initial.momentum / (scales.momentum_unit * kick)
+    mom = initial.momentum / dt
     t = initial.time
     for m in range(steps):
         if m in record_steps:
@@ -790,7 +808,7 @@ def reference_run(initial, arr, squid, pulse, config):
         if config.current_dependent_inductance:
             # I/I_c^s from the momentum: TestPhaseLaw checks the law.
             rate = rate * circuit.inverse_inductance_stretch(
-                np.abs(mom) * (scales.phase_unit * kick))
+                np.abs(mom) * (2.0 * math.pi * dt / FLUX_QUANTUM))
         old = pot.copy()
         pot = pot + mom * rate
         if config.boundary == "absorbing":
@@ -802,7 +820,7 @@ def reference_run(initial, arr, squid, pulse, config):
     out["step_potentials"].append(pot.copy())
     out = {key: np.array(value) for key, value in out.items()}
     out["potential"] = pot
-    out["momentum"] = mom * (scales.momentum_unit * kick)
+    out["momentum"] = mom * dt
     out["time"] = t
     return out
 
