@@ -10,7 +10,6 @@ hardware.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -121,33 +120,17 @@ def _end_coefficient(w_dt: float, kappa: float) -> float:
     return math.sin(0.5 * (w_dt - k)) / math.sin(0.5 * (w_dt + k))
 
 
-def _driven_ends(march: lattice.March, beta: float, kicks):
-    # Drain a "reflecting" march from its first step on, writing both ends
-    # at the yield after each step, from the values kept at the yield before:
-    # pot[0] = old[1] + beta (pot[1] - old[0]) + kick, with the step's kick
-    # from kicks, and pot[-1] = old[-2] + beta (pot[-2] - old[-1]).
-    steps = iter(march)
-    next(steps)  # the initial state: each later yield follows one step
-    pot = march.potential
-    left0, left1 = pot.item(0), pot.item(1)
-    right0, right1 = pot.item(-2), pot.item(-1)
-    for m, kick in zip(steps, kicks):
-        pot[0] = left0 = left1 + beta * (pot.item(1) - left0) + kick
-        pot[-1] = right1 = right0 + beta * (pot.item(-2) - right1)
-        left1, right0 = pot.item(1), pot.item(-2)
-        yield m
-
-
 def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                       pulse: bias.FluxPulse, dt: float, cell_time: float,
-                      w: float) -> float:
+                      omega_max: float, w: float) -> float:
     # One point of measure_dispersion: its own line, stepped through the
-    # settle and then the fit steps in one run, with its source and ends
-    # written by _driven_ends.  Each fit step's window is projected on
-    # cos/sin of the drive by least squares, exact for a pure tone whether or
-    # not the fit covers whole periods; the projection is summed over blocks
-    # of _FIT_BLOCK steps.
-    omega_max = 2.0 / cell_time
+    # settle and then the fit steps in one run.  At the yield after each
+    # step the loop writes both ends from the values kept at the yield
+    # before: pot[0] = old[1] + beta (pot[1] - old[0]) + kick, with the
+    # step's source kick, and pot[-1] = old[-2] + beta (pot[-2] - old[-1]).
+    # Each fit step's window is projected on cos/sin of the drive by least
+    # squares, exact for a pure tone whether or not the fit covers whole
+    # periods; the projection is summed over blocks of _FIT_BLOCK steps.
     ka = 2.0 * math.asin(w / omega_max)
     wavelength_cells = 2.0 * math.pi / ka
     window_start = 60
@@ -166,36 +149,44 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
                           lattice.SolverConfig(n_steps=settle_steps + fit_steps,
                                                dt=dt, boundary="reflecting"))
     kicks = _source_kicks(w, march.step_times[:-1], dt)
-    steps = _driven_ends(march, _end_coefficient(w * dt, dt / cell_time),
-                         kicks)
-    for _ in itertools.islice(steps, settle_steps - 1):
-        pass
-
-    potential = march.potential
+    beta = _end_coefficient(w * dt, dt / cell_time)
     window = slice(window_start, window_start + window_cells)
     drive_phase = w * march.step_times[settle_steps:]
     basis = np.array([np.cos(drive_phase), np.sin(drive_phase)])
     projection = np.zeros((2, window_cells))
     block = np.empty((_FIT_BLOCK, window_cells))
-    for k, _ in enumerate(steps):
-        row = k % _FIT_BLOCK
-        block[row] = potential[window]
-        if row == _FIT_BLOCK - 1 or k == fit_steps:
-            projection += basis[:, k - row:k + 1] @ block[:row + 1]
+    steps = iter(march)
+    next(steps)  # the initial state: each later yield follows one step
+    pot = march.potential
+    left0, left1 = pot.item(0), pot.item(1)
+    right0, right1 = pot.item(-2), pot.item(-1)
+    for m, kick in zip(steps, kicks):
+        pot[0] = left0 = left1 + beta * (pot.item(1) - left0) + kick
+        pot[-1] = right1 = right0 + beta * (pot.item(-2) - right1)
+        left1, right0 = pot.item(1), pot.item(-2)
+        if m >= settle_steps:
+            k = m - settle_steps
+            row = k % _FIT_BLOCK
+            block[row] = pot[window]
+            if row == _FIT_BLOCK - 1 or k == fit_steps:
+                projection += basis[:, k - row:k + 1] @ block[:row + 1]
 
     coef = np.linalg.solve(basis @ basis.T, projection)
     phasors = coef[0] + 1j * coef[1]
     if np.max(np.abs(phasors)) < 1e-9 * max(abs(DRIVE_AMPLITUDE), 1e-30):
         raise FitFailure("no steady wave at %.3e rad/s" % w)
     phase = np.unwrap(np.angle(phasors))
-    x = march.positions[window]
-    slope, intercept = np.polyfit(x, phase, 1)
-    residual = phase - (slope * x + intercept)
+    # Fitted on cell indices, whose squares cannot underflow as those of
+    # positions in metres would on a tiny cell length.
+    cells = np.arange(window_cells) + (window_start + 0.5)
+    slope, intercept = np.polyfit(cells, phase, 1)
+    residual = phase - (slope * cells + intercept)
     rms = float(np.sqrt(np.mean(residual ** 2)))
     if rms > RESIDUAL_THRESHOLD:
         raise FitFailure("phase fit residual %.3f rad at %.3e rad/s"
                          % (rms, w))
-    return abs(slope)
+    return circuit._finite_quotient(abs(float(slope)), array.cell_length,
+                                    "wavenumber k")
 
 
 def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
@@ -210,7 +201,8 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     steady state yields no usable phase profile.
     """
     cell_time = circuit.cell_time(array, squid, flux_dc)
-    omega_max = 2.0 / cell_time
+    omega_max = circuit._finite_quotient(2.0, cell_time,
+                                         "band edge 2/sqrt(L*C0)")
     frequencies = [float(w) for w in frequencies]
     for w in frequencies:
         if w > 0.95 * omega_max:
@@ -224,8 +216,8 @@ def measure_dispersion(array: circuit.ArrayParams, squid: circuit.SquidParams,
     pulse = bias.FluxPulse(amplitude=0.0, dc_offset=flux_fraction)
     dt = lattice.stable_timestep(array, squid, pulse, COURANT_FRACTION)
 
-    measured_k = [_point_wavenumber(array, squid, pulse, dt, cell_time, w)
-                  for w in frequencies]
+    measured_k = [_point_wavenumber(array, squid, pulse, dt, cell_time,
+                                    omega_max, w) for w in frequencies]
     k = np.array(measured_k)
     order = np.argsort(k)
     k = k[order]

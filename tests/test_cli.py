@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,11 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squid_horizon
-from squid_horizon import cli, config, lattice
+from squid_horizon import cli, config, errors, experiments, lattice
 from squid_horizon.cli import main
 
+from conftest import REF_CELL_SPEED
 from test_config import valid_documents
 from test_csv import reference_csv
 
@@ -545,7 +548,12 @@ class TestArithmeticLimits:
         # window is empty: the scan was a ZeroDivisionError.
         pytest.param("budget", {"pulse__front_position": 1e20},
                      "no black horizon at t = 0.000e+00 s",
-                     id="budget-collapsed-grid")])
+                     id="budget-collapsed-grid"),
+        # The phase slope per cell over a cell length of 5e-324 m
+        # overflows.
+        pytest.param("dispersion", {"array__cell_length": 5e-324},
+                     "wavenumber k is zero or not finite",
+                     id="dispersion-subnormal-cell-length")])
     def test_validate_arithmetic_limits_are_errors(self, tmp_path, capsys,
                                                    command, changes,
                                                    message):
@@ -559,6 +567,22 @@ class TestArithmeticLimits:
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("cell_length", [1e-200, 1e-300])
+    def test_tiny_cell_length_measures_the_default_curve(
+            self, tmp_path, capsys, cell_length):
+        # The phase is fitted on cell indices: on positions in metres their
+        # squares underflowed and the least-squares fit failed.  k a, and so
+        # every relative error, is the default's.
+        cfg = write_variant(tmp_path / "c.json",
+                            array__cell_length=cell_length)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dispersion", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith(
+            "measured 7 points, worst relative error 4.737e-03\n")
 
     @staticmethod
     def small_line_outputs(out, command, **changes):
@@ -619,6 +643,59 @@ class TestArithmeticLimits:
                 assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
 
         exits_with_a_code()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_valid_sweeps_record_typed_errors(self, tmp_path, capsys):
+        # Every sweep over valid values exits 0, each failed point records a
+        # typed error or a ValueError, and no output cell reads NaN or
+        # infinity.  On random devices every point fails, so half the bases
+        # are the reference device with the pulse at 0.9 to 1 of its cell
+        # speed, above the speed under the front's crest, where some points
+        # reach the photon budget.
+        typed = {name for name, value in vars(errors).items()
+                 if isinstance(value, type)} | {"ValueError"}
+        default = config.config_to_dict(config.default_config())
+        axes = [(section, key) for section in ("pulse", "array")
+                for key in default[section]]
+        documents = valid_documents(max_cells=2_000, max_steps=200)
+
+        @st.composite
+        def sweeps(draw):
+            if draw(st.booleans()):
+                fraction = draw(st.floats(0.9, 1.0, exclude_max=True))
+                base = dict(default, pulse=dict(
+                    default["pulse"], velocity=fraction * REF_CELL_SPEED))
+            else:
+                base = draw(documents)
+            paths = draw(st.lists(st.sampled_from(axes), min_size=1,
+                                  max_size=2, unique=True))
+            return {"base": base,
+                    "axes": [{"path": "%s.%s" % path,
+                              "values": [doc[path[0]][path[1]] for doc in
+                                         draw(st.lists(documents, min_size=1,
+                                                       max_size=2))]}
+                             for path in paths],
+                    "outputs": list(draw(st.permutations(
+                        experiments._SWEEP_OUTPUTS)))}
+
+        @settings(derandomize=True, database=None, deadline=None,
+                  max_examples=100)
+        @given(doc=sweeps())
+        def records_typed_errors(doc):
+            spec = tmp_path / "sweep.json"
+            spec.write_text(json.dumps(doc))
+            code = main(["sweep", "--config", str(spec),
+                         "--out", str(tmp_path / "out")])
+            capsys.readouterr()
+            assert code == 0
+            with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                assert row["error"].partition(":")[0] in typed | {""}
+                for name in doc["outputs"]:
+                    assert math.isfinite(float(row[name] or 0.0))
+
+        records_typed_errors()
 
 
 class TestEntryPoint:
