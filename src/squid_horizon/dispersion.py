@@ -176,8 +176,8 @@ def _point_wavenumber(array: circuit.ArrayParams, squid: circuit.SquidParams,
     if np.max(np.abs(phasors)) < 1e-9 * max(abs(DRIVE_AMPLITUDE), 1e-30):
         raise FitFailure("no steady wave at %.3e rad/s" % w)
     phase = np.unwrap(np.angle(phasors))
-    # Fitted on cell indices, whose squares cannot underflow as those of
-    # positions in metres would on a tiny cell length.
+    # On cell indices: the squares of positions in metres underflow on a
+    # tiny cell length.
     cells = np.arange(window_cells) + (window_start + 0.5)
     slope, intercept = np.polyfit(cells, phase, 1)
     residual = phase - (slope * cells + intercept)
